@@ -36,7 +36,6 @@ from .footprint import (
 )
 from .classify import (
     ClassifierMetrics,
-    SelectorMetrics,
     SvmConfig,
     SvmModel,
     cross_validate,
@@ -74,7 +73,6 @@ __all__ = [
     "PlotSpec",
     "ScalingParams",
     "SelectionResult",
-    "SelectorMetrics",
     "SvmConfig",
     "SvmModel",
     "Violation",

@@ -5,6 +5,7 @@ decision values on a query point yields the recommended algorithm order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -56,14 +57,17 @@ class SvmConfig:
     def __post_init__(self) -> None:
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.C <= 0.0:
-            raise ValueError("C must be positive")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_passes < 1:
             raise ValueError("max_passes must be positive")
-        if isinstance(self.gamma, str) and self.gamma != "median-heuristic":
-            raise ValueError("gamma must be a float or 'median-heuristic'")
+        if isinstance(self.gamma, str):
+            if self.gamma != "median-heuristic":
+                raise ValueError("gamma must be a float or 'median-heuristic'")
+        elif not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -240,13 +244,6 @@ class ClassifierMetrics:
     recall: float | None
 
 
-@dataclass(frozen=True)
-class SelectorMetrics:
-    per_algorithm: Mapping[str, ClassifierMetrics]
-    accuracy: float
-    precision: float | None
-
-
 def compute_metrics(y_true: Sequence[float], y_pred: Sequence[float]) -> ClassifierMetrics:
     t = np.asarray(y_true, dtype=float)
     p = np.asarray(y_pred, dtype=float)
@@ -308,19 +305,6 @@ def cross_validate(
         pooled_true.append(y[test_idx])
         pooled_pred.append(np.where(values >= 0.0, 1.0, -1.0))
     return compute_metrics(np.concatenate(pooled_true), np.concatenate(pooled_pred))
-
-
-def aggregate_metrics(per_algorithm: Mapping[str, ClassifierMetrics]) -> SelectorMetrics:
-    """Unweighted mean over algorithms; precision averages the defined ones."""
-    if not per_algorithm:
-        raise ValueError("no per-algorithm metrics")
-    accs = [m.accuracy for m in per_algorithm.values()]
-    precs = [m.precision for m in per_algorithm.values() if m.precision is not None]
-    return SelectorMetrics(
-        per_algorithm=dict(per_algorithm),
-        accuracy=float(np.mean(accs)),
-        precision=float(np.mean(precs)) if precs else None,
-    )
 
 
 def select_aprt(

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import click
@@ -22,8 +23,7 @@ from . import classify, footprint as fp, ingest, project, report as rpt, selecti
 from .model import FeatureSubset, InstanceTable, InstanceRecord, Outcome, validate_table
 from .seeds import derive_seed
 
-STAGES = ("ingest", "select-features", "project", "footprint", "classify", "plot")
-
+# Artifact -> the stage that writes it.
 _ARTIFACTS = {
     "table.json": "ingest",
     "selection.json": "select-features",
@@ -32,22 +32,6 @@ _ARTIFACTS = {
     "footprints.json": "footprint",
     "models.json": "classify",
     "metrics.json": "classify",
-}
-
-_STAGE_NEEDS = {
-    "ingest": (),
-    "select-features": ("table.json",),
-    "project": ("table.json", "selection.json"),
-    "footprint": ("table.json", "coordinates.json"),
-    "classify": ("table.json", "coordinates.json"),
-    "plot": (
-        "table.json",
-        "selection.json",
-        "pca_model.json",
-        "coordinates.json",
-        "footprints.json",
-        "metrics.json",
-    ),
 }
 
 
@@ -75,12 +59,36 @@ class PipelineConfig:
             raise ValueError("repeats must be >= 1")
 
 
+def _word_or(word: str, meaning, cast):
+    """Parser for a value that is either the keyword `word` or a `cast` literal."""
+    return lambda text: meaning if text == word else cast(text)
+
+
+# Config key -> (PipelineConfig section or None for a top-level field, field,
+# parser). A key left unset keeps the default of its dataclass.
 _CONFIG_KEYS = {
-    "input", "output", "seed", "repeats",
-    "ga.population", "ga.generations", "ga.crossover", "ga.mutation",
-    "ga.tournament", "ga.min_k", "ga.max_k", "ga.cv_folds",
-    "svm.kernel", "svm.c", "svm.gamma", "svm.tolerance", "svm.max_passes",
-    "plot.width", "plot.height", "plot.margin", "plot.point_radius", "plot.palette",
+    "input": (None, "input_path", str),
+    "output": (None, "output_dir", str),
+    "seed": (None, "seed", int),
+    "repeats": (None, "repeats", int),
+    "ga.population": ("ga", "population_size", int),
+    "ga.generations": ("ga", "generations", int),
+    "ga.crossover": ("ga", "crossover_rate", float),
+    "ga.mutation": ("ga", "mutation_rate", _word_or("auto", None, float)),
+    "ga.tournament": ("ga", "tournament_size", int),
+    "ga.min_k": ("ga", "min_k", int),
+    "ga.max_k": ("ga", "max_k", int),
+    "ga.cv_folds": ("ga", "cv_folds", int),
+    "svm.kernel": ("svm", "kernel", str),
+    "svm.c": ("svm", "C", float),
+    "svm.gamma": ("svm", "gamma", _word_or("median", "median-heuristic", float)),
+    "svm.tolerance": ("svm", "tolerance", float),
+    "svm.max_passes": ("svm", "max_passes", int),
+    "plot.width": ("plot", "width", int),
+    "plot.height": ("plot", "height", int),
+    "plot.margin": ("plot", "margin", int),
+    "plot.point_radius": ("plot", "point_radius", float),
+    "plot.palette": ("plot", "palette", str),
 }
 
 
@@ -104,15 +112,6 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-def _num(values: dict[str, str], key: str, cast, default):
-    if key not in values:
-        return default
-    try:
-        return cast(values[key])
-    except ValueError:
-        raise CliFailure("E_PARSE", f"config key {key}: bad value {values[key]!r}") from None
-
-
 def build_config(
     file_values: dict[str, str],
     input_path: str | None = None,
@@ -122,64 +121,43 @@ def build_config(
     env_seed: str | None = None,
 ) -> PipelineConfig:
     """Merge config sources: CLI flag > EAPR_SEED env > config file > default."""
-    v = file_values
-    final_input = input_path or v.get("input")
-    final_output = output_dir or v.get("output")
-    if not final_input:
-        raise CliFailure("E_PARSE", "no input path given (flag --input or config `input`)")
-    if not final_output:
-        raise CliFailure("E_PARSE", "no output dir given (flag --output or config `output`)")
-
-    final_seed = _num(v, "seed", int, 0)
+    texts = [(key, text, f"config key {key}") for key, text in file_values.items()]
     if env_seed is not None:
+        texts.append(("seed", env_seed, "EAPR_SEED"))
+    sections: dict[str | None, dict] = {None: {}, "ga": {}, "svm": {}, "plot": {}}
+    for key, text, origin in texts:
+        section, field, parse = _CONFIG_KEYS[key]
         try:
-            final_seed = int(env_seed)
+            sections[section][field] = parse(text)
         except ValueError:
-            raise CliFailure("E_PARSE", f"EAPR_SEED: bad value {env_seed!r}") from None
-    if seed is not None:
-        final_seed = seed
+            raise CliFailure("E_PARSE", f"{origin}: bad value {text!r}") from None
 
-    mutation_raw = v.get("ga.mutation", "auto")
-    mutation = None if mutation_raw == "auto" else _num(v, "ga.mutation", float, None)
-    gamma_raw = v.get("svm.gamma", "median")
-    gamma = "median-heuristic" if gamma_raw == "median" else _num(v, "svm.gamma", float, 1.0)
-
+    top = sections[None]
+    flags = {"input_path": input_path, "output_dir": output_dir, "seed": seed, "repeats": repeats}
+    top.update((field, flag) for field, flag in flags.items() if flag not in (None, ""))
+    for field, key in (("input_path", "input"), ("output_dir", "output")):
+        if not top.get(field):
+            raise CliFailure("E_PARSE", f"no {key} path given (flag --{key} or config `{key}`)")
+        top[field] = Path(top[field])
     try:
-        ga = selection.GaConfig(
-            population_size=_num(v, "ga.population", int, 50),
-            generations=_num(v, "ga.generations", int, 100),
-            crossover_rate=_num(v, "ga.crossover", float, 0.9),
-            mutation_rate=mutation,
-            tournament_size=_num(v, "ga.tournament", int, 2),
-            min_k=_num(v, "ga.min_k", int, 4),
-            max_k=_num(v, "ga.max_k", int, 12),
-            cv_folds=_num(v, "ga.cv_folds", int, 5),
-        )
-        svm = classify.SvmConfig(
-            kernel=v.get("svm.kernel", "rbf"),
-            C=_num(v, "svm.c", float, 1.0),
-            gamma=gamma,
-            tolerance=_num(v, "svm.tolerance", float, 1e-3),
-            max_passes=_num(v, "svm.max_passes", int, 200),
-        )
-        plot = rpt.PlotSpec(
-            width=_num(v, "plot.width", int, 640),
-            height=_num(v, "plot.height", int, 480),
-            margin=_num(v, "plot.margin", int, 48),
-            point_radius=_num(v, "plot.point_radius", float, 3.0),
-            palette=v.get("plot.palette", "default"),
-        )
         return PipelineConfig(
-            input_path=Path(final_input),
-            output_dir=Path(final_output),
-            ga=ga,
-            svm=svm,
-            plot=plot,
-            repeats=repeats if repeats is not None else _num(v, "repeats", int, 1),
-            seed=final_seed,
+            ga=selection.GaConfig(**sections["ga"]),
+            svm=classify.SvmConfig(**sections["svm"]),
+            plot=rpt.PlotSpec(**sections["plot"]),
+            **top,
         )
     except ValueError as exc:
         raise CliFailure("E_PARSE", str(exc)) from exc
+
+
+def _config_echo(cfg: PipelineConfig) -> dict:
+    """The run's settings for report provenance: every key but paths and plot."""
+    echo = {}
+    for key, (section, field, _) in _CONFIG_KEYS.items():
+        if section != "plot" and key not in ("input", "output"):
+            value = getattr(getattr(cfg, section) if section else cfg, field)
+            echo[key] = "auto" if value is None else value
+    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +168,13 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_json(path: Path) -> dict:
-    return json.loads(path.read_text(encoding="utf-8"))
+def _read_json(out_dir: Path, name: str, decode=lambda data: data):
+    """Load one artifact and decode it. A missing, unreadable, malformed or
+    stale file fails as `E_STAGE <stage that writes it>`."""
+    try:
+        return decode(json.loads((out_dir / name).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliFailure("E_STAGE", _ARTIFACTS[name]) from exc
 
 
 def _table_to_dict(table: InstanceTable, digest: str) -> dict:
@@ -225,14 +208,19 @@ def _table_from_dict(data: dict) -> tuple[InstanceTable, str]:
     return table, data["input_digest"]
 
 
-def _require(out_dir: Path, stage: str) -> None:
-    for artifact in _STAGE_NEEDS[stage]:
-        if not (out_dir / artifact).exists():
-            raise CliFailure("E_STAGE", _ARTIFACTS[artifact])
-
-
 def _load_table(out_dir: Path) -> tuple[InstanceTable, str]:
-    return _table_from_dict(_read_json(out_dir / "table.json"))
+    return _read_json(out_dir, "table.json", _table_from_dict)
+
+
+def _load_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
+    """The projected points; coordinates of another table's rows are stale."""
+
+    def decode(data: dict) -> np.ndarray:
+        if data["ids"] != list(table.instance_ids):
+            raise ValueError("coordinates belong to another table")
+        return np.array(data["coords"], dtype=float).reshape(-1, 2)
+
+    return _read_json(out_dir, "coordinates.json", decode)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +228,7 @@ def _load_table(out_dir: Path) -> tuple[InstanceTable, str]:
 
 
 def stage_ingest(cfg: PipelineConfig) -> None:
+    """Parse and aggregate the input CSV into table.json."""
     try:
         raw = cfg.input_path.read_bytes()
     except OSError as exc:
@@ -300,7 +289,7 @@ def _final_subset(
 
 
 def stage_select_features(cfg: PipelineConfig) -> None:
-    _require(cfg.output_dir, "select-features")
+    """Run the GA feature search over table.json."""
     table, _ = _load_table(cfg.output_dir)
     stage_seed = derive_seed(cfg.seed, "select-features")
 
@@ -330,10 +319,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
         cfg.output_dir / "selection.json",
         {
             "selected": list(final),
-            "fitness": {
-                "mean_cv_accuracy": fitness.mean_cv_accuracy,
-                "subset_size": fitness.subset_size,
-            },
+            "fitness": asdict(fitness),
             "frequencies": frequencies,
             "repeats": repeats_out,
         },
@@ -341,15 +327,15 @@ def stage_select_features(cfg: PipelineConfig) -> None:
 
 
 def stage_project(cfg: PipelineConfig) -> None:
-    _require(cfg.output_dir, "project")
+    """Fit the 2D PCA model for the selected features."""
     table, _ = _load_table(cfg.output_dir)
-    selected = _read_json(cfg.output_dir / "selection.json")["selected"]
+    selected = _read_json(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
     try:
         model, coords = project.fit_projection(table, FeatureSubset.of(selected))
     except (ingest.AllFeaturesDropped, project.NonFiniteInput, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
 
-    project.save_model(model, cfg.output_dir / "pca_model.json")
+    _write_json(cfg.output_dir / "pca_model.json", project.model_to_dict(model))
     _write_json(
         cfg.output_dir / "coordinates.json",
         {
@@ -359,9 +345,9 @@ def stage_project(cfg: PipelineConfig) -> None:
     )
 
 
-def _load_coords(out_dir: Path) -> np.ndarray:
-    data = _read_json(out_dir / "coordinates.json")
-    return np.array(data["coords"], dtype=float).reshape(-1, 2)
+# The footprints.json block fields holding hull vertices; the other fields,
+# but "algorithm", are the metrics report.json carries.
+_HULLS = ("good_hull", "bad_hull", "contradiction")
 
 
 def _poly_points(poly: fp.ConvexPolygon) -> list[list[float]]:
@@ -369,9 +355,9 @@ def _poly_points(poly: fp.ConvexPolygon) -> list[list[float]]:
 
 
 def stage_footprint(cfg: PipelineConfig) -> None:
-    _require(cfg.output_dir, "footprint")
+    """Compute per-algorithm footprint geometry."""
     table, _ = _load_table(cfg.output_dir)
-    coords = _load_coords(cfg.output_dir)
+    coords = _load_coords(cfg.output_dir, table)
 
     all_hull_area = fp.polygon_area(fp.convex_hull([(p[0], p[1]) for p in coords]))
     algorithms = sorted(table.algorithm_names)
@@ -418,9 +404,9 @@ def stage_footprint(cfg: PipelineConfig) -> None:
 
 
 def stage_classify(cfg: PipelineConfig) -> None:
-    _require(cfg.output_dir, "classify")
+    """Train per-algorithm SVMs and selector metrics."""
     table, _ = _load_table(cfg.output_dir)
-    coords = _load_coords(cfg.output_dir)
+    coords = _load_coords(cfg.output_dir, table)
     stage_seed = derive_seed(cfg.seed, "classify")
 
     models: dict[str, dict] = {}
@@ -432,9 +418,8 @@ def stage_classify(cfg: PipelineConfig) -> None:
         n_neg = int(np.sum(y == -1.0))
         if min(n_pos, n_neg) < 2:
             click.echo(f"warning: skipping degenerate labels for {algorithm}", err=True)
-            empty = {"accuracy": None, "precision": None, "recall": None}
-            cv_metrics[algorithm] = dict(empty)
-            train_metrics[algorithm] = dict(empty)
+            empty = dict.fromkeys(f.name for f in fields(classify.ClassifierMetrics))
+            cv_metrics[algorithm] = train_metrics[algorithm] = empty
             continue
         pts = coords[idx]
         svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
@@ -443,15 +428,11 @@ def stage_classify(cfg: PipelineConfig) -> None:
 
         values = classify.decision_values(model, pts)
         predicted = np.where(values >= 0.0, 1.0, -1.0)
-        tm = classify.compute_metrics(y, predicted)
-        train_metrics[algorithm] = {
-            "accuracy": tm.accuracy, "precision": tm.precision, "recall": tm.recall,
-        }
+        train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
         cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
-        cm = classify.cross_validate(pts, y, cfg.ga.cv_folds, cv_config)
-        cv_metrics[algorithm] = {
-            "accuracy": cm.accuracy, "precision": cm.precision, "recall": cm.recall,
-        }
+        cv_metrics[algorithm] = asdict(
+            classify.cross_validate(pts, y, cfg.ga.cv_folds, cv_config)
+        )
 
     if not models:
         raise CliFailure("E_DEGENERATE", "no algorithm has trainable labels")
@@ -472,51 +453,25 @@ def stage_classify(cfg: PipelineConfig) -> None:
     )
 
 
-def _config_echo(cfg: PipelineConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "repeats": cfg.repeats,
-        "ga.population": cfg.ga.population_size,
-        "ga.generations": cfg.ga.generations,
-        "ga.crossover": cfg.ga.crossover_rate,
-        "ga.mutation": cfg.ga.mutation_rate if cfg.ga.mutation_rate is not None else "auto",
-        "ga.tournament": cfg.ga.tournament_size,
-        "ga.min_k": cfg.ga.min_k,
-        "ga.max_k": cfg.ga.max_k,
-        "ga.cv_folds": cfg.ga.cv_folds,
-        "svm.kernel": cfg.svm.kernel,
-        "svm.c": cfg.svm.C,
-        "svm.gamma": cfg.svm.gamma,
-        "svm.tolerance": cfg.svm.tolerance,
-        "svm.max_passes": cfg.svm.max_passes,
-    }
-
-
 def stage_plot(cfg: PipelineConfig) -> None:
-    _require(cfg.output_dir, "plot")
+    """Render SVGs and assemble report.json."""
     out = cfg.output_dir
     table, digest = _load_table(out)
-    coords = _load_coords(out)
-    sel = _read_json(out / "selection.json")
-    pca = project.load_model(out / "pca_model.json")
-    foot = _read_json(out / "footprints.json")
-    metrics = _read_json(out / "metrics.json")
+    sel = _read_json(out, "selection.json")
+    pca = _read_json(out, "pca_model.json", project.model_from_dict)
+    coords = _load_coords(out, table)
+    foot = _read_json(out, "footprints.json")
+    metrics = _read_json(out, "metrics.json")
 
-    def _poly(points: list) -> fp.ConvexPolygon:
-        return fp.ConvexPolygon(tuple((float(x), float(y)) for x, y in points))
-
+    footprint_metrics = {}
     for algorithm in foot["algorithms"]:
         block = foot["footprints"][algorithm]
-        print_ = fp.Footprint(
-            algorithm=algorithm,
-            good_hull=_poly(block["good_hull"]),
-            bad_hull=_poly(block["bad_hull"]),
-            contradiction=_poly(block["contradiction"]),
-            area_good=block["area_good"],
-            area_net=block["area_net"],
-            purity=block["purity"],
-            density=block["density"],
-        )
+        args = {f.name: block[f.name] for f in fields(fp.Footprint)}
+        args.update((h, fp.ConvexPolygon(tuple(map(tuple, block[h])))) for h in _HULLS)
+        print_ = fp.Footprint(**args)
+        footprint_metrics[algorithm] = {
+            k: v for k, v in block.items() if k not in _HULLS and k != "algorithm"
+        }
         svg = rpt.render_footprint_svg(
             coords, table.outcome_labels(algorithm), print_, cfg.plot
         )
@@ -543,16 +498,6 @@ def stage_plot(cfg: PipelineConfig) -> None:
     dataset_counts: dict[str, int] = {}
     for tag in table.dataset_tags:
         dataset_counts[tag] = dataset_counts.get(tag, 0) + 1
-    footprint_metrics = {
-        a: {
-            k: b[k]
-            for k in (
-                "area_good", "area_net", "purity", "density",
-                "area_good_norm", "area_net_norm", "degenerate",
-            )
-        }
-        for a, b in foot["footprints"].items()
-    }
     analysis = rpt.AnalysisReport(
         provenance={"input_digest": digest, "config": _config_echo(cfg)},
         selected_features=tuple(pca.feature_names),
@@ -560,12 +505,7 @@ def stage_plot(cfg: PipelineConfig) -> None:
         eigenvalues=tuple(float(v) for v in pca.eigenvalues),
         explained_variance_2d=pca.explained_variance_2d,
         explained_variance_ratios=tuple(float(r) for r in ratios),
-        selection={
-            "selected": sel["selected"],
-            "fitness": sel["fitness"],
-            "frequencies": sel["frequencies"],
-            "repeats": sel["repeats"],
-        },
+        selection=sel,
         algorithm_names=tuple(foot["algorithms"]),
         footprints=footprint_metrics,
         overlap=tuple(tuple(row) for row in foot["overlap"]),
@@ -594,8 +534,8 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     if not cfg.input_path.exists():
         raise CliFailure("E_IO", f"input not found: {cfg.input_path}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for stage in STAGES:
-        _STAGE_FNS[stage](cfg)
+    for stage_fn in _STAGE_FNS.values():
+        stage_fn(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +544,17 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
 
 def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str, float]]:
     """Standardize, project and score one feature vector against saved models."""
-    pca_path = model_dir / "pca_model.json"
-    models_path = model_dir / "models.json"
-    if not pca_path.exists() or not models_path.exists():
-        raise CliFailure("E_MODEL", f"missing pca_model.json or models.json in {model_dir}")
     try:
-        pca = project.load_model(pca_path)
-        model_blocks = _read_json(models_path)["models"]
-        models = {a: classify.model_from_dict(d) for a, d in model_blocks.items()}
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliFailure("E_MODEL", f"corrupt model files: {exc}") from exc
+        pca = _read_json(model_dir, "pca_model.json", project.model_from_dict)
+        models = _read_json(
+            model_dir,
+            "models.json",
+            lambda data: {a: classify.model_from_dict(d) for a, d in data["models"].items()},
+        )
+    except CliFailure as failure:
+        raise CliFailure(
+            "E_MODEL", f"missing or corrupt model files in {model_dir}: {failure.__cause__}"
+        ) from failure
     if not models:
         raise CliFailure("E_MODEL", "no algorithm models present")
 
@@ -642,9 +583,12 @@ def _parse_vector(text: str) -> dict[str, float]:
             raise CliFailure("E_MODEL", f"stdin line {line_no}: expected name,value")
         name, value = (part.strip() for part in line.split(sep, 1))
         try:
-            vector[name] = float(value)
+            number = float(value)
         except ValueError:
-            raise CliFailure("E_MODEL", f"stdin line {line_no}: bad value {value!r}") from None
+            number = math.nan
+        if not math.isfinite(number):
+            raise CliFailure("E_MODEL", f"stdin line {line_no}: bad value {value!r}")
+        vector[name] = number
     if not vector:
         raise CliFailure("E_MODEL", "empty feature vector on stdin")
     return vector
@@ -724,12 +668,8 @@ def _stage_command(stage_name: str, help_text: str):
     return _cmd
 
 
-_stage_command("ingest", "Parse and aggregate the input CSV into table.json.")
-_stage_command("select-features", "Run the GA feature search over table.json.")
-_stage_command("project", "Fit the 2D PCA model for the selected features.")
-_stage_command("footprint", "Compute per-algorithm footprint geometry.")
-_stage_command("classify", "Train per-algorithm SVMs and selector metrics.")
-_stage_command("plot", "Render SVGs and assemble report.json.")
+for _name, _fn in _STAGE_FNS.items():
+    _stage_command(_name, _fn.__doc__)
 
 
 @main.command()

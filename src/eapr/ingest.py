@@ -121,7 +121,10 @@ def parse_instance_table(
         if pos == id_pos or pos == dataset_pos:
             continue
         if name.startswith(schema.outcome_prefix):
-            algorithm_names.append(name[len(schema.outcome_prefix):])
+            algorithm = name[len(schema.outcome_prefix):]
+            if algorithm in algorithm_names:
+                raise MalformedCsv(f"duplicate outcome column {name!r}")
+            algorithm_names.append(algorithm)
             outcome_pos.append(pos)
         else:
             feature_names.append(name)

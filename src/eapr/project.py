@@ -6,9 +6,7 @@ the whole pipeline free of external linear-algebra solvers.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -233,11 +231,3 @@ def model_from_dict(data: dict) -> PcaModel:
         eigenvalues=np.array(data["eigenvalues"], dtype=float),
         explained_variance_2d=float(data["explained_variance_2d"]),
     )
-
-
-def save_model(model: PcaModel, path: Path) -> None:
-    path.write_text(json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n")
-
-
-def load_model(path: Path) -> PcaModel:
-    return model_from_dict(json.loads(path.read_text()))

@@ -299,3 +299,12 @@ class TestMisc:
             SvmConfig(C=-1.0)
         with pytest.raises(ValueError):
             SvmConfig(gamma="bogus")
+        # NaN fails every comparison, so each bound must be written to reject it.
+        for bad in (0.0, -3.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SvmConfig(gamma=bad)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SvmConfig(C=bad)
+            with pytest.raises(ValueError):
+                SvmConfig(tolerance=bad)

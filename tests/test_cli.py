@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from eapr.cli import main
+from eapr.cli import build_config, main, parse_config_file
 
 FAST_GA = """\
 repeats=1
@@ -107,6 +107,29 @@ class TestStages:
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
+    def test_truncated_coordinates_names_project(self, runner, tmp_path, synthetic60_path):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "trunc")
+        assert result.exit_code == 0, result.stderr
+        coords = out / "coordinates.json"
+        coords.write_bytes(coords.read_bytes()[: coords.stat().st_size // 2])
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = runner.invoke(main, ["footprint", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.strip() == "E_STAGE project"
+
+    def test_reingest_makes_coordinates_stale(self, runner, tmp_path, synthetic60_path):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "stale")
+        assert result.exit_code == 0, result.stderr
+        lines = Path(synthetic60_path).read_text().splitlines(keepends=True)
+        sliced = tmp_path / "slice.csv"
+        sliced.write_text("".join(lines[:31]))
+        cfg = write_config(tmp_path, sliced, out)
+        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        for stage in ("footprint", "classify", "plot"):
+            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            assert result.exit_code == 1, stage
+            assert result.stderr.strip() == "E_STAGE project", stage
+
     def test_project_after_selection_writes_model(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "upto"
         cfg = write_config(tmp_path, synthetic60_path, out)
@@ -164,6 +187,56 @@ class TestConfigFile:
         )
         assert runner.invoke(main, ["pipeline", "--config", str(cfg)]).exit_code == 0
 
+    def test_non_positive_gamma_rejected(self, runner, tmp_path, synthetic60_path):
+        cfg = write_config(tmp_path, synthetic60_path, tmp_path / "o", extra="svm.gamma=-3\n")
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.split()[0] == "E_PARSE"
+
+    def test_every_key_reaches_its_field_and_the_report(self, runner, tmp_path, synthetic60_path):
+        # Every value differs from its default, but the palette: "default" is
+        # the only one there is.
+        fields = {
+            "seed": (None, "seed", 11),
+            "repeats": (None, "repeats", 2),
+            "ga.population": ("ga", "population_size", 6),
+            "ga.generations": ("ga", "generations", 2),
+            "ga.crossover": ("ga", "crossover_rate", 0.7),
+            "ga.mutation": ("ga", "mutation_rate", 0.25),
+            "ga.tournament": ("ga", "tournament_size", 3),
+            "ga.min_k": ("ga", "min_k", 2),
+            "ga.max_k": ("ga", "max_k", 3),
+            "ga.cv_folds": ("ga", "cv_folds", 3),
+            "svm.kernel": ("svm", "kernel", "linear"),
+            "svm.c": ("svm", "C", 2.5),
+            "svm.gamma": ("svm", "gamma", 0.75),
+            "svm.tolerance": ("svm", "tolerance", 0.01),
+            "svm.max_passes": ("svm", "max_passes", 50),
+            "plot.width": ("plot", "width", 500),
+            "plot.height": ("plot", "height", 400),
+            "plot.margin": ("plot", "margin", 40),
+            "plot.point_radius": ("plot", "point_radius", 2.5),
+            "plot.palette": ("plot", "palette", "default"),
+        }
+        out = tmp_path / "every"
+        path = tmp_path / "every.cfg"
+        path.write_text(
+            f"input={synthetic60_path}\noutput={out}\n"
+            + "".join(f"{key}={value}\n" for key, (_, _, value) in fields.items())
+        )
+        cfg = build_config(parse_config_file(path))
+        assert (cfg.input_path, cfg.output_dir) == (Path(synthetic60_path), out)
+        for key, (section, field, value) in fields.items():
+            assert getattr(getattr(cfg, section) if section else cfg, field) == value, key
+
+        result = runner.invoke(main, ["pipeline", "--config", str(path)])
+        assert result.exit_code == 0, result.stderr
+        report = json.loads((out / "report.json").read_text())
+        assert report["provenance"]["config"] == {
+            key: value for key, (section, _, value) in fields.items() if section != "plot"
+        }
+        assert 'width="500" height="400"' in (out / "datasets.svg").read_text()
+
     def test_missing_input_key(self, runner, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"output={tmp_path/'o'}\n")
@@ -207,6 +280,14 @@ class TestSelect:
     def test_missing_feature_rejected(self, runner, single_model_dir):
         result = runner.invoke(
             main, ["select", "--models", str(single_model_dir)], input="f1,1.0\n"
+        )
+        assert result.exit_code == 1
+        assert result.stderr.split()[0] == "E_MODEL"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, runner, single_model_dir, value):
+        result = runner.invoke(
+            main, ["select", "--models", str(single_model_dir)], input=f"f1,{value}\nf2,0.0\n"
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"

@@ -63,6 +63,10 @@ class TestParse:
         with pytest.raises(MalformedCsv):
             parse_instance_table(b"name,f1,aprt:A\nx,1.0,1\n")
 
+    def test_duplicate_outcome_column(self):
+        with pytest.raises(MalformedCsv):
+            parse_instance_table(b"instance_id,f1,aprt:A,aprt:A\nx,1.0,1,0\n")
+
     def test_empty_outcome_is_missing(self):
         table = parse_instance_table(b"instance_id,f1,aprt:A\nx,1.0,\n")
         assert table.rows[0].outcomes["A"] is Outcome.MISSING
