@@ -133,16 +133,22 @@ def train_svm(
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
 
-    alphas = np.zeros(n)
+    # A step is a few flops, less than numpy scalar overhead: per-step state is
+    # Python floats and lists; numpy does only O(n) work, into buffers made once.
+    ys = y.tolist()
+    diag = k.diagonal().tolist()
+    alphas = [0.0] * n
     bias = 0.0
-    errors = -y.copy()  # f(x) = 0 initially, so E = f - y = -y
+    errors = -y  # f(x) = 0 initially, so E = f - y = -y
+    row, row_j, gaps = np.empty(n), np.empty(n), np.empty(n)
 
-    def take_step(i: int, j: int) -> bool:
-        nonlocal bias, errors
+    def take_step(i: int, j: int, e_i: float) -> bool:
+        """Move the pair (i, j); ``e_i`` is E_i, which failed steps leave as is."""
+        nonlocal bias
         if i == j:
             return False
         ai, aj = alphas[i], alphas[j]
-        yi, yj = y[i], y[j]
+        yi, yj = ys[i], ys[j]
         if yi != yj:
             low = max(0.0, aj - ai)
             high = min(c, c + aj - ai)
@@ -151,18 +157,20 @@ def train_svm(
             high = min(c, ai + aj)
         if high - low < _STEP_EPS:
             return False
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        k_ij = k.item(i, j)
+        eta = diag[i] + diag[j] - 2.0 * k_ij
         if eta <= 0.0:
             return False
-        aj_new = aj + yj * (errors[i] - errors[j]) / eta
-        aj_new = min(max(aj_new, low), high)
-        aj_new = _snap(aj_new, c)
+        e_j = errors.item(j)
+        aj_new = _snap(min(max(aj + yj * (e_i - e_j) / eta, low), high), c)
         if abs(aj_new - aj) < _STEP_EPS:
             return False
         ai_new = _snap(ai + yi * yj * (aj - aj_new), c)
 
-        b1 = bias - errors[i] - yi * (ai_new - ai) * k[i, i] - yj * (aj_new - aj) * k[i, j]
-        b2 = bias - errors[j] - yi * (ai_new - ai) * k[i, j] - yj * (aj_new - aj) * k[j, j]
+        s_i = yi * (ai_new - ai)
+        s_j = yj * (aj_new - aj)
+        b1 = bias - e_i - s_i * diag[i] - s_j * k_ij
+        b2 = bias - e_j - s_i * k_ij - s_j * diag[j]
         if 0.0 < ai_new < c:
             b_new = b1
         elif 0.0 < aj_new < c:
@@ -170,11 +178,12 @@ def train_svm(
         else:
             b_new = 0.5 * (b1 + b2)
 
-        errors += (
-            yi * (ai_new - ai) * k[i, :]
-            + yj * (aj_new - aj) * k[j, :]
-            + (b_new - bias)
-        )
+        # errors += (s_i K_i + s_j K_j) + (b_new - b); this order fixes the rounding
+        np.multiply(k[i], s_i, out=row)
+        np.multiply(k[j], s_j, out=row_j)
+        np.add(row, row_j, out=row)
+        np.add(row, b_new - bias, out=row)
+        np.add(errors, row, out=errors)
         alphas[i] = ai_new
         alphas[j] = aj_new
         bias = b_new
@@ -183,23 +192,25 @@ def train_svm(
     converged = False
     for _ in range(config.max_passes):
         r = y * errors  # r_i = y_i f(x_i) - 1
-        violating = np.flatnonzero(((r < -tol) & (alphas < c)) | ((r > tol) & (alphas > 0.0)))
+        a = np.array(alphas)
+        violating = np.flatnonzero(((r < -tol) & (a < c)) | ((r > tol) & (a > 0.0)))
         if violating.size == 0:
             converged = True
             break
         progressed = False
-        for i in violating:
-            i = int(i)
-            r_i = y[i] * errors[i]  # re-check: earlier steps move the errors
+        for i in violating.tolist():
+            e_i = errors.item(i)
+            r_i = ys[i] * e_i  # re-check: earlier steps move the errors
             if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0.0)):
                 continue
-            gaps = np.abs(errors[i] - errors)
+            np.subtract(e_i, errors, out=gaps)
+            np.abs(gaps, out=gaps)
             gaps[i] = -1.0
-            if take_step(i, int(np.argmax(gaps))):
+            if take_step(i, int(gaps.argmax()), e_i):
                 progressed = True
                 continue
-            for j in rng.permutation(n):
-                if take_step(i, int(j)):
+            for j in rng.permutation(n):  # most fallbacks stop at the first j
+                if take_step(i, int(j), e_i):
                     progressed = True
                     break
         if not progressed:
@@ -207,10 +218,11 @@ def train_svm(
             # would replay it verbatim
             break
 
-    sv = alphas > _SV_EPS
+    a = np.array(alphas)
+    sv = a > _SV_EPS
     return SvmModel(
         support_vectors=x[sv].copy(),
-        alphas=alphas[sv].copy(),
+        alphas=a[sv],
         labels=y[sv].copy(),
         bias=float(bias),
         gamma=gamma,

@@ -424,6 +424,9 @@ def stage_classify(cfg: PipelineConfig) -> None:
         pts = coords[idx]
         svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
         model = classify.train_svm(pts, y, svm_config)
+        if not model.converged:
+            click.echo(f"warning: selector SVM for {algorithm} did not converge in "
+                       f"{svm_config.max_passes} passes", err=True)
         models[algorithm] = classify.model_to_dict(model)
 
         values = classify.decision_values(model, pts)

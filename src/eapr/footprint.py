@@ -111,28 +111,27 @@ def convex_intersection(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
         ex = cx1 - cx0
         ey = cy1 - cy0
 
-        def inside(p: Point) -> bool:
-            return ex * (p[1] - cy0) - ey * (p[0] - cx0) >= 0.0
+        def side(p: Point) -> float:  # scaled signed distance; >= 0 is inside
+            return ex * (p[1] - cy0) - ey * (p[0] - cx0)
 
-        def intersect(s: Point, e: Point) -> Point:
-            dx = e[0] - s[0]
-            dy = e[1] - s[1]
-            denom = ex * dy - ey * dx
-            if denom == 0.0:
-                return e
-            t = (ey * (s[0] - cx0) - ex * (s[1] - cy0)) / denom
-            return (s[0] + t * dx, s[1] + t * dy)
+        def intersect(s: Point, e: Point, d_s: float, d_e: float) -> Point:
+            # d_s, d_e have opposite signs: t is in [0, 1] even for a segment nearly
+            # parallel to the edge, where a line-line solve extrapolates far off
+            t = d_s / (d_s - d_e)
+            return (s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1]))
 
         clipped: list[Point] = []
         prev = output[-1]
+        d_prev = side(prev)
         for cur in output:
-            if inside(cur):
-                if not inside(prev):
-                    clipped.append(intersect(prev, cur))
+            d_cur = side(cur)
+            if d_cur >= 0.0:
+                if d_prev < 0.0:
+                    clipped.append(intersect(prev, cur, d_prev, d_cur))
                 clipped.append(cur)
-            elif inside(prev):
-                clipped.append(intersect(prev, cur))
-            prev = cur
+            elif d_prev >= 0.0:
+                clipped.append(intersect(prev, cur, d_prev, d_cur))
+            prev, d_prev = cur, d_cur
         output = clipped
     return convex_hull(output)
 

@@ -69,8 +69,9 @@ class SelectionResult:
 
 
 # Classifier used inside the fitness function: linear kernel on the 2D
-# projection, loose tolerance and few passes since only held-out accuracy
-# matters for ranking subsets.
+# projection, loose tolerance and few passes. The pass cap, not convergence,
+# ends nearly every fold model, so the GA ranks subsets on the held-out
+# accuracy of a cut-off solution.
 _FITNESS_SVM = SvmConfig(kernel="linear", C=1.0, gamma=1.0, tolerance=1e-2, max_passes=8)
 
 

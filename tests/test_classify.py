@@ -1,3 +1,7 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from eapr.classify import (
     train_svm,
 )
 
+from eapr.selection import _FITNESS_SVM
 from oracles import kernel_sum_decision
 
 
@@ -128,6 +133,67 @@ class TestTrain:
         labels_a = np.sign(decision_values(model_a, grid))
         labels_b = np.sign(decision_values(model_b, grid + shift))
         assert np.array_equal(labels_a, labels_b)
+
+
+def overlapping(seed, n):
+    """Two unit-variance Gaussians one unit apart: the classes overlap."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    pts = np.vstack(
+        [rng.normal((-0.5, 0.0), 1.0, (half, 2)), rng.normal((0.5, 0.0), 1.0, (half, 2))]
+    )
+    return pts, np.array([-1.0] * half + [1.0] * half)
+
+
+def model_digest(model):
+    return hashlib.sha256(
+        json.dumps(model_to_dict(model), sort_keys=True).encode()
+    ).hexdigest()
+
+
+class TestGoldenModels:
+    """Trained models pinned to the bit. A change to the SMO loop that keeps
+    these digests keeps every fitness value and every models.json as well."""
+
+    def test_fitness_config_with_random_fallback(self, monkeypatch):
+        permutations = []
+
+        class CountingGenerator(np.random.Generator):
+            def permutation(self, x):
+                permutations.append(x)
+                return super().permutation(x)
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: CountingGenerator(np.random.PCG64(seed))
+        )
+        pts, y = overlapping(3, 160)
+        model = train_svm(pts, y, replace(_FITNESS_SVM, seed=5))
+        assert not model.converged
+        assert len(permutations) == 443  # the max-gap choice failed this often
+        assert model_digest(model) == (
+            "fa7143e2c1f855b9b98abf4de9f0cf005ebafb38b619b7a9c8e305d524885981"
+        )
+
+    def test_rbf_defaults(self):
+        pts, y = overlapping(4, 200)
+        model = train_svm(pts, y, SvmConfig(seed=6))
+        assert model.converged
+        assert model_digest(model) == (
+            "0963e86b853b5b6eea804abe54e6d8bfb104eddaf0d6ac5cc9f62369383b180a"
+        )
+
+    def test_fixed_point_break(self):
+        # every point appears once per label, so cross-label pairs of equal
+        # points have eta = 0; the multipliers stop moving at pass 151 and
+        # the loop leaves on the no-progress break, well before max_passes
+        base = np.random.default_rng(2).normal(0.0, 1.0, (12, 2))
+        pts = np.vstack([base, base])
+        y = np.array([1.0] * 12 + [-1.0] * 12)
+        model = train_svm(pts, y, SvmConfig(kernel="linear", seed=2, max_passes=10**6))
+        assert not model.converged
+        assert model_digest(model) == (
+            "b0b022f4673db2c55f2b7130b95064c160a46d06caf4ef2194c85f09e086c6f9"
+        )
 
 
 class TestPredict:

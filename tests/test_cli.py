@@ -93,6 +93,20 @@ class TestStages:
             assert result.exit_code == 0, f"{stage}: {result.stderr}"
         assert (mono / "report.json").read_bytes() == (staged / "report.json").read_bytes()
 
+    def test_unconverged_selector_warns(self, runner, tmp_path, synthetic60_path):
+        out = tmp_path / "unconverged"
+        cfg = write_config(tmp_path, synthetic60_path, out, extra="svm.max_passes=1\n")
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 0, result.stderr
+        models = json.loads((out / "models.json").read_text())["models"]
+        assert sorted(models) == ["A", "B", "C"]
+        for algorithm, model in models.items():
+            assert model["converged"] is False
+            assert (
+                f"warning: selector SVM for {algorithm} did not converge in 1 passes"
+                in result.stderr.splitlines()
+            )
+
     def test_footprint_before_project(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "partial"
         cfg = write_config(tmp_path, synthetic60_path, out)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eapr.footprint import (
     ConvexPolygon,
@@ -19,6 +21,11 @@ GOOD = Outcome.GOOD
 BAD = Outcome.BAD
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+coordinate = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+point_sets = st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=30)
+# Bounded and deadline-free so the whole class stays a few seconds long.
+PROPERTY = settings(max_examples=200, deadline=None)
 
 
 class TestHull:
@@ -122,6 +129,50 @@ class TestIntersection:
             ba = polygon_area(convex_intersection(b, a))
             assert ab <= min(polygon_area(a), polygon_area(b)) + 1e-12
             assert ab == pytest.approx(ba, abs=1e-12)
+
+    def test_nearly_parallel_edges_stay_on_the_segment(self):
+        # a's left edge and b's left edge meet at (-1, 0) at an angle of
+        # ~1e-16 rad; the clip point must not be extrapolated off the segment
+        a = convex_hull([(0.0, 0.0), (0.0, 63.46875), (-1.0, 0.0)])
+        b = convex_hull([(0.0, 0.0), (1e-14, 63.46875), (-1.0, 0.0)])
+        ab = convex_intersection(a, b)
+        assert ab.vertices[0] == (-1.0, 0.0)
+        assert polygon_area(ab) <= polygon_area(a)
+        assert polygon_area(ab) == pytest.approx(polygon_area(convex_intersection(b, a)), rel=1e-12)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(point_sets, st.randoms(use_true_random=False))
+    def test_hull_ignores_point_order(self, points, random):
+        shuffled = list(points)
+        random.shuffle(shuffled)
+        assert convex_hull(shuffled) == convex_hull(points)
+
+    @PROPERTY
+    @given(point_sets)
+    def test_hull_of_hull_is_itself(self, points):
+        hull = convex_hull(points)
+        assert convex_hull(hull.vertices) == hull
+
+    @PROPERTY
+    @given(point_sets, point_sets)
+    @example(  # found by this test: nearly parallel clip edges
+        [(0.0, 0.0), (0.0, 63.46875), (-1.0, 0.0)],
+        [(0.0, 0.0), (3.450020580292976e-08, 63.46875), (-1.0, 0.0)],
+    )
+    def test_intersection_area_commutative(self, points_a, points_b):
+        a, b = convex_hull(points_a), convex_hull(points_b)
+        ab = polygon_area(convex_intersection(a, b))
+        ba = polygon_area(convex_intersection(b, a))
+        assert ab == pytest.approx(ba, rel=1e-9, abs=1e-9)
+
+    @PROPERTY
+    @given(point_sets, point_sets)
+    def test_intersection_area_bounded(self, points_a, points_b):
+        a, b = convex_hull(points_a), convex_hull(points_b)
+        area = polygon_area(convex_intersection(a, b))
+        assert area <= min(polygon_area(a), polygon_area(b)) + 1e-9
 
 
 class TestContainment:

@@ -112,6 +112,13 @@ class TestEvaluateSubset:
         fitness = evaluate_subset(table, FeatureSubset.of(["c1", "c2"]), FAST, seed=0)
         assert fitness.mean_cv_accuracy == 0.0
 
+    def test_golden_fitness(self):
+        # pinned to the bit: the fitness SVM never converges in its 8 passes,
+        # so any change to the SMO arithmetic or its RNG stream shows here
+        subset = FeatureSubset.of(["f1", "n03", "n07", "n11"])
+        fitness = evaluate_subset(planted_table(), subset, GaConfig(), seed=3)
+        assert fitness == FitnessValue(float.fromhex("0x1.6666666666667p-1"), 4)
+
 
 class TestRunGa:
     def test_recovers_planted_features(self):
