@@ -9,7 +9,6 @@ selectors that rank algorithms for new instances.
 from .model import (
     Coordinates2D,
     FeatureSubset,
-    InstanceRecord,
     InstanceTable,
     Outcome,
     Violation,
@@ -65,7 +64,6 @@ __all__ = [
     "FitnessValue",
     "Footprint",
     "GaConfig",
-    "InstanceRecord",
     "InstanceTable",
     "MinMaxParams",
     "Outcome",

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import classify, footprint as fp, ingest, project, report as rpt, selection
-from .model import FeatureSubset, InstanceTable, InstanceRecord, Outcome, validate_table
+from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, validate_table
 from .seeds import derive_seed
 
 # Artifact -> the stage that writes it.
@@ -99,6 +99,8 @@ def parse_config_file(path: Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise CliFailure("E_IO", f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliFailure("E_PARSE", f"config is not UTF-8: {exc}") from exc
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,34 +179,45 @@ def _read_json(out_dir: Path, name: str, decode=lambda data: data):
         raise CliFailure("E_STAGE", _ARTIFACTS[name]) from exc
 
 
+# Outcome code <-> its table.json text, "GOOD", "BAD" or "MISSING".
+_OUTCOME_TEXT = {code: outcome.value for outcome, code in OUTCOME_CODES.items()}
+_OUTCOME_CODE = {text: code for code, text in _OUTCOME_TEXT.items()}
+
+
 def _table_to_dict(table: InstanceTable, digest: str) -> dict:
+    algorithms = table.algorithm_names
     return {
         "input_digest": digest,
         "feature_names": list(table.feature_names),
-        "algorithm_names": list(table.algorithm_names),
+        "algorithm_names": list(algorithms),
         "rows": [
             {
-                "id": r.instance_id,
-                "dataset": r.dataset_tag,
-                "features": list(r.features),
-                "outcomes": {a: r.outcomes[a].value for a in table.algorithm_names},
+                "id": row_id,
+                "dataset": tag,
+                "features": features,
+                "outcomes": {a: _OUTCOME_TEXT[c] for a, c in zip(algorithms, codes)},
             }
-            for r in table.rows
+            for row_id, tag, features, codes in zip(
+                table.instance_ids,
+                table.dataset_tags,
+                table.features.tolist(),
+                table.outcomes.tolist(),
+            )
         ],
     }
 
 
 def _table_from_dict(data: dict) -> tuple[InstanceTable, str]:
-    rows = [
-        InstanceRecord(
-            instance_id=r["id"],
-            dataset_tag=r["dataset"],
-            features=tuple(r["features"]),
-            outcomes={a: Outcome(v) for a, v in r["outcomes"].items()},
-        )
-        for r in data["rows"]
-    ]
-    table = InstanceTable.build(data["feature_names"], data["algorithm_names"], rows)
+    rows = data["rows"]
+    algorithms = data["algorithm_names"]
+    table = InstanceTable(
+        data["feature_names"],
+        algorithms,
+        [r["id"] for r in rows],
+        [r["dataset"] for r in rows],
+        [r["features"] for r in rows],
+        [[_OUTCOME_CODE[r["outcomes"][a]] for a in algorithms] for r in rows],
+    )
     return table, data["input_digest"]
 
 
@@ -249,10 +262,8 @@ def stage_ingest(cfg: PipelineConfig) -> None:
             + ", ".join(sorted(bad_rows)),
             err=True,
         )
-        table = InstanceTable.build(
-            table.feature_names,
-            table.algorithm_names,
-            [r for r in table.rows if r.instance_id not in bad_rows],
+        table = table.take(
+            i for i, row_id in enumerate(table.instance_ids) if row_id not in bad_rows
         )
         violations = validate_table(table)
     if violations:
@@ -570,9 +581,7 @@ def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str
         raise CliFailure("E_MODEL", f"missing features: {sorted(missing)}")
 
     raw = np.array([vector[n] for n in pca.feature_names], dtype=float)
-    standardized = (raw - np.asarray(pca.scaling.means)) / np.asarray(pca.scaling.stds)
-    point = standardized @ pca.loadings
-    return classify.select_aprt(models, point)
+    return classify.select_aprt(models, project.project_features(pca, raw))
 
 
 def _parse_vector(text: str) -> dict[str, float]:

@@ -1,4 +1,4 @@
-"""CSV ingestion, sub-program aggregation, and feature scaling.
+"""CSV ingestion, sub-program aggregation, and feature standardization.
 
 Input format is a comma-separated UTF-8 table:
 
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .model import FeatureSubset, InstanceRecord, InstanceTable, Outcome
+from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, Outcome
 
 
 class IngestError(Exception):
@@ -89,6 +89,14 @@ class MinMaxParams:
         return cls(float(arr.min()), float(arr.max()))
 
 
+# Outcome cell text -> its code in InstanceTable.outcomes.
+_OUTCOME_CELLS = {
+    "1": OUTCOME_CODES[Outcome.GOOD],
+    "0": OUTCOME_CODES[Outcome.BAD],
+    "": OUTCOME_CODES[Outcome.MISSING],
+}
+
+
 def parse_instance_table(
     source: BinaryIO | bytes, schema: ColumnSchema = ColumnSchema()
 ) -> InstanceTable:
@@ -99,14 +107,14 @@ def parse_instance_table(
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    reader = csv.reader(text)
-
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyTable("no header row") from None
-    header = [h.strip() for h in header]
+        records = list(csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline="")))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedCsv(f"unreadable CSV: {exc}") from None
+
+    if not records:
+        raise EmptyTable("no header row")
+    header = [h.strip() for h in records[0]]
 
     if schema.id_column not in header:
         raise MalformedCsv(f"missing id column {schema.id_column!r}")
@@ -130,8 +138,11 @@ def parse_instance_table(
             feature_names.append(name)
             feature_pos.append(pos)
 
-    rows: list[InstanceRecord] = []
-    for line_no, cells in enumerate(reader, start=2):
+    ids: list[str] = []
+    tags: list[str] = []
+    features: list[list[float]] = []
+    outcomes: list[list[int]] = []
+    for line_no, cells in enumerate(records[1:], start=2):
         if not cells:
             continue
         if len(cells) != len(header):
@@ -139,78 +150,59 @@ def parse_instance_table(
                 f"row {line_no}: expected {len(header)} cells, got {len(cells)}"
             )
         cells = [c.strip() for c in cells]
-        features = []
+        row = []
         for pos, name in zip(feature_pos, feature_names):
-            cell = cells[pos]
-            if cell == "":
-                features.append(float("nan"))
-                continue
             try:
-                features.append(float(cell))
+                row.append(float(cells[pos] or "nan"))
             except ValueError:
-                raise UnparseableCell(line_no, name, cell) from None
-        outcomes = {}
+                raise UnparseableCell(line_no, name, cells[pos]) from None
+        codes = []
         for pos, alg in zip(outcome_pos, algorithm_names):
-            cell = cells[pos]
-            if cell == "":
-                outcomes[alg] = Outcome.MISSING
-            elif cell == "1":
-                outcomes[alg] = Outcome.GOOD
-            elif cell == "0":
-                outcomes[alg] = Outcome.BAD
-            else:
-                raise UnparseableCell(line_no, schema.outcome_prefix + alg, cell)
-        rows.append(
-            InstanceRecord(
-                instance_id=cells[id_pos],
-                dataset_tag=cells[dataset_pos] if dataset_pos is not None else "",
-                features=tuple(features),
-                outcomes=outcomes,
-            )
-        )
+            code = _OUTCOME_CELLS.get(cells[pos])
+            if code is None:
+                raise UnparseableCell(line_no, schema.outcome_prefix + alg, cells[pos])
+            codes.append(code)
+        ids.append(cells[id_pos])
+        tags.append(cells[dataset_pos] if dataset_pos is not None else "")
+        features.append(row)
+        outcomes.append(codes)
 
-    if not rows:
+    if not ids:
         raise EmptyTable("no data rows")
-    return InstanceTable.build(feature_names, algorithm_names, rows)
+    return InstanceTable(feature_names, algorithm_names, ids, tags, features, outcomes)
 
 
 def aggregate_rows(table: InstanceTable, group_key: str = "instance_id") -> InstanceTable:
     """Collapse sub-program rows to one row per group.
 
-    ``group_key`` is "instance_id" or "dataset". Feature values become the
-    arithmetic mean over the group; outcome labels must be identical within a
-    group and are carried through (InconsistentOutcomes otherwise).
+    ``group_key`` is "instance_id" or "dataset". Groups keep the order of their
+    first row. Feature values become the arithmetic mean over the group;
+    outcome labels must be identical within a group and are carried through
+    (InconsistentOutcomes otherwise).
     """
     if group_key == "instance_id":
-        key = lambda r: r.instance_id
+        keys = table.instance_ids
     elif group_key == "dataset":
-        key = lambda r: r.dataset_tag
+        keys = table.dataset_tags
     else:
         raise KeyError(f"group key must be 'instance_id' or 'dataset', got {group_key!r}")
 
-    groups: dict[str, list[InstanceRecord]] = {}
-    for record in table.rows:
-        groups.setdefault(key(record), []).append(record)
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
 
-    out_rows = []
-    for value, members in groups.items():
-        first = members[0]
-        for other in members[1:]:
-            for alg in table.algorithm_names:
-                if other.outcomes[alg] is not first.outcomes[alg]:
-                    raise InconsistentOutcomes(
-                        f"group {value!r}: algorithm {alg!r} has conflicting labels"
-                    )
-        means = np.array([m.features for m in members], dtype=float).mean(axis=0)
-        out_rows.append(
-            InstanceRecord(
-                instance_id=value,
-                dataset_tag=first.dataset_tag,
-                features=tuple(float(v) for v in means),
-                outcomes=dict(first.outcomes),
+    means = []
+    for value, rows in groups.items():
+        labels = table.outcomes[rows]
+        conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
+        if conflicts.size:
+            raise InconsistentOutcomes(
+                f"group {value!r}: algorithm {table.algorithm_names[conflicts[0]]!r} "
+                "has conflicting labels"
             )
-        )
-    return InstanceTable.build(table.feature_names, table.algorithm_names, out_rows)
+        means.append(table.features[rows].mean(axis=0))
+    firsts = table.take(rows[0] for rows in groups.values())
+    return replace(firsts, instance_ids=tuple(groups), features=means)
 
 
 # Relative threshold under which a column counts as zero-variance.
@@ -225,7 +217,7 @@ def standardize(
     Zero-variance columns are dropped and reported. Raises AllFeaturesDropped
     when nothing survives.
     """
-    if len(table.rows) < 2:
+    if len(table) < 2:
         raise ValueError("standardize requires at least 2 rows")
     names = table.ordered_subset(subset)
     matrix = table.feature_matrix(names)
@@ -246,14 +238,6 @@ def standardize(
         dropped_features=dropped,
     )
     return standardized, params
-
-
-def apply_scaling(table: InstanceTable, scaling: ScalingParams) -> np.ndarray:
-    """Standardize a table's rows with previously fitted parameters."""
-    matrix = table.feature_matrix(scaling.feature_names)
-    means = np.asarray(scaling.means)
-    stds = np.asarray(scaling.stds)
-    return (matrix - means) / stds
 
 
 def minmax_normalize(values: Sequence[float]) -> np.ndarray:

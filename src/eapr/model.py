@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,19 +34,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class InstanceRecord:
-    """One instance: a feature vector plus one outcome label per algorithm.
-
-    ``features`` is ordered like the owning table's ``feature_names``.
-    """
-
-    instance_id: str
-    dataset_tag: str
-    features: tuple[float, ...]
-    outcomes: Mapping[str, Outcome]
-
-
-@dataclass(frozen=True)
 class FeatureSubset:
     """A non-empty set of feature names chosen out of a table's candidates."""
 
@@ -73,33 +59,67 @@ class FeatureSubset:
 Coordinates2D = np.ndarray
 
 
-@dataclass(frozen=True)
+# The int8 code of each outcome in ``InstanceTable.outcomes``.
+OUTCOME_CODES = {Outcome.GOOD: 1, Outcome.BAD: -1, Outcome.MISSING: 0}
+_OUTCOME_OF_CODE = {code: outcome for outcome, code in OUTCOME_CODES.items()}
+
+
+def _frozen_array(values, dtype, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only C-contiguous copy of ``values`` with the given shape."""
+    array = np.array(values, dtype=dtype)
+    if array.size == 0:
+        array = array.reshape(shape)
+    if array.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class InstanceTable:
-    """Instances crossed with features and per-algorithm outcomes."""
+    """Instances crossed with features and per-algorithm outcomes, as columns.
+
+    Row i is instance ``instance_ids[i]``. ``features`` is an (n, m) float64
+    array, columns ordered like ``feature_names``; ``outcomes`` is an (n, a)
+    int8 array, columns ordered like ``algorithm_names``, holding
+    ``OUTCOME_CODES`` (+1 GOOD, -1 BAD, 0 MISSING). Both arrays are read-only
+    copies of what the constructor was given.
+    """
 
     feature_names: tuple[str, ...]
     algorithm_names: tuple[str, ...]
-    rows: tuple[InstanceRecord, ...]
+    instance_ids: tuple[str, ...]
+    dataset_tags: tuple[str, ...]
+    features: np.ndarray
+    outcomes: np.ndarray
 
-    @classmethod
-    def build(
-        cls,
-        feature_names: Sequence[str],
-        algorithm_names: Sequence[str],
-        rows: Iterable[InstanceRecord],
-    ) -> "InstanceTable":
-        return cls(tuple(feature_names), tuple(algorithm_names), tuple(rows))
+    def __post_init__(self) -> None:
+        fix = lambda name, value: object.__setattr__(self, name, value)
+        for name in ("feature_names", "algorithm_names", "instance_ids", "dataset_tags"):
+            fix(name, tuple(getattr(self, name)))
+        n = len(self.instance_ids)
+        if len(self.dataset_tags) != n:
+            raise ValueError(f"{len(self.dataset_tags)} dataset tags for {n} rows")
+        fix("features", _frozen_array(self.features, np.float64, (n, len(self.feature_names))))
+        outcomes = _frozen_array(self.outcomes, np.int8, (n, len(self.algorithm_names)))
+        if not np.isin(outcomes, tuple(_OUTCOME_OF_CODE)).all():
+            raise ValueError("outcome codes must be +1, -1 or 0")
+        fix("outcomes", outcomes)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.instance_ids)
 
-    @property
-    def instance_ids(self) -> tuple[str, ...]:
-        return tuple(r.instance_id for r in self.rows)
-
-    @property
-    def dataset_tags(self) -> tuple[str, ...]:
-        return tuple(r.dataset_tag for r in self.rows)
+    def take(self, rows: Iterable[int]) -> "InstanceTable":
+        """The table of the given rows, in the given order."""
+        rows = [int(i) for i in rows]
+        return InstanceTable(
+            self.feature_names,
+            self.algorithm_names,
+            tuple(self.instance_ids[i] for i in rows),
+            tuple(self.dataset_tags[i] for i in rows),
+            self.features[rows],
+            self.outcomes[rows],
+        )
 
     def feature_index(self, name: str) -> int:
         try:
@@ -115,36 +135,33 @@ class InstanceTable:
         return tuple(n for n in self.feature_names if n in subset.selected)
 
     def feature_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Dense (n_rows, n_features) matrix, columns in ``names`` order."""
+        """Dense (n_rows, n_features) copy, columns in ``names`` order."""
         if names is None:
             names = self.feature_names
-        idx = [self.feature_index(n) for n in names]
-        data = np.array([r.features for r in self.rows], dtype=float)
-        if data.size == 0:
-            return data.reshape(len(self.rows), len(self.feature_names))[:, idx]
-        return data[:, idx]
+        return self.features[:, [self.feature_index(n) for n in names]]
+
+    def _outcome_column(self, algorithm: str) -> np.ndarray:
+        try:
+            return self.outcomes[:, self.algorithm_names.index(algorithm)]
+        except ValueError:
+            raise KeyError(f"unknown algorithm: {algorithm}") from None
 
     def outcome_labels(self, algorithm: str) -> tuple[Outcome, ...]:
-        if algorithm not in self.algorithm_names:
-            raise KeyError(f"unknown algorithm: {algorithm}")
-        return tuple(r.outcomes[algorithm] for r in self.rows)
+        return tuple(_OUTCOME_OF_CODE[c] for c in self._outcome_column(algorithm).tolist())
 
     def labeled_indices(self, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
         """Row indices with a non-MISSING label for ``algorithm`` and their
         +/-1 encoding (GOOD=+1, BAD=-1)."""
-        labels = self.outcome_labels(algorithm)
-        idx = np.array([i for i, o in enumerate(labels) if o is not Outcome.MISSING], dtype=int)
-        y = np.array(
-            [1.0 if labels[i] is Outcome.GOOD else -1.0 for i in idx], dtype=float
-        )
-        return idx, y
+        column = self._outcome_column(algorithm)
+        idx = np.flatnonzero(column)
+        return idx, column[idx].astype(float)
 
 
 def validate_table(table: InstanceTable) -> list[Violation]:
     """Check every table invariant; violations are returned, never raised.
 
     Empty result means the table is acceptable to every downstream stage's
-    shape preconditions.
+    shape preconditions. Row rules are reported row by row, in table order.
     """
     violations: list[Violation] = []
 
@@ -156,33 +173,22 @@ def validate_table(table: InstanceTable) -> list[Violation]:
             violations.append(Violation(None, name, "duplicate feature name"))
         seen_features.add(name)
 
-    if len(table.rows) < MIN_GEOMETRY_ROWS:
+    if len(table) < MIN_GEOMETRY_ROWS:
         violations.append(Violation(None, None, "too few rows"))
     if len(table.feature_names) < 2:
         violations.append(Violation(None, None, "too few features"))
 
+    finite = np.isfinite(table.features)
+    non_finite_rows = set(np.flatnonzero(~finite.all(axis=1)).tolist())
     seen_ids: set[str] = set()
-    n_features = len(table.feature_names)
-    algo_set = set(table.algorithm_names)
-    for record in table.rows:
-        if record.instance_id in seen_ids:
-            violations.append(Violation(record.instance_id, "instance_id", "duplicate id"))
-        seen_ids.add(record.instance_id)
-
-        if len(record.features) != n_features:
-            violations.append(
-                Violation(record.instance_id, None, "feature length mismatch")
-            )
-        else:
-            for name, value in zip(table.feature_names, record.features):
-                if not math.isfinite(value):
-                    violations.append(
-                        Violation(record.instance_id, name, "non-finite feature")
-                    )
-
-        if set(record.outcomes) != algo_set:
-            violations.append(
-                Violation(record.instance_id, None, "outcome columns mismatch")
-            )
+    for i, row_id in enumerate(table.instance_ids):
+        if row_id in seen_ids:
+            violations.append(Violation(row_id, "instance_id", "duplicate id"))
+        seen_ids.add(row_id)
+        if i in non_finite_rows:
+            for j in np.flatnonzero(~finite[i]).tolist():
+                violations.append(
+                    Violation(row_id, table.feature_names[j], "non-finite feature")
+                )
 
     return violations

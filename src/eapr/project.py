@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ScalingParams, apply_scaling, standardize
+from .ingest import AllFeaturesDropped, ScalingParams, standardize
 from .model import Coordinates2D, FeatureSubset, InstanceTable
 
 JACOBI_OFF_TOL = 1e-12
@@ -185,7 +185,13 @@ def transform(
     missing = set(model.feature_names) - set(table.feature_names)
     if missing:
         raise FeatureMismatch(f"table lacks features: {sorted(missing)}")
-    standardized = apply_scaling(table, model.scaling)
+    return project_features(model, table.feature_matrix(model.feature_names))
+
+
+def project_features(model: PcaModel, raw: np.ndarray) -> np.ndarray:
+    """Standardize raw feature values with the model's scaling and project
+    them. The last axis of ``raw`` follows ``model.feature_names``."""
+    standardized = (raw - np.asarray(model.scaling.means)) / np.asarray(model.scaling.stds)
     return standardized @ model.loadings
 
 
@@ -200,8 +206,13 @@ def explained_variance(model: PcaModel) -> np.ndarray:
 def fit_projection(
     table: InstanceTable, subset: FeatureSubset
 ) -> tuple[PcaModel, Coordinates2D]:
-    """Standardize the subset's columns, fit the PCA model, project the table."""
+    """Standardize the subset's columns, fit the PCA model, project the table.
+
+    Raises AllFeaturesDropped when fewer than 2 columns keep any variance.
+    """
     matrix, scaling = standardize(table, subset)
+    if matrix.shape[1] < 2:
+        raise AllFeaturesDropped(f"only 1 of {len(subset)} columns has variance")
     model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
     return model, matrix @ model.loadings
 

@@ -61,6 +61,8 @@ class PlotSpec:
             raise ValueError("width and height must exceed twice the margin")
         if self.palette not in PALETTES:
             raise ValueError(f"unknown palette {self.palette!r}")
+        if not 0.0 < self.point_radius < math.inf:
+            raise ValueError("point_radius must be positive and finite")
 
 
 def _fmt(v: float) -> str:

@@ -12,9 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .classify import SvmConfig, decision_values, train_svm, stratified_folds
-from .ingest import AllFeaturesDropped, standardize
-from .model import FeatureSubset, InstanceTable, Outcome
-from .project import fit_pca
+from .ingest import AllFeaturesDropped
+from .model import FeatureSubset, InstanceTable
+from .project import fit_projection
 from .seeds import derive_seed
 
 
@@ -89,11 +89,6 @@ def tie_break(candidates: Sequence[tuple[FeatureSubset, FitnessValue]]) -> Featu
     return best[0]
 
 
-def _sorted_by_id(table: InstanceTable) -> InstanceTable:
-    rows = tuple(sorted(table.rows, key=lambda r: r.instance_id))
-    return InstanceTable(table.feature_names, table.algorithm_names, rows)
-
-
 def evaluate_subset(
     table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int
 ) -> FitnessValue:
@@ -109,16 +104,11 @@ def evaluate_subset(
     if not (config.min_k <= size <= min(config.max_k, len(table.feature_names))):
         raise ValueError(f"subset size {size} outside [{config.min_k}, {config.max_k}]")
 
-    ordered = _sorted_by_id(table)
+    ordered = table.take(sorted(range(len(table)), key=table.instance_ids.__getitem__))
     try:
-        matrix, scaling = standardize(ordered, subset)
+        _, coords = fit_projection(ordered, subset)
     except AllFeaturesDropped:
         return FitnessValue(0.0, size)
-    if matrix.shape[1] < 2:
-        return FitnessValue(0.0, size)
-
-    model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
-    coords = matrix @ model.loadings
 
     accuracies = []
     for algorithm in ordered.algorithm_names:
@@ -173,14 +163,13 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
     names = table.feature_names
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))
     fitness_seed = derive_seed(config.seed, "fitness")
-    ordered = _sorted_by_id(table)
     cache: dict[tuple[int, ...], FitnessValue] = {}
 
     def evaluate(mask: np.ndarray) -> FitnessValue:
         key = tuple(np.flatnonzero(mask))
         if key not in cache:
             subset = FeatureSubset.of(names[i] for i in key)
-            cache[key] = evaluate_subset(ordered, subset, config, fitness_seed)
+            cache[key] = evaluate_subset(table, subset, config, fitness_seed)
         return cache[key]
 
     def subset_names(mask: np.ndarray) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eapr.model import InstanceRecord, InstanceTable, Outcome
+from eapr.model import OUTCOME_CODES, InstanceTable, Outcome
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -17,16 +17,14 @@ MISSING = Outcome.MISSING
 
 def make_table(feature_names, algorithm_names, rows):
     """rows: list of (id, dataset, feature tuple, outcome tuple)."""
-    records = [
-        InstanceRecord(
-            instance_id=rid,
-            dataset_tag=tag,
-            features=tuple(float(v) for v in feats),
-            outcomes=dict(zip(algorithm_names, outs)),
-        )
-        for rid, tag, feats, outs in rows
-    ]
-    return InstanceTable.build(feature_names, algorithm_names, records)
+    return InstanceTable(
+        feature_names,
+        algorithm_names,
+        [rid for rid, _, _, _ in rows],
+        [tag for _, tag, _, _ in rows],
+        [[float(v) for v in feats] for _, _, feats, _ in rows],
+        [[OUTCOME_CODES[o] for o in outs] for _, _, _, outs in rows],
+    )
 
 
 @pytest.fixture

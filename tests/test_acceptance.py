@@ -174,13 +174,17 @@ def two_region_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("two_region")
     table = two_region_table(240, seed=11)
     lines = ["instance_id,dataset,f1,f2,aprt:A,aprt:B"]
-    for record in table.rows:
-        a = 1 if record.outcomes["A"] is Outcome.GOOD else 0
-        b = 1 if record.outcomes["B"] is Outcome.GOOD else 0
-        lines.append(
-            f"{record.instance_id},{record.dataset_tag},"
-            f"{record.features[0]:.6f},{record.features[1]:.6f},{a},{b}"
-        )
+    columns = zip(
+        table.instance_ids,
+        table.dataset_tags,
+        table.features.tolist(),
+        table.outcome_labels("A"),
+        table.outcome_labels("B"),
+    )
+    for row_id, tag, (f1, f2), label_a, label_b in columns:
+        a = 1 if label_a is Outcome.GOOD else 0
+        b = 1 if label_b is Outcome.GOOD else 0
+        lines.append(f"{row_id},{tag},{f1:.6f},{f2:.6f},{a},{b}")
     csv = tmp / "two_region.csv"
     csv.write_text("\n".join(lines) + "\n")
     out = tmp / "out"

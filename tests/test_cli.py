@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -118,6 +119,26 @@ class TestStages:
     def test_stage_on_empty_dir_names_ingest(self, runner, tmp_path, synthetic60_path):
         cfg = write_config(tmp_path, synthetic60_path, tmp_path / "empty")
         result = runner.invoke(main, ["project", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.strip() == "E_STAGE ingest"
+
+    @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged"])
+    def test_corrupt_table_names_ingest(self, runner, tmp_path, synthetic60_path, corrupt):
+        out = tmp_path / "corrupt"
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        path = out / "table.json"
+        if corrupt == "truncate":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            table = json.loads(path.read_text())
+            row = table["rows"][1]
+            if corrupt == "outcome":
+                row["outcomes"]["A"] = "MAYBE"
+            else:
+                row["features"].pop()
+            path.write_text(json.dumps(table))
+        result = runner.invoke(main, ["select-features", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
@@ -251,6 +272,24 @@ class TestConfigFile:
         }
         assert 'width="500" height="400"' in (out / "datasets.svg").read_text()
 
+    def test_non_utf8_config_rejected(self, runner, tmp_path, synthetic60_path):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(
+            f"input={synthetic60_path}\noutput={tmp_path / 'o'}\n".encode() + b"# caf\xe9\n"
+        )
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("E_PARSE ")
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-3"])
+    def test_bad_point_radius_rejected(self, runner, tmp_path, synthetic60_path, radius):
+        cfg = write_config(
+            tmp_path, synthetic60_path, tmp_path / "o", extra=f"plot.point_radius={radius}\n"
+        )
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.stderr.split()[0] == "E_PARSE"
+
     def test_missing_input_key(self, runner, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"output={tmp_path/'o'}\n")
@@ -344,6 +383,23 @@ class TestIngestErrors:
         table = json.loads((out / "table.json").read_text())
         assert len(table["rows"]) == 8
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"instance_id,f1,f2,aprt:A\np\xe9,1.0,2.0,1\n",
+            b"instance_id,f1,f2,aprt:A\n" + b"p" * 131_073 + b",1.0,2.0,1\n",
+        ],
+        ids=["non-utf8", "oversized-field"],
+    )
+    def test_unreadable_csv_is_parse_error(self, runner, tmp_path, data):
+        csv = tmp_path / "unreadable.csv"
+        csv.write_bytes(data)
+        result = runner.invoke(
+            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.startswith("E_PARSE ")
+
     def test_single_feature_table_is_degenerate(self, runner, tmp_path):
         csv = tmp_path / "narrow.csv"
         rows = [f"p{i},{i / 7:.3f},{1 if i % 2 else 0}" for i in range(8)]
@@ -353,3 +409,36 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_DEGENERATE"
+
+
+# Sub-program rows arrive interleaved (1-3 per id), some outcome cells are
+# empty (MISSING), and p5's second row has a NaN feature, so its mean is NaN
+# and ingest drops it.
+GOLDEN_CSV = """\
+instance_id,dataset,wmc,dit,cbo,aprt:Kali,aprt:Arja,aprt:TBar
+p1,Defects4J,0.1,3,12.5,1,0,
+p2,Bugs.jar,1.7,2,9.25,,1,0
+p1,Defects4J,0.2,4,11.0,1,0,
+p3,Defects4J,2.9,1,14.75,0,,1
+p5,QuixBugs,4.2,2,7.0,0,0,1
+p4,QuixBugs,0.35,5,8.5,1,1,
+p2,Bugs.jar,1.1,3,10.0,,1,0
+p5,QuixBugs,3.9,nan,7.5,0,0,1
+p1,Defects4J,0.3,2,13.0,1,0,
+p6,Bugs.jar,2.2,6,6.5,1,,0
+p3,Defects4J,3.3,1,15.25,0,,1
+"""
+
+GOLDEN_TABLE_SHA256 = "3ce69f13d0b366b820a309725ae60195688f02635b9475e2658c56ddbe679b85"
+
+
+class TestTableJson:
+    def test_golden_table_bytes(self, runner, tmp_path):
+        csv = tmp_path / "golden.csv"
+        csv.write_text(GOLDEN_CSV)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == "warning: dropping 1 row(s) with non-finite features: p5\n"
+        table = (out / "table.json").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_SHA256

@@ -34,11 +34,10 @@ class TestParse:
         table = parse_instance_table(SNAPSHOT_CSV)
         assert table.feature_names == ("wmc", "dit", "noc", "cbo")
         assert table.algorithm_names == ("Kali", "Arja")
-        first = table.rows[0]
-        assert first.instance_id == "Jackrabbit"
-        assert first.features[0] == 9.37
-        assert first.outcomes["Kali"] is Outcome.GOOD
-        assert first.outcomes["Arja"] is Outcome.BAD
+        assert table.instance_ids[0] == "Jackrabbit"
+        assert table.features[0, 0] == 9.37
+        assert table.outcome_labels("Kali")[0] is Outcome.GOOD
+        assert table.outcome_labels("Arja")[0] is Outcome.BAD
 
     def test_header_only_is_empty(self):
         with pytest.raises(EmptyTable):
@@ -69,26 +68,26 @@ class TestParse:
 
     def test_empty_outcome_is_missing(self):
         table = parse_instance_table(b"instance_id,f1,aprt:A\nx,1.0,\n")
-        assert table.rows[0].outcomes["A"] is Outcome.MISSING
+        assert table.outcome_labels("A")[0] is Outcome.MISSING
 
     def test_dataset_column_optional(self):
         table = parse_instance_table(b"instance_id,f1,aprt:A\nx,1.0,1\n")
-        assert table.rows[0].dataset_tag == ""
+        assert table.dataset_tags[0] == ""
         table = parse_instance_table(
             b"instance_id,dataset,f1,aprt:A\nx,Defects4J,1.0,1\n"
         )
-        assert table.rows[0].dataset_tag == "Defects4J"
+        assert table.dataset_tags[0] == "Defects4J"
 
     def test_empty_feature_cell_parses_as_nan(self):
         table = parse_instance_table(b"instance_id,f1,aprt:A\nx,,1\n")
-        assert math.isnan(table.rows[0].features[0])
+        assert math.isnan(table.features[0, 0])
 
     def test_custom_schema(self):
         csv = b"bug,suite,f1,ran:K\nx,d4j,2.0,0\n"
         schema = ColumnSchema(id_column="bug", dataset_column="suite", outcome_prefix="ran:")
         table = parse_instance_table(csv, schema)
         assert table.algorithm_names == ("K",)
-        assert table.rows[0].outcomes["K"] is Outcome.BAD
+        assert table.outcome_labels("K")[0] is Outcome.BAD
 
 
 class TestAggregate:
@@ -103,13 +102,15 @@ class TestAggregate:
         )
         out = aggregate_rows(table, "instance_id")
         assert len(out) == 1
-        assert out.rows[0].features == (5.0,)
-        assert out.rows[0].outcomes["A"] is GOOD
+        assert out.features.tolist() == [[5.0]]
+        assert out.outcome_labels("A") == (GOOD,)
 
     def test_single_row_group_identity(self):
         table = make_table(["f1"], ["A"], [("only", "d", (3.25,), (BAD,))])
         out = aggregate_rows(table, "instance_id")
-        assert out.rows == table.rows
+        assert (out.instance_ids, out.dataset_tags) == (table.instance_ids, table.dataset_tags)
+        assert np.array_equal(out.features, table.features)
+        assert np.array_equal(out.outcomes, table.outcomes)
 
     def test_mean_matches_pairwise_summation_oracle(self):
         rng = np.random.default_rng(3)
@@ -121,7 +122,7 @@ class TestAggregate:
         )
         out = aggregate_rows(table, "instance_id")
         expected = pairwise_sorted_mean(values)
-        assert out.rows[0].features[0] == pytest.approx(expected, abs=1e-12 * 1e6)
+        assert out.features[0, 0] == pytest.approx(expected, abs=1e-12 * 1e6)
 
     def test_conflicting_outcomes_rejected(self):
         table = make_table(
@@ -153,7 +154,7 @@ class TestAggregate:
         )
         out = aggregate_rows(table, "dataset")
         assert out.instance_ids == ("d1", "d2")
-        assert out.rows[0].features == (2.0,)
+        assert out.features[0].tolist() == [2.0]
 
     def test_unknown_group_key(self):
         table = make_table(["f1"], ["A"], [("a", "d", (1.0,), (GOOD,))])

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import eapr.selection as selection
-from eapr.model import FeatureSubset, InstanceTable, Outcome
+from eapr.model import FeatureSubset
 from eapr.selection import (
     DegenerateLabels,
     FitnessValue,
@@ -20,22 +22,11 @@ FAST = GaConfig(population_size=10, generations=5, min_k=2, max_k=3, cv_folds=3,
 def shuffle_labels(table, seed):
     """Same rows, outcome labels permuted independently per algorithm."""
     rng = np.random.default_rng(seed)
-    columns = {
-        alg: [table.rows[i].outcomes[alg] for i in rng.permutation(len(table))]
-        for alg in table.algorithm_names
-    }
-    rows = []
-    for i, record in enumerate(table.rows):
-        outcomes = {alg: columns[alg][i] for alg in table.algorithm_names}
-        rows.append(
-            type(record)(
-                instance_id=record.instance_id,
-                dataset_tag=record.dataset_tag,
-                features=record.features,
-                outcomes=outcomes,
-            )
-        )
-    return InstanceTable.build(table.feature_names, table.algorithm_names, rows)
+    columns = [
+        table.outcomes[rng.permutation(len(table)), j]
+        for j in range(len(table.algorithm_names))
+    ]
+    return replace(table, outcomes=np.column_stack(columns))
 
 
 def majority_rate(table):
@@ -75,12 +66,7 @@ class TestEvaluateSubset:
     def test_row_permutation_invariant(self):
         table = planted_table(60, n_noise=2, seed=6)
         rng = np.random.default_rng(0)
-        rows = list(table.rows)
-        shuffled = InstanceTable.build(
-            table.feature_names,
-            table.algorithm_names,
-            [rows[i] for i in rng.permutation(len(rows))],
-        )
+        shuffled = table.take(rng.permutation(len(table)))
         subset = FeatureSubset.of(["f1", "f2"])
         assert evaluate_subset(table, subset, FAST, seed=2) == evaluate_subset(
             shuffled, subset, FAST, seed=2
