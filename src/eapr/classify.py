@@ -6,6 +6,7 @@ decision values on a query point yields the recommended algorithm order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -284,13 +285,24 @@ def stratified_folds(
     return [np.array(sorted(a), dtype=int) for a in assignments]
 
 
-def cross_validate(
-    coords: Coordinates2D,
-    labels: Sequence[float],
-    folds: int,
-    config: SvmConfig = SvmConfig(),
-) -> ClassifierMetrics:
-    """Stratified k-fold CV; metrics are pooled over the held-out folds."""
+def _fold_splits(
+    labels: np.ndarray, folds: int, rng: np.random.Generator
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(fold number, test rows, training mask) of each non-empty stratified fold."""
+    splits = []
+    for fold_no, test_idx in enumerate(stratified_folds(labels, folds, rng)):
+        if len(test_idx):
+            train_mask = np.ones(len(labels), dtype=bool)
+            train_mask[test_idx] = False
+            splits.append((fold_no, test_idx, train_mask))
+    return splits
+
+
+def _cv_jobs(
+    coords: Coordinates2D, labels: Sequence[float], folds: int, config: SvmConfig
+) -> tuple[list[np.ndarray], list[tuple]]:
+    """The held-out labels and the ``_fit_fold`` job of each fold of a
+    stratified k-fold CV."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     x = np.asarray(coords, dtype=float)
@@ -304,19 +316,64 @@ def cross_validate(
     k_eff = min(folds, n_pos, n_neg)
 
     rng = np.random.default_rng(config.seed)
-    pooled_true: list[np.ndarray] = []
-    pooled_pred: list[np.ndarray] = []
-    for fold_no, test_idx in enumerate(stratified_folds(y, k_eff, rng)):
-        if len(test_idx) == 0:
-            continue
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[test_idx] = False
+    held_out, jobs = [], []
+    for fold_no, test_idx, train_mask in _fold_splits(y, k_eff, rng):
+        held_out.append(y[test_idx])
         fold_config = replace(config, seed=config.seed + fold_no + 1)
-        model = train_svm(x[train_mask], y[train_mask], fold_config)
-        values = decision_values(model, x[test_idx])
-        pooled_true.append(y[test_idx])
-        pooled_pred.append(np.where(values >= 0.0, 1.0, -1.0))
-    return compute_metrics(np.concatenate(pooled_true), np.concatenate(pooled_pred))
+        jobs.append((x[train_mask], y[train_mask], x[test_idx], fold_config))
+    return held_out, jobs
+
+
+def _pooled_metrics(held_out: list[np.ndarray], results: list[tuple]) -> ClassifierMetrics:
+    """Metrics over all folds of ``_cv_jobs``, from their ``_fit_fold`` results."""
+    return compute_metrics(np.concatenate(held_out), np.concatenate([p for _, p in results]))
+
+
+def cross_validate(
+    coords: Coordinates2D,
+    labels: Sequence[float],
+    folds: int,
+    config: SvmConfig = SvmConfig(),
+) -> ClassifierMetrics:
+    """Stratified k-fold CV; metrics are pooled over the held-out folds."""
+    held_out, jobs = _cv_jobs(coords, labels, folds, config)
+    return _pooled_metrics(held_out, _map_jobs(_fit_fold, jobs))
+
+
+def _fit_fold(job: tuple) -> tuple[SvmModel, np.ndarray]:
+    """Train on a fold's training rows; return the model and its +1/-1
+    predictions on the fold's test rows."""
+    train_x, train_y, test_x, config = job
+    model = train_svm(train_x, train_y, config)
+    return model, np.where(decision_values(model, test_x) >= 0.0, 1.0, -1.0)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the host cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_jobs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, run on a fork pool with one worker per
+    usable CPU when that gives two or more workers.
+
+    Results come back in job order and every job carries its own seed, so
+    the results do not depend on the number of workers."""
+    workers = min(_usable_cpus(), len(jobs))
+    if workers >= 2:
+        import multiprocessing
+
+        # fork, not spawn: a spawned worker imports numpy and eapr again, which
+        # costs more than a generation's fits. The program starts no threads,
+        # the pool forks its workers before it starts its own, and OpenBLAS
+        # stops its threads around a fork.
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]
 
 
 def select_aprt(

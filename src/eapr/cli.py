@@ -420,33 +420,39 @@ def stage_classify(cfg: PipelineConfig) -> None:
     coords = _load_coords(cfg.output_dir, table)
     stage_seed = derive_seed(cfg.seed, "classify")
 
+    # Every algorithm's final fit and CV fold fits run as one batch of jobs.
+    plan = []  # (algorithm, labels, CV held-out labels); no labels when degenerate
+    jobs = []
+    for algorithm in sorted(table.algorithm_names):
+        idx, y = table.labeled_indices(algorithm)
+        if min(int(np.sum(y == 1.0)), int(np.sum(y == -1.0))) < 2:
+            plan.append((algorithm, None, None))
+            continue
+        pts = coords[idx]
+        svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
+        cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
+        held_out, cv_jobs = classify._cv_jobs(pts, y, cfg.ga.cv_folds, cv_config)
+        plan.append((algorithm, y, held_out))
+        jobs += [(pts, y, pts, svm_config), *cv_jobs]
+    results = iter(classify._map_jobs(classify._fit_fold, jobs))
+
     models: dict[str, dict] = {}
     cv_metrics: dict[str, dict] = {}
     train_metrics: dict[str, dict] = {}
-    for algorithm in sorted(table.algorithm_names):
-        idx, y = table.labeled_indices(algorithm)
-        n_pos = int(np.sum(y == 1.0))
-        n_neg = int(np.sum(y == -1.0))
-        if min(n_pos, n_neg) < 2:
+    for algorithm, y, held_out in plan:
+        if y is None:
             click.echo(f"warning: skipping degenerate labels for {algorithm}", err=True)
             empty = dict.fromkeys(f.name for f in fields(classify.ClassifierMetrics))
             cv_metrics[algorithm] = train_metrics[algorithm] = empty
             continue
-        pts = coords[idx]
-        svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
-        model = classify.train_svm(pts, y, svm_config)
+        model, predicted = next(results)
         if not model.converged:
             click.echo(f"warning: selector SVM for {algorithm} did not converge in "
-                       f"{svm_config.max_passes} passes", err=True)
+                       f"{cfg.svm.max_passes} passes", err=True)
         models[algorithm] = classify.model_to_dict(model)
-
-        values = classify.decision_values(model, pts)
-        predicted = np.where(values >= 0.0, 1.0, -1.0)
         train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
-        cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
-        cv_metrics[algorithm] = asdict(
-            classify.cross_validate(pts, y, cfg.ga.cv_folds, cv_config)
-        )
+        cv_results = [next(results) for _ in held_out]
+        cv_metrics[algorithm] = asdict(classify._pooled_metrics(held_out, cv_results))
 
     if not models:
         raise CliFailure("E_DEGENERATE", "no algorithm has trainable labels")

@@ -178,7 +178,8 @@ def aggregate_rows(table: InstanceTable, group_key: str = "instance_id") -> Inst
     ``group_key`` is "instance_id" or "dataset". Groups keep the order of their
     first row. Feature values become the arithmetic mean over the group;
     outcome labels must be identical within a group and are carried through
-    (InconsistentOutcomes otherwise).
+    (InconsistentOutcomes otherwise). A mean that overflows float64 raises
+    MalformedCsv.
     """
     if group_key == "instance_id":
         keys = table.instance_ids
@@ -192,15 +193,19 @@ def aggregate_rows(table: InstanceTable, group_key: str = "instance_id") -> Inst
         groups.setdefault(key, []).append(i)
 
     means = []
-    for value, rows in groups.items():
-        labels = table.outcomes[rows]
-        conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
-        if conflicts.size:
-            raise InconsistentOutcomes(
-                f"group {value!r}: algorithm {table.algorithm_names[conflicts[0]]!r} "
-                "has conflicting labels"
-            )
-        means.append(table.features[rows].mean(axis=0))
+    with np.errstate(over="raise"):
+        for value, rows in groups.items():
+            labels = table.outcomes[rows]
+            conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
+            if conflicts.size:
+                raise InconsistentOutcomes(
+                    f"group {value!r}: algorithm {table.algorithm_names[conflicts[0]]!r} "
+                    "has conflicting labels"
+                )
+            try:
+                means.append(table.features[rows].mean(axis=0))
+            except FloatingPointError:
+                raise MalformedCsv(f"group {value!r}: feature mean overflows") from None
     firsts = table.take(rows[0] for rows in groups.values())
     return replace(firsts, instance_ids=tuple(groups), features=means)
 

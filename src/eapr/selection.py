@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import SvmConfig, decision_values, train_svm, stratified_folds
+from .classify import SvmConfig, _fold_splits, _map_jobs, decision_values, train_svm
 from .ingest import AllFeaturesDropped
 from .model import FeatureSubset, InstanceTable
 from .project import fit_projection
@@ -89,57 +89,82 @@ def tie_break(candidates: Sequence[tuple[FeatureSubset, FitnessValue]]) -> Featu
     return best[0]
 
 
-def evaluate_subset(
-    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int
-) -> FitnessValue:
-    """Mean k-fold CV accuracy over algorithms, on the subset's 2D projection.
+def _fold_correct(job: tuple) -> int:
+    """Train a fitness SVM on a fold's training rows; count its correct
+    predictions on the fold's test rows."""
+    train_x, train_y, test_x, test_y, config = job
+    values = decision_values(train_svm(train_x, train_y, config), test_x)
+    return int(np.sum(np.where(values >= 0.0, 1.0, -1.0) == test_y))
+
+
+def evaluate_subsets(
+    table: InstanceTable, subsets: Sequence[FeatureSubset], config: GaConfig, seed: int
+) -> list[FitnessValue]:
+    """Mean k-fold CV accuracy over algorithms, on each subset's 2D projection.
 
     Rows are put in sorted-instance-id order before anything else, so the
     result is invariant to the table's row permutation. Algorithms whose
     labels cannot be stratified (single class, or a class with one member)
     are skipped; if every algorithm is skipped, DegenerateLabels is raised.
-    Subsets whose columns collapse under standardization score 0.
+    Subsets whose columns collapse under standardization score 0. The fold
+    fits of all subsets run as one batch of jobs.
     """
-    size = len(subset)
-    if not (config.min_k <= size <= min(config.max_k, len(table.feature_names))):
-        raise ValueError(f"subset size {size} outside [{config.min_k}, {config.max_k}]")
+    max_k = min(config.max_k, len(table.feature_names))
+    for subset in subsets:
+        size = len(subset)
+        if not config.min_k <= size <= max_k:
+            raise ValueError(f"subset size {size} outside [{config.min_k}, {config.max_k}]")
 
     ordered = table.take(sorted(range(len(table)), key=table.instance_ids.__getitem__))
-    try:
-        _, coords = fit_projection(ordered, subset)
-    except AllFeaturesDropped:
-        return FitnessValue(0.0, size)
-
-    accuracies = []
+    # Labels, folds and fold seeds depend on (seed, algorithm), not on the subset.
+    plan = []
     for algorithm in ordered.algorithm_names:
         idx, y = ordered.labeled_indices(algorithm)
         n_pos = int(np.sum(y == 1.0))
         n_neg = int(np.sum(y == -1.0))
         if min(n_pos, n_neg) < 2:
             continue
-        pts = coords[idx]
         k_eff = min(config.cv_folds, n_pos, n_neg)
         rng = np.random.default_rng(derive_seed(seed, f"folds:{algorithm}"))
-        correct = 0
-        total = 0
-        for fold_no, test_idx in enumerate(stratified_folds(y, k_eff, rng)):
-            if len(test_idx) == 0:
-                continue
-            train_mask = np.ones(len(y), dtype=bool)
-            train_mask[test_idx] = False
-            svm_config = replace(
-                _FITNESS_SVM, seed=derive_seed(seed, f"svm:{algorithm}:{fold_no}")
-            )
-            svm = train_svm(pts[train_mask], y[train_mask], svm_config)
-            values = decision_values(svm, pts[test_idx])
-            predicted = np.where(values >= 0.0, 1.0, -1.0)
-            correct += int(np.sum(predicted == y[test_idx]))
-            total += len(test_idx)
-        accuracies.append(correct / total)
+        folds = []
+        for fold_no, test_idx, train_mask in _fold_splits(y, k_eff, rng):
+            svm_seed = derive_seed(seed, f"svm:{algorithm}:{fold_no}")
+            fold_config = replace(_FITNESS_SVM, seed=svm_seed)
+            folds.append((train_mask, test_idx, y[train_mask], y[test_idx], fold_config))
+        plan.append((idx, folds))
 
-    if not accuracies:
+    projected = {}  # subset position -> coordinates, unless every column collapsed
+    for pos, subset in enumerate(subsets):
+        try:
+            _, projected[pos] = fit_projection(ordered, subset)
+        except AllFeaturesDropped:
+            pass
+    if projected and not plan:
         raise DegenerateLabels("no algorithm has two stratifiable label classes")
-    return FitnessValue(float(np.mean(accuracies)), size)
+
+    jobs = []
+    for coords in projected.values():
+        for idx, folds in plan:
+            pts = coords[idx]
+            for train_mask, test_idx, train_y, test_y, fold_config in folds:
+                jobs.append((pts[train_mask], train_y, pts[test_idx], test_y, fold_config))
+    correct_counts = iter(_map_jobs(_fold_correct, jobs))
+
+    values = [FitnessValue(0.0, len(subset)) for subset in subsets]
+    for pos in projected:
+        accuracies = []
+        for idx, folds in plan:
+            correct = sum(next(correct_counts) for _ in folds)
+            accuracies.append(correct / len(idx))  # the folds partition the labeled rows
+        values[pos] = FitnessValue(float(np.mean(accuracies)), len(subsets[pos]))
+    return values
+
+
+def evaluate_subset(
+    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int
+) -> FitnessValue:
+    """``evaluate_subsets`` for one subset."""
+    return evaluate_subsets(table, [subset], config, seed)[0]
 
 
 def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
@@ -165,12 +190,13 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
     fitness_seed = derive_seed(config.seed, "fitness")
     cache: dict[tuple[int, ...], FitnessValue] = {}
 
-    def evaluate(mask: np.ndarray) -> FitnessValue:
-        key = tuple(np.flatnonzero(mask))
-        if key not in cache:
-            subset = FeatureSubset.of(names[i] for i in key)
-            cache[key] = evaluate_subset(table, subset, config, fitness_seed)
-        return cache[key]
+    def evaluate(masks: list[np.ndarray]) -> list[FitnessValue]:
+        """Fitness per mask; the uncached ones run as one batch, in mask order."""
+        keys = [tuple(np.flatnonzero(mask)) for mask in masks]
+        fresh = list(dict.fromkeys(key for key in keys if key not in cache))
+        subsets = [FeatureSubset.of(names[i] for i in key) for key in fresh]
+        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed)))
+        return [cache[key] for key in keys]
 
     def subset_names(mask: np.ndarray) -> tuple[str, ...]:
         return tuple(sorted(names[i] for i in np.flatnonzero(mask)))
@@ -194,7 +220,7 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
         return mask
 
     population = [random_individual() for _ in range(config.population_size)]
-    fitnesses = [evaluate(m) for m in population]
+    fitnesses = evaluate(population)
 
     def best_index() -> int:
         return min(
@@ -228,7 +254,7 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
             child = repair(child ^ flips)
             children.append(child)
         population = children
-        fitnesses = [evaluate(m) for m in population]
+        fitnesses = evaluate(population)
         gen_best = best_index()
         gen_key = _order_key(subset_names(population[gen_best]), fitnesses[gen_best])
         if gen_key < _order_key(subset_names(best_mask), best_fitness):

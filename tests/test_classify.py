@@ -1,10 +1,12 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import eapr.classify as classify
 from eapr.classify import (
     SingleClassLabels,
     SvmConfig,
@@ -374,3 +376,27 @@ class TestMisc:
                 SvmConfig(C=bad)
             with pytest.raises(ValueError):
                 SvmConfig(tolerance=bad)
+
+
+def _pid(_job):
+    return os.getpid()
+
+
+class TestWorkers:
+    @pytest.mark.skipif(classify._usable_cpus() < 2, reason="one usable CPU: no pool")
+    def test_jobs_run_in_other_processes(self):
+        pids = classify._map_jobs(_pid, list(range(8)))
+        assert len(pids) == 8
+        assert os.getpid() not in pids
+
+    def test_one_cpu_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 1)
+        assert classify._map_jobs(_pid, [0, 1, 2]) == [os.getpid()] * 3
+
+    def test_cross_validate_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
+        pts, y = overlapping(3, 60)
+        metrics = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            metrics.append(cross_validate(pts, y, 5, SvmConfig(seed=4)))
+        assert metrics[0] == metrics[1]

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import eapr
+import eapr.classify as classify
 from eapr.cli import build_config, main, parse_config_file
 
 FAST_GA = """\
@@ -107,6 +112,22 @@ class TestStages:
                 f"warning: selector SVM for {algorithm} did not converge in 1 passes"
                 in result.stderr.splitlines()
             )
+
+    def test_classify_same_on_one_cpu_and_on_a_pool(
+        self, runner, tmp_path, synthetic60_path, monkeypatch
+    ):
+        out = tmp_path / "staged"
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        for stage in ("ingest", "select-features", "project"):
+            assert runner.invoke(main, [stage, "--config", str(cfg)]).exit_code == 0
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            result = runner.invoke(main, ["classify", "--config", str(cfg)])
+            assert result.exit_code == 0, result.stderr
+            artifacts = [(out / name).read_bytes() for name in ("models.json", "metrics.json")]
+            runs.append((artifacts, result.stderr))
+        assert runs[0] == runs[1]
 
     def test_footprint_before_project(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "partial"
@@ -360,6 +381,19 @@ class TestSelect:
         assert result.stdout.startswith("1,X,")
 
 
+def test_cli_import_loads_no_process_pool():
+    # `eapr select` imports eapr.cli; the pool modules load only when fits run
+    code = (
+        "import sys, eapr.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 class TestIngestErrors:
     def test_header_only_csv(self, runner, tmp_path):
         csv = tmp_path / "empty.csv"
@@ -399,6 +433,17 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("E_PARSE ")
+
+    def test_overflowing_mean_is_parse_error(self, runner, tmp_path):
+        csv = tmp_path / "huge.csv"
+        rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
+        rows += ["big,1e308,0,1", "big,1e308,1,1"]
+        csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
+        result = runner.invoke(
+            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["E_PARSE group 'big': feature mean overflows"]
 
     def test_single_feature_table_is_degenerate(self, runner, tmp_path):
         csv = tmp_path / "narrow.csv"

@@ -124,6 +124,15 @@ class TestAggregate:
         expected = pairwise_sorted_mean(values)
         assert out.features[0, 0] == pytest.approx(expected, abs=1e-12 * 1e6)
 
+    def test_overflowing_mean_rejected(self):
+        table = make_table(
+            ["f1", "f2"],
+            ["A"],
+            [("big", "d", (1e308, 1.0), (GOOD,)), ("big", "d", (1e308, 2.0), (GOOD,))],
+        )
+        with pytest.raises(MalformedCsv, match="'big'"):
+            aggregate_rows(table, "instance_id")
+
     def test_conflicting_outcomes_rejected(self):
         table = make_table(
             ["f1"],

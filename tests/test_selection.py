@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eapr.classify as classify
 import eapr.selection as selection
 from eapr.model import FeatureSubset
 from eapr.selection import (
@@ -10,6 +11,7 @@ from eapr.selection import (
     FitnessValue,
     GaConfig,
     evaluate_subset,
+    evaluate_subsets,
     run_ga,
     tie_break,
 )
@@ -148,13 +150,13 @@ class TestRunGa:
             population_size=8, generations=4, min_k=3, max_k=5, cv_folds=2, seed=2
         )
         seen = []
-        original = selection.evaluate_subset
+        original = selection.evaluate_subsets
 
-        def spy(tbl, subset, cfg, seed):
-            seen.append(len(subset))
-            return original(tbl, subset, cfg, seed)
+        def spy(tbl, subsets, cfg, seed):
+            seen.extend(len(subset) for subset in subsets)
+            return original(tbl, subsets, cfg, seed)
 
-        monkeypatch.setattr(selection, "evaluate_subset", spy)
+        monkeypatch.setattr(selection, "evaluate_subsets", spy)
         run_ga(table, config)
         assert seen
         assert all(3 <= size <= 5 for size in seen)
@@ -211,3 +213,30 @@ class TestGaConfig:
             GaConfig(crossover_rate=1.5)
         with pytest.raises(ValueError):
             GaConfig(cv_folds=1)
+
+
+class TestWorkers:
+    """Fold fits run on a pool of one worker per usable CPU; the results must
+    be those of the in-process, one-worker run to the bit."""
+
+    def test_run_ga_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
+        table = planted_table(60, n_noise=6, seed=14)
+        config = GaConfig(population_size=6, generations=3, min_k=2, max_k=4, cv_folds=3, seed=4)
+        results = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            results.append(run_ga(table, config))
+        assert results[0] == results[1]
+
+    def test_evaluate_subset_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
+        table = planted_table(80, n_noise=4, seed=15)
+        subsets = [
+            FeatureSubset.of(names)
+            for names in (["f1", "f2"], ["f1", "n00", "n03"], ["n01", "n02"], ["f2", "n02"])
+        ]
+        values = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            values.append([evaluate_subset(table, s, FAST, seed=6) for s in subsets])
+            values.append(evaluate_subsets(table, subsets, FAST, seed=6))
+        assert values[0] == values[1] == values[2] == values[3]
