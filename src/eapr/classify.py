@@ -1,4 +1,4 @@
-"""Per-algorithm binary SVMs over 2D coordinates, trained with simplified SMO.
+"""Per-algorithm binary SVMs over 2D coordinates, trained with SMO.
 
 Models are one-vs-rest per algorithm (GOOD = +1, BAD = -1); ranking their
 decision values on a query point yields the recommended algorithm order.
@@ -18,6 +18,9 @@ from .model import Coordinates2D
 _SV_EPS = 1e-12
 # Smallest multiplier change that counts as optimization progress.
 _STEP_EPS = 1e-10
+# Floor of the pair curvature in second-order working-set selection, as in
+# LIBSVM: it keeps the choice and the step finite where two points coincide.
+_TAU = 1e-12
 
 
 def _snap(alpha: float, c: float) -> float:
@@ -107,12 +110,8 @@ def _kernel_matrix(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.
 def train_svm(
     coords: Coordinates2D, labels: Sequence[float], config: SvmConfig = SvmConfig()
 ) -> SvmModel:
-    """Fit a soft-margin SVM by simplified SMO.
-
-    The second multiplier is chosen by max |E1 - E2| with a seeded random
-    fallback; training stops when a full pass finds no KKT violation beyond
-    ``config.tolerance`` or after ``config.max_passes`` passes.
-    """
+    """Fit a soft-margin SVM: the linear kernel by ``_smo_wss2``, rbf by
+    ``_smo_simplified``."""
     x = np.asarray(coords, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -123,17 +122,106 @@ def train_svm(
             raise SingleClassLabels("both classes required for training")
         raise ValueError("labels must be +1/-1")
 
-    n = x.shape[0]
     gamma = (
         median_heuristic_gamma(x)
         if config.gamma == "median-heuristic"
         else float(config.gamma)
     )
     k = _kernel_matrix(config.kernel, gamma, x, x)
+    solve = _smo_wss2 if config.kernel == "linear" else _smo_simplified
+    alphas, bias, converged = solve(k, y, config)
+
+    a = np.array(alphas)
+    sv = a > _SV_EPS
+    return SvmModel(
+        support_vectors=x[sv].copy(),
+        alphas=a[sv],
+        labels=y[sv].copy(),
+        bias=float(bias),
+        gamma=gamma,
+        config=config,
+        converged=converged,
+    )
+
+
+def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, float, bool]:
+    """SMO with second-order working-set selection (Fan, Chen & Lin 2005, the
+    LIBSVM "WSS2" rule) on the kernel matrix ``k``.
+
+    ``F_t = y_t - sum_s alpha_s y_s K_st``. I_up holds the t whose
+    ``y_t alpha_t`` may grow, I_low those whose ``y_t alpha_t`` may shrink.
+    Each step takes i = argmax F over I_up (m = F_i) and j = argmax
+    ``(m - F_t)^2 / a_it`` over the t in I_low with F_t < m, where
+    ``a_it = K_ii + K_tt - 2 K_it`` is the curvature along the pair, and
+    moves the pair to the optimum on its clipped segment. Training stops when
+    ``m - M < config.tolerance``, M = min F over I_low (Keerthi et al. 2001),
+    or after ``config.max_passes * n`` pair updates.
+    """
+    n = len(y)
+    c = config.C
+    ys = y.tolist()
+    diag = k.diagonal()
+    curv = diag[:, None] + diag[None, :] - 2.0 * k
+    np.maximum(curv, _TAU, out=curv)
+    alphas = [0.0] * n
+    f = y.copy()  # alpha = 0
+    # 0 on I_up (I_low), -inf (+inf) off it: f + up_pen peaks on I_up only
+    up_pen = np.where(y > 0.0, 0.0, -np.inf)
+    low_pen = np.where(y > 0.0, np.inf, 0.0)
+    cand, gain, row = np.empty(n), np.empty(n), np.empty(n)
+
+    converged = False
+    for _ in range(config.max_passes * n):
+        np.add(f, up_pen, out=cand)
+        i = int(cand.argmax())
+        m = cand.item(i)
+        np.add(f, low_pen, out=gain)
+        np.subtract(m, gain, out=gain)  # m - F_t on I_low, -inf off it
+        if gain.max() < config.tolerance:  # m - M
+            converged = True
+            break
+        np.maximum(gain, 0.0, out=gain)
+        np.multiply(gain, gain, out=gain)
+        np.divide(gain, curv[i], out=gain)
+        j = int(gain.argmax())
+
+        # move y_i alpha_i up and y_j alpha_j down by t, keeping sum(alpha y)
+        ai, aj, yi, yj = alphas[i], alphas[j], ys[i], ys[j]
+        room_i = c - ai if yi > 0.0 else ai
+        room_j = aj if yj > 0.0 else c - aj
+        t = min((m - f.item(j)) / curv.item(i, j), room_i, room_j)
+        alphas[i] = (c if yi > 0.0 else 0.0) if t == room_i else ai + yi * t
+        alphas[j] = (0.0 if yj > 0.0 else c) if t == room_j else aj - yj * t
+        np.subtract(k[i], k[j], out=row)
+        np.multiply(row, t, out=row)
+        np.subtract(f, row, out=f)
+        for s in (i, j):
+            a_s, pos = alphas[s], ys[s] > 0.0
+            up_pen[s] = 0.0 if (a_s < c if pos else a_s > 0.0) else -np.inf
+            low_pen[s] = 0.0 if (a_s > 0.0 if pos else a_s < c) else np.inf
+
+    a = np.array(alphas)
+    free = (a > 0.0) & (a < c)
+    if free.any():  # a free multiplier's point lies on the margin: b = F_t
+        bias = float(f[free].mean())
+    else:
+        bias = 0.5 * (float((f + up_pen).max()) + float((f + low_pen).min()))
+    return alphas, bias, converged
+
+
+def _smo_simplified(
+    k: np.ndarray, y: np.ndarray, config: SvmConfig
+) -> tuple[list, float, bool]:
+    """Simplified SMO on the kernel matrix ``k``.
+
+    The second multiplier is chosen by max |E1 - E2| with a seeded random
+    fallback; training stops when a full pass finds no KKT violation beyond
+    ``config.tolerance`` or after ``config.max_passes`` passes.
+    """
+    n = len(y)
     c = config.C
     tol = config.tolerance
     rng = np.random.default_rng(config.seed)
-
     # A step is a few flops, less than numpy scalar overhead: per-step state is
     # Python floats and lists; numpy does only O(n) work, into buffers made once.
     ys = y.tolist()
@@ -219,17 +307,7 @@ def train_svm(
             # would replay it verbatim
             break
 
-    a = np.array(alphas)
-    sv = a > _SV_EPS
-    return SvmModel(
-        support_vectors=x[sv].copy(),
-        alphas=a[sv],
-        labels=y[sv].copy(),
-        bias=float(bias),
-        gamma=gamma,
-        config=config,
-        converged=converged,
-    )
+    return alphas, bias, converged
 
 
 def decision_values(model: SvmModel, coords: Coordinates2D) -> np.ndarray:
@@ -357,8 +435,8 @@ def _map_jobs(fn, jobs: list) -> list:
     """``[fn(job) for job in jobs]``, run on a fork pool with one worker per
     usable CPU when that gives two or more workers.
 
-    Results come back in job order and every job carries its own seed, so
-    the results do not depend on the number of workers."""
+    Results come back in job order and each job depends on its own inputs
+    alone, so the results do not depend on the number of workers."""
     workers = min(_usable_cpus(), len(jobs))
     if workers >= 2:
         import multiprocessing

@@ -6,7 +6,7 @@ exactly when the projected space it induces separates GOOD from BAD.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -69,10 +69,10 @@ class SelectionResult:
 
 
 # Classifier used inside the fitness function: linear kernel on the 2D
-# projection, loose tolerance and few passes. The pass cap, not convergence,
-# ends nearly every fold model, so the GA ranks subsets on the held-out
-# accuracy of a cut-off solution.
-_FITNESS_SVM = SvmConfig(kernel="linear", C=1.0, gamma=1.0, tolerance=1e-2, max_passes=8)
+# projection, solved to a loose tolerance. Its cap of 100 * n pair updates,
+# like LIBSVM's floor of 100 * l iterations, does not bind on real data, so
+# every fold model is converged.
+_FITNESS_SVM = SvmConfig(kernel="linear", C=1.0, gamma=1.0, tolerance=1e-2, max_passes=100)
 
 
 def _order_key(names: tuple[str, ...], fitness: FitnessValue):
@@ -116,7 +116,7 @@ def evaluate_subsets(
             raise ValueError(f"subset size {size} outside [{config.min_k}, {config.max_k}]")
 
     ordered = table.take(sorted(range(len(table)), key=table.instance_ids.__getitem__))
-    # Labels, folds and fold seeds depend on (seed, algorithm), not on the subset.
+    # Labels and folds depend on (seed, algorithm), not on the subset.
     plan = []
     for algorithm in ordered.algorithm_names:
         idx, y = ordered.labeled_indices(algorithm)
@@ -127,10 +127,8 @@ def evaluate_subsets(
         k_eff = min(config.cv_folds, n_pos, n_neg)
         rng = np.random.default_rng(derive_seed(seed, f"folds:{algorithm}"))
         folds = []
-        for fold_no, test_idx, train_mask in _fold_splits(y, k_eff, rng):
-            svm_seed = derive_seed(seed, f"svm:{algorithm}:{fold_no}")
-            fold_config = replace(_FITNESS_SVM, seed=svm_seed)
-            folds.append((train_mask, test_idx, y[train_mask], y[test_idx], fold_config))
+        for _, test_idx, train_mask in _fold_splits(y, k_eff, rng):
+            folds.append((train_mask, test_idx, y[train_mask], y[test_idx]))
         plan.append((idx, folds))
 
     projected = {}  # subset position -> coordinates, unless every column collapsed
@@ -146,8 +144,8 @@ def evaluate_subsets(
     for coords in projected.values():
         for idx, folds in plan:
             pts = coords[idx]
-            for train_mask, test_idx, train_y, test_y, fold_config in folds:
-                jobs.append((pts[train_mask], train_y, pts[test_idx], test_y, fold_config))
+            for train_mask, test_idx, train_y, test_y in folds:
+                jobs.append((pts[train_mask], train_y, pts[test_idx], test_y, _FITNESS_SVM))
     correct_counts = iter(_map_jobs(_fold_correct, jobs))
 
     values = [FitnessValue(0.0, len(subset)) for subset in subsets]

@@ -17,6 +17,7 @@ from eapr.selection import (
 )
 
 from conftest import BAD, GOOD, make_table, planted_table
+from test_classify import check_linear_optimum
 
 FAST = GaConfig(population_size=10, generations=5, min_k=2, max_k=3, cv_folds=3, seed=0)
 
@@ -29,6 +30,21 @@ def shuffle_labels(table, seed):
         for j in range(len(table.algorithm_names))
     ]
     return replace(table, outcomes=np.column_stack(columns))
+
+
+def fold_fits(monkeypatch):
+    """Record (training coords, labels, model) of every fitness SVM fit, run
+    in this process."""
+    fits = []
+
+    def recording_train_svm(x, y, config):
+        model = classify.train_svm(x, y, config)
+        fits.append((x, y, model))
+        return model
+
+    monkeypatch.setattr(classify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(selection, "train_svm", recording_train_svm)
+    return fits
 
 
 def majority_rate(table):
@@ -100,12 +116,31 @@ class TestEvaluateSubset:
         fitness = evaluate_subset(table, FeatureSubset.of(["c1", "c2"]), FAST, seed=0)
         assert fitness.mean_cv_accuracy == 0.0
 
-    def test_golden_fitness(self):
-        # pinned to the bit: the fitness SVM never converges in its 8 passes,
-        # so any change to the SMO arithmetic or its RNG stream shows here
+    def test_golden_fitness(self, monkeypatch):
+        # pinned to the bit, so any change to the SMO arithmetic shows here;
+        # each fold model is checked to be a tolerance optimum first
+        fits = fold_fits(monkeypatch)
         subset = FeatureSubset.of(["f1", "n03", "n07", "n11"])
         fitness = evaluate_subset(planted_table(), subset, GaConfig(), seed=3)
-        assert fitness == FitnessValue(float.fromhex("0x1.6666666666667p-1"), 4)
+        assert len(fits) == 15  # 3 algorithms x 5 folds
+        for x, y, model in fits:
+            assert model.converged
+            check_linear_optimum(model, x, y)
+        assert fitness == FitnessValue(float.fromhex("0x1.6eeeeeeeeeef0p-1"), 4)
+
+    def test_every_fold_fit_converges(self, monkeypatch):
+        # the fitness SVM of earlier versions stopped on its 8-pass cap in
+        # every one of these fits
+        fits = fold_fits(monkeypatch)
+        names = planted_table().feature_names
+        subsets = [
+            FeatureSubset.of(["f1", "f2", "n00", "n01"]),
+            FeatureSubset.of(["f2", "n04", "n09", "n13", "n17"]),
+            FeatureSubset.of(names[6:18]),
+        ]
+        evaluate_subsets(planted_table(), subsets, GaConfig(), seed=11)
+        assert len(fits) == 3 * 3 * 5
+        assert all(model.converged for _, _, model in fits)
 
 
 class TestRunGa:
