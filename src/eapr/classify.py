@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,23 +16,9 @@ from .model import Coordinates2D
 
 # Minimum multiplier kept when extracting support vectors.
 _SV_EPS = 1e-12
-# Smallest multiplier change that counts as optimization progress.
-_STEP_EPS = 1e-10
 # Floor of the pair curvature in second-order working-set selection, as in
 # LIBSVM: it keeps the choice and the step finite where two points coincide.
 _TAU = 1e-12
-
-
-def _snap(alpha: float, c: float) -> float:
-    """Round a multiplier onto its box bound when within rounding distance.
-
-    A residue like 5e-17 instead of exact 0 would keep the violation check
-    firing on a step too small to take, stalling convergence."""
-    if alpha < _SV_EPS:
-        return 0.0
-    if alpha > c - _SV_EPS:
-        return c
-    return alpha
 
 
 class SingleClassLabels(Exception):
@@ -49,6 +35,9 @@ class SvmConfig:
 
     ``gamma`` is a positive float or "median-heuristic", which resolves to
     1 / (2 * median(pairwise distances)^2) on the training coordinates.
+    Training stops at ``tolerance`` or after ``max_passes * n`` pair updates
+    (n training rows). The solver draws no random numbers: ``seed`` seeds only
+    the fold split of ``cross_validate`` and labels the model in models.json.
     """
 
     kernel: str = "rbf"
@@ -110,8 +99,8 @@ def _kernel_matrix(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.
 def train_svm(
     coords: Coordinates2D, labels: Sequence[float], config: SvmConfig = SvmConfig()
 ) -> SvmModel:
-    """Fit a soft-margin SVM: the linear kernel by ``_smo_wss2``, rbf by
-    ``_smo_simplified``."""
+    """Fit a soft-margin SVM on either kernel by ``_smo_wss2``; the fit is a
+    deterministic function of its inputs."""
     x = np.asarray(coords, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -128,8 +117,7 @@ def train_svm(
         else float(config.gamma)
     )
     k = _kernel_matrix(config.kernel, gamma, x, x)
-    solve = _smo_wss2 if config.kernel == "linear" else _smo_simplified
-    alphas, bias, converged = solve(k, y, config)
+    alphas, bias, converged = _smo_wss2(k, y, config)
 
     a = np.array(alphas)
     sv = a > _SV_EPS
@@ -209,107 +197,6 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
     return alphas, bias, converged
 
 
-def _smo_simplified(
-    k: np.ndarray, y: np.ndarray, config: SvmConfig
-) -> tuple[list, float, bool]:
-    """Simplified SMO on the kernel matrix ``k``.
-
-    The second multiplier is chosen by max |E1 - E2| with a seeded random
-    fallback; training stops when a full pass finds no KKT violation beyond
-    ``config.tolerance`` or after ``config.max_passes`` passes.
-    """
-    n = len(y)
-    c = config.C
-    tol = config.tolerance
-    rng = np.random.default_rng(config.seed)
-    # A step is a few flops, less than numpy scalar overhead: per-step state is
-    # Python floats and lists; numpy does only O(n) work, into buffers made once.
-    ys = y.tolist()
-    diag = k.diagonal().tolist()
-    alphas = [0.0] * n
-    bias = 0.0
-    errors = -y  # f(x) = 0 initially, so E = f - y = -y
-    row, row_j, gaps = np.empty(n), np.empty(n), np.empty(n)
-
-    def take_step(i: int, j: int, e_i: float) -> bool:
-        """Move the pair (i, j); ``e_i`` is E_i, which failed steps leave as is."""
-        nonlocal bias
-        if i == j:
-            return False
-        ai, aj = alphas[i], alphas[j]
-        yi, yj = ys[i], ys[j]
-        if yi != yj:
-            low = max(0.0, aj - ai)
-            high = min(c, c + aj - ai)
-        else:
-            low = max(0.0, ai + aj - c)
-            high = min(c, ai + aj)
-        if high - low < _STEP_EPS:
-            return False
-        k_ij = k.item(i, j)
-        eta = diag[i] + diag[j] - 2.0 * k_ij
-        if eta <= 0.0:
-            return False
-        e_j = errors.item(j)
-        aj_new = _snap(min(max(aj + yj * (e_i - e_j) / eta, low), high), c)
-        if abs(aj_new - aj) < _STEP_EPS:
-            return False
-        ai_new = _snap(ai + yi * yj * (aj - aj_new), c)
-
-        s_i = yi * (ai_new - ai)
-        s_j = yj * (aj_new - aj)
-        b1 = bias - e_i - s_i * diag[i] - s_j * k_ij
-        b2 = bias - e_j - s_i * k_ij - s_j * diag[j]
-        if 0.0 < ai_new < c:
-            b_new = b1
-        elif 0.0 < aj_new < c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        # errors += (s_i K_i + s_j K_j) + (b_new - b); this order fixes the rounding
-        np.multiply(k[i], s_i, out=row)
-        np.multiply(k[j], s_j, out=row_j)
-        np.add(row, row_j, out=row)
-        np.add(row, b_new - bias, out=row)
-        np.add(errors, row, out=errors)
-        alphas[i] = ai_new
-        alphas[j] = aj_new
-        bias = b_new
-        return True
-
-    converged = False
-    for _ in range(config.max_passes):
-        r = y * errors  # r_i = y_i f(x_i) - 1
-        a = np.array(alphas)
-        violating = np.flatnonzero(((r < -tol) & (a < c)) | ((r > tol) & (a > 0.0)))
-        if violating.size == 0:
-            converged = True
-            break
-        progressed = False
-        for i in violating.tolist():
-            e_i = errors.item(i)
-            r_i = ys[i] * e_i  # re-check: earlier steps move the errors
-            if not ((r_i < -tol and alphas[i] < c) or (r_i > tol and alphas[i] > 0.0)):
-                continue
-            np.subtract(e_i, errors, out=gaps)
-            np.abs(gaps, out=gaps)
-            gaps[i] = -1.0
-            if take_step(i, int(gaps.argmax()), e_i):
-                progressed = True
-                continue
-            for j in rng.permutation(n):  # most fallbacks stop at the first j
-                if take_step(i, int(j), e_i):
-                    progressed = True
-                    break
-        if not progressed:
-            # no pair can move: the state is a fixed point, more passes
-            # would replay it verbatim
-            break
-
-    return alphas, bias, converged
-
-
 def decision_values(model: SvmModel, coords: Coordinates2D) -> np.ndarray:
     """f(x) = sum_i alpha_i y_i K(x_i, x) + b for each query point."""
     q = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -365,14 +252,14 @@ def stratified_folds(
 
 def _fold_splits(
     labels: np.ndarray, folds: int, rng: np.random.Generator
-) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(fold number, test rows, training mask) of each non-empty stratified fold."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(test rows, training mask) of each non-empty stratified fold."""
     splits = []
-    for fold_no, test_idx in enumerate(stratified_folds(labels, folds, rng)):
+    for test_idx in stratified_folds(labels, folds, rng):
         if len(test_idx):
             train_mask = np.ones(len(labels), dtype=bool)
             train_mask[test_idx] = False
-            splits.append((fold_no, test_idx, train_mask))
+            splits.append((test_idx, train_mask))
     return splits
 
 
@@ -395,10 +282,9 @@ def _cv_jobs(
 
     rng = np.random.default_rng(config.seed)
     held_out, jobs = [], []
-    for fold_no, test_idx, train_mask in _fold_splits(y, k_eff, rng):
+    for test_idx, train_mask in _fold_splits(y, k_eff, rng):
         held_out.append(y[test_idx])
-        fold_config = replace(config, seed=config.seed + fold_no + 1)
-        jobs.append((x[train_mask], y[train_mask], x[test_idx], fold_config))
+        jobs.append((x[train_mask], y[train_mask], x[test_idx], config))
     return held_out, jobs
 
 

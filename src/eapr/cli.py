@@ -448,7 +448,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
         model, predicted = next(results)
         if not model.converged:
             click.echo(f"warning: selector SVM for {algorithm} did not converge in "
-                       f"{cfg.svm.max_passes} passes", err=True)
+                       f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", err=True)
         models[algorithm] = classify.model_to_dict(model)
         train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
         cv_results = [next(results) for _ in held_out]

@@ -127,7 +127,7 @@ def evaluate_subsets(
         k_eff = min(config.cv_folds, n_pos, n_neg)
         rng = np.random.default_rng(derive_seed(seed, f"folds:{algorithm}"))
         folds = []
-        for _, test_idx, train_mask in _fold_splits(y, k_eff, rng):
+        for test_idx, train_mask in _fold_splits(y, k_eff, rng):
             folds.append((train_mask, test_idx, y[train_mask], y[test_idx]))
         plan.append((idx, folds))
 

@@ -128,6 +128,15 @@ class TestTrain:
         assert np.array_equal(a.support_vectors, b.support_vectors)
         assert a.bias == b.bias
 
+    def test_train_svm_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(seed=None):
+            raise AssertionError("train_svm drew random numbers")
+
+        pts, y = xor_clusters()
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        for kernel in ("linear", "rbf"):
+            assert train_svm(pts, y, SvmConfig(kernel=kernel, seed=3)).converged
+
     def test_single_class_rejected(self):
         pts = np.random.default_rng(0).normal(0, 1, (10, 2))
         with pytest.raises(SingleClassLabels):
@@ -183,37 +192,30 @@ def model_digest(model):
 
 
 class TestGoldenModels:
-    """Trained models pinned to the bit. A change to an SMO loop that keeps
+    """Trained models pinned to the bit. A change to the SMO loop that keeps
     these digests keeps every fitness value and every models.json as well."""
 
-    def test_fitness_config_with_random_fallback(self, monkeypatch):
-        # rbf with a loose tolerance, cut off after 8 passes: the simplified
-        # SMO's max-gap choice often fails here and its random fallback runs
-        permutations = []
-
-        class CountingGenerator(np.random.Generator):
-            def permutation(self, x):
-                permutations.append(x)
-                return super().permutation(x)
-
-        monkeypatch.setattr(
-            np.random, "default_rng", lambda seed=None: CountingGenerator(np.random.PCG64(seed))
-        )
+    def test_rbf_stopped_on_the_cap(self):
+        # this solve needs between n and 2 n pair updates; a model cut off by
+        # the cap still satisfies the box and sum(alpha y) = 0
         pts, y = overlapping(3, 160)
-        config = SvmConfig(kernel="rbf", C=1.0, gamma=1.0, tolerance=1e-2, max_passes=8, seed=5)
+        config = SvmConfig(kernel="rbf", C=1.0, gamma=1.0, tolerance=1e-2, max_passes=1)
         model = train_svm(pts, y, config)
         assert not model.converged
-        assert len(permutations) == 479  # the max-gap choice failed this often
+        assert np.all(model.alphas >= 0.0)
+        assert np.all(model.alphas <= config.C)
+        assert abs(float(np.sum(model.alphas * model.labels))) < 1e-9
         assert model_digest(model) == (
-            "11bc1ebe12af8661ab7846dab5c129093d09a8f62c19d60af2fe812e800c3334"
+            "8600d63f22a3c84d5da45da117e68ecd60d74727229b56b10f17b533537bc6ae"
         )
 
     def test_rbf_defaults(self):
         pts, y = overlapping(4, 200)
         model = train_svm(pts, y, SvmConfig(seed=6))
         assert model.converged
+        check_kkt(model, pts, y)
         assert model_digest(model) == (
-            "0963e86b853b5b6eea804abe54e6d8bfb104eddaf0d6ac5cc9f62369383b180a"
+            "42c767f31b7df577447872a1544fd49e23dd087608471335767f2ecdd5c9f3e1"
         )
 
     def test_fixed_point_break(self):
@@ -276,6 +278,23 @@ class TestLinearSolver:
         model = train_svm(pts, y, SvmConfig(kernel="linear", C=10.0, max_passes=1000))
         assert model.converged
         check_linear_optimum(model, pts, y)
+
+
+class TestRbfSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=two_class_sets(),
+        c=st.sampled_from([0.1, 1.0, 10.0]),
+        gamma=st.sampled_from([0.1, 1.0, 10.0, "median-heuristic"]),
+    )
+    def test_converges_to_a_tolerance_optimum(self, data, c, gamma):
+        pts, y = data
+        model = train_svm(pts, y, SvmConfig(kernel="rbf", C=c, gamma=gamma, max_passes=10**4))
+        assert model.converged
+        assert np.all(model.alphas >= 0.0)
+        assert np.all(model.alphas <= c)
+        assert abs(float(np.sum(model.alphas * model.labels))) < 1e-9
+        check_kkt(model, pts, y)
 
 
 class TestPredict:

@@ -101,15 +101,20 @@ class TestStages:
 
     def test_unconverged_selector_warns(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "unconverged"
-        cfg = write_config(tmp_path, synthetic60_path, out, extra="svm.max_passes=1\n")
+        # at gamma = 100 every training row becomes a support vector, and the
+        # solve needs more than one pair update per row
+        extra = "svm.max_passes=1\nsvm.c=100\nsvm.gamma=100\n"
+        cfg = write_config(tmp_path, synthetic60_path, out, extra=extra)
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         models = json.loads((out / "models.json").read_text())["models"]
-        assert sorted(models) == ["A", "B", "C"]
+        labeled = {"A": 60, "B": 60, "C": 57}
+        assert sorted(models) == sorted(labeled)
         for algorithm, model in models.items():
             assert model["converged"] is False
             assert (
-                f"warning: selector SVM for {algorithm} did not converge in 1 passes"
+                f"warning: selector SVM for {algorithm} did not converge in "
+                f"1*n pair updates (n = {labeled[algorithm]})"
                 in result.stderr.splitlines()
             )
 
