@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -77,13 +78,19 @@ class SvmModel:
 def median_heuristic_gamma(points: np.ndarray) -> float:
     """1 / (2 * median^2) of the pairwise Euclidean distances; 1.0 if degenerate."""
     x = np.asarray(points, dtype=float)
-    n = x.shape[0]
-    if n < 2:
+    return _median_gamma(_sq_dists(x, x))
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
+def _median_gamma(sq: np.ndarray) -> float:
+    """``median_heuristic_gamma`` from the points' squared distance matrix."""
+    if len(sq) < 2:
         return 1.0
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    upper = dist[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
+    med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
     if med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med * med)
@@ -92,8 +99,7 @@ def median_heuristic_gamma(points: np.ndarray) -> float:
 def _kernel_matrix(kind: str, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kind == "linear":
         return a @ b.T
-    sq = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-gamma * sq)
+    return np.exp(-gamma * _sq_dists(a, b))
 
 
 def train_svm(
@@ -111,12 +117,11 @@ def train_svm(
             raise SingleClassLabels("both classes required for training")
         raise ValueError("labels must be +1/-1")
 
-    gamma = (
-        median_heuristic_gamma(x)
-        if config.gamma == "median-heuristic"
-        else float(config.gamma)
-    )
-    k = _kernel_matrix(config.kernel, gamma, x, x)
+    # the squared distances serve both the median heuristic and the rbf kernel
+    median = config.gamma == "median-heuristic"
+    sq = _sq_dists(x, x) if median or config.kernel == "rbf" else None
+    gamma = _median_gamma(sq) if median else float(config.gamma)
+    k = x @ x.T if config.kernel == "linear" else np.exp(-gamma * sq)
     alphas, bias, converged = _smo_wss2(k, y, config)
 
     a = np.array(alphas)
@@ -152,20 +157,19 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
     curv = diag[:, None] + diag[None, :] - 2.0 * k
     np.maximum(curv, _TAU, out=curv)
     alphas = [0.0] * n
-    f = y.copy()  # alpha = 0
-    # 0 on I_up (I_low), -inf (+inf) off it: f + up_pen peaks on I_up only
-    up_pen = np.where(y > 0.0, 0.0, -np.inf)
-    low_pen = np.where(y > 0.0, np.inf, 0.0)
-    cand, gain, row = np.empty(n), np.empty(n), np.empty(n)
+    # F on I_up (I_low), -inf (+inf) off it: fu peaks on I_up only and fl
+    # bottoms out on I_low only. As C > 0, every t is in I_up or I_low, so at
+    # least one of the two holds F_t.
+    fu = np.where(y > 0.0, y, -np.inf)  # alpha = 0: F = y
+    fl = np.where(y > 0.0, np.inf, y)
+    gain, row = np.empty(n), np.empty(n)
 
     converged = False
     for _ in range(config.max_passes * n):
-        np.add(f, up_pen, out=cand)
-        i = int(cand.argmax())
-        m = cand.item(i)
-        np.add(f, low_pen, out=gain)
-        np.subtract(m, gain, out=gain)  # m - F_t on I_low, -inf off it
-        if gain.max() < config.tolerance:  # m - M
+        i = int(fu.argmax())
+        m = fu.item(i)
+        np.subtract(m, fl, out=gain)  # m - F_t on I_low, -inf off it
+        if gain.item(gain.argmax()) < config.tolerance:  # m - M
             converged = True
             break
         np.maximum(gain, 0.0, out=gain)
@@ -177,23 +181,25 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
         ai, aj, yi, yj = alphas[i], alphas[j], ys[i], ys[j]
         room_i = c - ai if yi > 0.0 else ai
         room_j = aj if yj > 0.0 else c - aj
-        t = min((m - f.item(j)) / curv.item(i, j), room_i, room_j)
+        t = min((m - fl.item(j)) / curv.item(i, j), room_i, room_j)
         alphas[i] = (c if yi > 0.0 else 0.0) if t == room_i else ai + yi * t
         alphas[j] = (0.0 if yj > 0.0 else c) if t == room_j else aj - yj * t
         np.subtract(k[i], k[j], out=row)
         np.multiply(row, t, out=row)
-        np.subtract(f, row, out=f)
+        np.subtract(fu, row, out=fu)
+        np.subtract(fl, row, out=fl)
         for s in (i, j):
             a_s, pos = alphas[s], ys[s] > 0.0
-            up_pen[s] = 0.0 if (a_s < c if pos else a_s > 0.0) else -np.inf
-            low_pen[s] = 0.0 if (a_s > 0.0 if pos else a_s < c) else np.inf
+            f_s = fu.item(s) if fu.item(s) > -np.inf else fl.item(s)
+            fu[s] = f_s if (a_s < c if pos else a_s > 0.0) else -np.inf
+            fl[s] = f_s if (a_s > 0.0 if pos else a_s < c) else np.inf
 
     a = np.array(alphas)
     free = (a > 0.0) & (a < c)
     if free.any():  # a free multiplier's point lies on the margin: b = F_t
-        bias = float(f[free].mean())
+        bias = float(fu[free].mean())
     else:
-        bias = 0.5 * (float((f + up_pen).max()) + float((f + low_pen).min()))
+        bias = 0.5 * (float(fu.max()) + float(fl.min()))
     return alphas, bias, converged
 
 
@@ -298,10 +304,13 @@ def cross_validate(
     labels: Sequence[float],
     folds: int,
     config: SvmConfig = SvmConfig(),
+    pool=None,
 ) -> ClassifierMetrics:
-    """Stratified k-fold CV; metrics are pooled over the held-out folds."""
+    """Stratified k-fold CV; metrics are pooled over the held-out folds. The
+    fold fits run on ``pool`` (see ``fold_pool``), or on one opened for the call."""
     held_out, jobs = _cv_jobs(coords, labels, folds, config)
-    return _pooled_metrics(held_out, _map_jobs(_fit_fold, jobs))
+    with fold_pool(pool) as pool:
+        return _pooled_metrics(held_out, pool(_fit_fold, jobs))
 
 
 def _fit_fold(job: tuple) -> tuple[SvmModel, np.ndarray]:
@@ -317,27 +326,44 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _map_jobs(fn, jobs: list) -> list:
-    """``[fn(job) for job in jobs]``, run on a fork pool with one worker per
-    usable CPU when that gives two or more workers.
+@contextmanager
+def fold_pool(shared=None):
+    """Yield ``pool(fn, jobs) -> [fn(job) for job in jobs]`` for every batch
+    of fold fits in a run; a ``shared`` pool already open is yielded as is.
 
+    With two or more usable CPUs and ``fork``, every batch runs on one
+    process pool with a worker per usable CPU, sent in chunks of about a
+    quarter of a worker's share; otherwise the batches run in this process.
     Results come back in job order and each job depends on its own inputs
     alone, so the results do not depend on the number of workers."""
-    workers = min(_usable_cpus(), len(jobs))
-    if workers >= 2:
-        import multiprocessing
+    if shared is not None:
+        yield shared
+        return
+    workers = _usable_cpus() if hasattr(os, "fork") else 1
+    executor = None
 
-        # fork, not spawn: a spawned worker imports numpy and eapr again, which
-        # costs more than a generation's fits. The program starts no threads,
-        # the pool forks its workers before it starts its own, and OpenBLAS
-        # stops its threads around a fork.
-        if "fork" in multiprocessing.get_all_start_methods():
+    def pool(fn, jobs: list) -> list:
+        nonlocal executor
+        if workers < 2 or not jobs:
+            return [fn(job) for job in jobs]
+        if executor is None:
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
+            # fork, not spawn: a spawned worker imports numpy and eapr again,
+            # which costs more than a generation's fits. The workers fork at
+            # this first batch, before the executor starts its thread; the
+            # program starts no threads and OpenBLAS stops its own around a fork.
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+            executor = ProcessPoolExecutor(workers, mp_context=context)
+        chunk = -(-len(jobs) // (4 * workers))
+        return list(executor.map(fn, jobs, chunksize=chunk))
+
+    try:
+        yield pool
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
 
 def select_aprt(

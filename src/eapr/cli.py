@@ -240,7 +240,7 @@ def _load_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
 # Stages
 
 
-def stage_ingest(cfg: PipelineConfig) -> None:
+def stage_ingest(cfg: PipelineConfig, pool) -> None:
     """Parse and aggregate the input CSV into table.json."""
     try:
         raw = cfg.input_path.read_bytes()
@@ -299,7 +299,7 @@ def _final_subset(
     return tuple(sorted(chosen)), frequencies
 
 
-def stage_select_features(cfg: PipelineConfig) -> None:
+def stage_select_features(cfg: PipelineConfig, pool) -> None:
     """Run the GA feature search over table.json."""
     table, _ = _load_table(cfg.output_dir)
     stage_seed = derive_seed(cfg.seed, "select-features")
@@ -309,7 +309,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
     try:
         for r in range(cfg.repeats):
             ga = replace(cfg.ga, seed=derive_seed(stage_seed, f"repeat:{r}"))
-            result = selection.run_ga(table, ga)
+            result = selection.run_ga(table, ga, pool)
             winners.append((result.best, result.best_fitness))
             repeats_out.append(
                 {
@@ -321,7 +321,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
             )
         final, frequencies = _final_subset(winners, table, cfg.ga)
         fitness = selection.evaluate_subset(
-            table, FeatureSubset.of(final), cfg.ga, derive_seed(stage_seed, "final")
+            table, FeatureSubset.of(final), cfg.ga, derive_seed(stage_seed, "final"), pool
         )
     except (selection.DegenerateLabels, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
@@ -337,7 +337,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
     )
 
 
-def stage_project(cfg: PipelineConfig) -> None:
+def stage_project(cfg: PipelineConfig, pool) -> None:
     """Fit the 2D PCA model for the selected features."""
     table, _ = _load_table(cfg.output_dir)
     selected = _read_json(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
@@ -365,7 +365,7 @@ def _poly_points(poly: fp.ConvexPolygon) -> list[list[float]]:
     return [[float(x), float(y)] for x, y in poly.vertices]
 
 
-def stage_footprint(cfg: PipelineConfig) -> None:
+def stage_footprint(cfg: PipelineConfig, pool) -> None:
     """Compute per-algorithm footprint geometry."""
     table, _ = _load_table(cfg.output_dir)
     coords = _load_coords(cfg.output_dir, table)
@@ -414,7 +414,7 @@ def stage_footprint(cfg: PipelineConfig) -> None:
     )
 
 
-def stage_classify(cfg: PipelineConfig) -> None:
+def stage_classify(cfg: PipelineConfig, pool) -> None:
     """Train per-algorithm SVMs and selector metrics."""
     table, _ = _load_table(cfg.output_dir)
     coords = _load_coords(cfg.output_dir, table)
@@ -434,7 +434,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
         held_out, cv_jobs = classify._cv_jobs(pts, y, cfg.ga.cv_folds, cv_config)
         plan.append((algorithm, y, held_out))
         jobs += [(pts, y, pts, svm_config), *cv_jobs]
-    results = iter(classify._map_jobs(classify._fit_fold, jobs))
+    results = iter(pool(classify._fit_fold, jobs))
 
     models: dict[str, dict] = {}
     cv_metrics: dict[str, dict] = {}
@@ -473,7 +473,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
     )
 
 
-def stage_plot(cfg: PipelineConfig) -> None:
+def stage_plot(cfg: PipelineConfig, pool) -> None:
     """Render SVGs and assemble report.json."""
     out = cfg.output_dir
     table, digest = _load_table(out)
@@ -535,6 +535,8 @@ def stage_plot(cfg: PipelineConfig) -> None:
     rpt.write_report(analysis, out / "report.json")
 
 
+# Stage -> its function. Each takes the config and the run's pool of fold
+# fits (``classify.fold_pool``); only select-features and classify fit SVMs.
 _STAGE_FNS = {
     "ingest": stage_ingest,
     "select-features": stage_select_features,
@@ -547,15 +549,17 @@ _STAGE_FNS = {
 
 def cmd_stage(stage: str, cfg: PipelineConfig) -> None:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _STAGE_FNS[stage](cfg)
+    with classify.fold_pool() as pool:
+        _STAGE_FNS[stage](cfg, pool)
 
 
 def cmd_pipeline(cfg: PipelineConfig) -> None:
     if not cfg.input_path.exists():
         raise CliFailure("E_IO", f"input not found: {cfg.input_path}")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    for stage_fn in _STAGE_FNS.values():
-        stage_fn(cfg)
+    with classify.fold_pool() as pool:
+        for stage_fn in _STAGE_FNS.values():
+            stage_fn(cfg, pool)
 
 
 # ---------------------------------------------------------------------------

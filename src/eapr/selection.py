@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import SvmConfig, _fold_splits, _map_jobs, decision_values, train_svm
+from .classify import SvmConfig, _fold_splits, decision_values, fold_pool, train_svm
 from .ingest import AllFeaturesDropped
 from .model import FeatureSubset, InstanceTable
 from .project import fit_projection
@@ -98,7 +98,11 @@ def _fold_correct(job: tuple) -> int:
 
 
 def evaluate_subsets(
-    table: InstanceTable, subsets: Sequence[FeatureSubset], config: GaConfig, seed: int
+    table: InstanceTable,
+    subsets: Sequence[FeatureSubset],
+    config: GaConfig,
+    seed: int,
+    pool=None,
 ) -> list[FitnessValue]:
     """Mean k-fold CV accuracy over algorithms, on each subset's 2D projection.
 
@@ -107,7 +111,8 @@ def evaluate_subsets(
     labels cannot be stratified (single class, or a class with one member)
     are skipped; if every algorithm is skipped, DegenerateLabels is raised.
     Subsets whose columns collapse under standardization score 0. The fold
-    fits of all subsets run as one batch of jobs.
+    fits of all subsets run as one batch on ``pool`` (see
+    ``classify.fold_pool``), or on one opened for the call.
     """
     max_k = min(config.max_k, len(table.feature_names))
     for subset in subsets:
@@ -146,7 +151,8 @@ def evaluate_subsets(
             pts = coords[idx]
             for train_mask, test_idx, train_y, test_y in folds:
                 jobs.append((pts[train_mask], train_y, pts[test_idx], test_y, _FITNESS_SVM))
-    correct_counts = iter(_map_jobs(_fold_correct, jobs))
+    with fold_pool(pool) as pool:
+        correct_counts = iter(pool(_fold_correct, jobs))
 
     values = [FitnessValue(0.0, len(subset)) for subset in subsets]
     for pos in projected:
@@ -159,15 +165,16 @@ def evaluate_subsets(
 
 
 def evaluate_subset(
-    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int
+    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int, pool=None
 ) -> FitnessValue:
     """``evaluate_subsets`` for one subset."""
-    return evaluate_subsets(table, [subset], config, seed)[0]
+    return evaluate_subsets(table, [subset], config, seed, pool)[0]
 
 
-def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
+def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult:
     """Evolve bitmask-encoded subsets: tournament selection, uniform crossover,
-    per-bit mutation, cardinality repair, 1-elitism. Fully seed-deterministic."""
+    per-bit mutation, cardinality repair, 1-elitism. Fully seed-deterministic.
+    Every generation's fold fits run on ``pool``, or on one opened for the run."""
     n = len(table.feature_names)
     max_k = min(config.max_k, n)
     if config.min_k > max_k:
@@ -193,7 +200,7 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
         keys = [tuple(np.flatnonzero(mask)) for mask in masks]
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
         subsets = [FeatureSubset.of(names[i] for i in key) for key in fresh]
-        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed)))
+        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed, pool)))
         return [cache[key] for key in keys]
 
     def subset_names(mask: np.ndarray) -> tuple[str, ...]:
@@ -217,9 +224,6 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
         mask[rng.choice(n, size=k, replace=False)] = True
         return mask
 
-    population = [random_individual() for _ in range(config.population_size)]
-    fitnesses = evaluate(population)
-
     def best_index() -> int:
         return min(
             range(len(population)),
@@ -233,32 +237,36 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
         )
         return population[winner]
 
-    elite_idx = best_index()
-    best_mask = population[elite_idx].copy()
-    best_fitness = fitnesses[elite_idx]
-    history = [best_fitness]
-
-    for _ in range(config.generations):
-        children = [best_mask.copy()]  # 1-elitism
-        while len(children) < config.population_size:
-            parent_a = tournament()
-            parent_b = tournament()
-            if rng.random() < config.crossover_rate:
-                take_a = rng.random(n) < 0.5
-                child = np.where(take_a, parent_a, parent_b)
-            else:
-                child = parent_a.copy()
-            flips = rng.random(n) < mutation_rate
-            child = repair(child ^ flips)
-            children.append(child)
-        population = children
+    with fold_pool(pool) as pool:
+        population = [random_individual() for _ in range(config.population_size)]
         fitnesses = evaluate(population)
-        gen_best = best_index()
-        gen_key = _order_key(subset_names(population[gen_best]), fitnesses[gen_best])
-        if gen_key < _order_key(subset_names(best_mask), best_fitness):
-            best_mask = population[gen_best].copy()
-            best_fitness = fitnesses[gen_best]
-        history.append(best_fitness)
+
+        elite_idx = best_index()
+        best_mask = population[elite_idx].copy()
+        best_fitness = fitnesses[elite_idx]
+        history = [best_fitness]
+
+        for _ in range(config.generations):
+            children = [best_mask.copy()]  # 1-elitism
+            while len(children) < config.population_size:
+                parent_a = tournament()
+                parent_b = tournament()
+                if rng.random() < config.crossover_rate:
+                    take_a = rng.random(n) < 0.5
+                    child = np.where(take_a, parent_a, parent_b)
+                else:
+                    child = parent_a.copy()
+                flips = rng.random(n) < mutation_rate
+                child = repair(child ^ flips)
+                children.append(child)
+            population = children
+            fitnesses = evaluate(population)
+            gen_best = best_index()
+            gen_key = _order_key(subset_names(population[gen_best]), fitnesses[gen_best])
+            if gen_key < _order_key(subset_names(best_mask), best_fitness):
+                best_mask = population[gen_best].copy()
+                best_fitness = fitnesses[gen_best]
+            history.append(best_fitness)
 
     return SelectionResult(
         best=FeatureSubset.of(subset_names(best_mask)),

@@ -481,16 +481,30 @@ def _pid(_job):
     return os.getpid()
 
 
+def _job_and_square(job):
+    return job, job * job
+
+
 class TestWorkers:
     @pytest.mark.skipif(classify._usable_cpus() < 2, reason="one usable CPU: no pool")
     def test_jobs_run_in_other_processes(self):
-        pids = classify._map_jobs(_pid, list(range(8)))
+        with classify.fold_pool() as pool:
+            pids = pool(_pid, list(range(8)))
         assert len(pids) == 8
         assert os.getpid() not in pids
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(classify, "_usable_cpus", lambda: 1)
-        assert classify._map_jobs(_pid, [0, 1, 2]) == [os.getpid()] * 3
+        with classify.fold_pool() as pool:
+            assert pool(_pid, [0, 1, 2]) == [os.getpid()] * 3
+
+    def test_one_pool_serves_empty_and_small_batches(self, monkeypatch):
+        # a GA generation whose masks are all cached is a batch of 0 jobs
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
+        batches = [list(range(size)) for size in (0, 1, 7, 75)]
+        with classify.fold_pool() as pool:
+            results = [pool(_job_and_square, jobs) for jobs in batches]
+        assert results == [[_job_and_square(job) for job in jobs] for jobs in batches]
 
     def test_cross_validate_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
         pts, y = overlapping(3, 60)

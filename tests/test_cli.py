@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 import eapr
 import eapr.classify as classify
+import eapr.selection as selection
 from eapr.cli import build_config, main, parse_config_file
 
 FAST_GA = """\
@@ -133,6 +135,53 @@ class TestStages:
             artifacts = [(out / name).read_bytes() for name in ("models.json", "metrics.json")]
             runs.append((artifacts, result.stderr))
         assert runs[0] == runs[1]
+
+    def test_pipeline_same_on_one_cpu_and_on_a_pool(
+        self, runner, tmp_path, synthetic60_path, monkeypatch
+    ):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            result, out = run_pipeline(runner, tmp_path, synthetic60_path, f"cpus{cpus}")
+            assert result.exit_code == 0, result.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((files, result.stderr))
+        assert runs[0] == runs[1]
+
+    def test_one_executor_per_pipeline(self, runner, tmp_path, synthetic60_path, monkeypatch):
+        made = []
+
+        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
+        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "counted")
+        assert result.exit_code == 0, result.stderr
+        assert len(made) == 1
+
+    @pytest.mark.skipif(classify._usable_cpus() < 2, reason="one usable CPU: no pool")
+    def test_fits_run_in_one_worker_per_cpu(
+        self, runner, tmp_path, synthetic60_path, monkeypatch
+    ):
+        # each fit leaves a file named after the pid of the process it ran in
+        pids = tmp_path / "fit_pids"
+        pids.mkdir()
+        train_svm = classify.train_svm
+
+        def recording_train_svm(x, y, config):
+            (pids / str(os.getpid())).touch()
+            return train_svm(x, y, config)
+
+        monkeypatch.setattr(classify, "train_svm", recording_train_svm)
+        monkeypatch.setattr(selection, "train_svm", recording_train_svm)
+        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "pids")
+        assert result.exit_code == 0, result.stderr
+        workers = {int(p.name) for p in pids.iterdir()}
+        assert workers and os.getpid() not in workers
+        assert len(workers) <= classify._usable_cpus()
 
     def test_footprint_before_project(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "partial"

@@ -187,9 +187,9 @@ class TestRunGa:
         seen = []
         original = selection.evaluate_subsets
 
-        def spy(tbl, subsets, cfg, seed):
+        def spy(tbl, subsets, cfg, seed, pool):
             seen.extend(len(subset) for subset in subsets)
-            return original(tbl, subsets, cfg, seed)
+            return original(tbl, subsets, cfg, seed, pool)
 
         monkeypatch.setattr(selection, "evaluate_subsets", spy)
         run_ga(table, config)
