@@ -212,12 +212,6 @@ def decision_values(model: SvmModel, coords: Coordinates2D) -> np.ndarray:
     return k @ (model.alphas * model.labels) + model.bias
 
 
-def predict(model: SvmModel, point: Sequence[float]) -> tuple[int, float]:
-    """Label and decision value for one point; sign(0) maps to +1."""
-    value = float(decision_values(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
-    return (1 if value >= 0.0 else -1), value
-
-
 @dataclass(frozen=True)
 class ClassifierMetrics:
     """Pooled held-out metrics for one binary classifier. Precision and recall

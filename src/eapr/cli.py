@@ -5,23 +5,28 @@ Each stage reads its predecessor's serialized artifacts from the output
 directory, so a staged run and a monolithic `pipeline` run produce identical
 bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
+
+The stage-only modules are imported inside the stages, so `eapr select`
+loads only this module, `model`, `project` and `classify`.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import classify, footprint as fp, ingest, project, report as rpt, selection
+from . import classify, project
 from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, validate_table
-from .seeds import derive_seed
+
+if TYPE_CHECKING:
+    from . import footprint as fp, report as rpt, selection
 
 # Artifact -> the stage that writes it.
 _ARTIFACTS = {
@@ -123,6 +128,8 @@ def build_config(
     env_seed: str | None = None,
 ) -> PipelineConfig:
     """Merge config sources: CLI flag > EAPR_SEED env > config file > default."""
+    from . import report as rpt, selection
+
     texts = [(key, text, f"config key {key}") for key, text in file_values.items()]
     if env_seed is not None:
         texts.append(("seed", env_seed, "EAPR_SEED"))
@@ -242,6 +249,10 @@ def _load_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
 
 def stage_ingest(cfg: PipelineConfig, pool) -> None:
     """Parse and aggregate the input CSV into table.json."""
+    import hashlib
+
+    from . import ingest
+
     try:
         raw = cfg.input_path.read_bytes()
     except OSError as exc:
@@ -301,6 +312,9 @@ def _final_subset(
 
 def stage_select_features(cfg: PipelineConfig, pool) -> None:
     """Run the GA feature search over table.json."""
+    from . import selection
+    from .seeds import derive_seed
+
     table, _ = _load_table(cfg.output_dir)
     stage_seed = derive_seed(cfg.seed, "select-features")
 
@@ -343,7 +357,7 @@ def stage_project(cfg: PipelineConfig, pool) -> None:
     selected = _read_json(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
     try:
         model, coords = project.fit_projection(table, FeatureSubset.of(selected))
-    except (ingest.AllFeaturesDropped, project.NonFiniteInput, ValueError) as exc:
+    except (project.NonFiniteInput, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
 
     _write_json(cfg.output_dir / "pca_model.json", project.model_to_dict(model))
@@ -367,6 +381,8 @@ def _poly_points(poly: fp.ConvexPolygon) -> list[list[float]]:
 
 def stage_footprint(cfg: PipelineConfig, pool) -> None:
     """Compute per-algorithm footprint geometry."""
+    from . import footprint as fp
+
     table, _ = _load_table(cfg.output_dir)
     coords = _load_coords(cfg.output_dir, table)
 
@@ -416,6 +432,8 @@ def stage_footprint(cfg: PipelineConfig, pool) -> None:
 
 def stage_classify(cfg: PipelineConfig, pool) -> None:
     """Train per-algorithm SVMs and selector metrics."""
+    from .seeds import derive_seed
+
     table, _ = _load_table(cfg.output_dir)
     coords = _load_coords(cfg.output_dir, table)
     stage_seed = derive_seed(cfg.seed, "classify")
@@ -475,6 +493,8 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
 
 def stage_plot(cfg: PipelineConfig, pool) -> None:
     """Render SVGs and assemble report.json."""
+    from . import footprint as fp, ingest, report as rpt
+
     out = cfg.output_dir
     table, digest = _load_table(out)
     sel = _read_json(out, "selection.json")
@@ -591,7 +611,12 @@ def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str
         raise CliFailure("E_MODEL", f"missing features: {sorted(missing)}")
 
     raw = np.array([vector[n] for n in pca.feature_names], dtype=float)
-    return classify.select_aprt(models, project.project_features(pca, raw))
+    with np.errstate(all="ignore"):  # a huge value may overflow; rejected below
+        point = project.project_features(pca, raw)
+        ranked = classify.select_aprt(models, point)
+    if not (np.isfinite(point).all() and all(math.isfinite(v) for _, v in ranked)):
+        raise CliFailure("E_MODEL", "feature vector gives a non-finite projection or score")
+    return ranked
 
 
 def _parse_vector(text: str) -> dict[str, float]:
@@ -604,6 +629,8 @@ def _parse_vector(text: str) -> dict[str, float]:
         if sep not in line:
             raise CliFailure("E_MODEL", f"stdin line {line_no}: expected name,value")
         name, value = (part.strip() for part in line.split(sep, 1))
+        if name in vector:
+            raise CliFailure("E_MODEL", f"stdin line {line_no}: duplicate feature {name!r}")
         try:
             number = float(value)
         except ValueError:

@@ -1,4 +1,4 @@
-"""CSV ingestion, sub-program aggregation, and feature standardization.
+"""CSV ingestion, sub-program aggregation, and min-max normalization.
 
 Input format is a comma-separated UTF-8 table:
 
@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, Outcome
+from .model import OUTCOME_CODES, InstanceTable, Outcome
 
 
 class IngestError(Exception):
@@ -44,10 +44,6 @@ class InconsistentOutcomes(IngestError):
     pass
 
 
-class AllFeaturesDropped(IngestError):
-    pass
-
-
 @dataclass(frozen=True)
 class ColumnSchema:
     """Designates the id column, the optional dataset column, and the prefix
@@ -56,20 +52,6 @@ class ColumnSchema:
     id_column: str = "instance_id"
     dataset_column: str = "dataset"
     outcome_prefix: str = "aprt:"
-
-
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-feature standardization parameters (population std, divisor N).
-
-    Zero-variance columns are excluded from ``feature_names`` and listed in
-    ``dropped_features``.
-    """
-
-    feature_names: tuple[str, ...]
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    dropped_features: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -208,41 +190,6 @@ def aggregate_rows(table: InstanceTable, group_key: str = "instance_id") -> Inst
                 raise MalformedCsv(f"group {value!r}: feature mean overflows") from None
     firsts = table.take(rows[0] for rows in groups.values())
     return replace(firsts, instance_ids=tuple(groups), features=means)
-
-
-# Relative threshold under which a column counts as zero-variance.
-_ZERO_STD = 1e-12
-
-
-def standardize(
-    table: InstanceTable, subset: FeatureSubset
-) -> tuple[np.ndarray, ScalingParams]:
-    """Center and scale the subset's columns to mean 0, population std 1.
-
-    Zero-variance columns are dropped and reported. Raises AllFeaturesDropped
-    when nothing survives.
-    """
-    if len(table) < 2:
-        raise ValueError("standardize requires at least 2 rows")
-    names = table.ordered_subset(subset)
-    matrix = table.feature_matrix(names)
-    means = matrix.mean(axis=0)
-    stds = matrix.std(axis=0)  # population (divisor N)
-
-    keep = stds > _ZERO_STD * np.maximum(1.0, np.abs(means))
-    dropped = tuple(n for n, k in zip(names, keep) if not k)
-    kept_names = tuple(n for n, k in zip(names, keep) if k)
-    if not kept_names:
-        raise AllFeaturesDropped(f"all {len(names)} columns have zero variance")
-
-    standardized = (matrix[:, keep] - means[keep]) / stds[keep]
-    params = ScalingParams(
-        feature_names=kept_names,
-        means=tuple(float(v) for v in means[keep]),
-        stds=tuple(float(v) for v in stds[keep]),
-        dropped_features=dropped,
-    )
-    return standardized, params
 
 
 def minmax_normalize(values: Sequence[float]) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""PCA projection of standardized feature columns onto a 2D instance space.
+"""Standardization of the selected feature columns and their PCA projection
+onto a 2D instance space.
 
 The eigendecomposition is a cyclic Jacobi iteration: the selected feature
 count is small (a dozen or so), the covariance is symmetric, and Jacobi keeps
@@ -10,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import AllFeaturesDropped, ScalingParams, standardize
 from .model import Coordinates2D, FeatureSubset, InstanceTable
 
 JACOBI_OFF_TOL = 1e-12
@@ -29,6 +29,24 @@ class FeatureMismatch(Exception):
     pass
 
 
+class AllFeaturesDropped(ValueError):
+    """Too few of a subset's columns keep any variance to project."""
+
+
+@dataclass(frozen=True)
+class ScalingParams:
+    """Per-feature standardization parameters (population std, divisor N).
+
+    Zero-variance columns are excluded from ``feature_names`` and listed in
+    ``dropped_features``.
+    """
+
+    feature_names: tuple[str, ...]
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
+    dropped_features: tuple[str, ...]
+
+
 @dataclass(frozen=True)
 class PcaModel:
     """Standardization parameters plus the top-2 eigenvectors of the covariance.
@@ -45,6 +63,41 @@ class PcaModel:
     @property
     def feature_names(self) -> tuple[str, ...]:
         return self.scaling.feature_names
+
+
+# Relative threshold under which a column counts as zero-variance.
+_ZERO_STD = 1e-12
+
+
+def standardize(
+    table: InstanceTable, subset: FeatureSubset
+) -> tuple[np.ndarray, ScalingParams]:
+    """Center and scale the subset's columns to mean 0, population std 1.
+
+    Zero-variance columns are dropped and reported. Raises AllFeaturesDropped
+    when nothing survives.
+    """
+    if len(table) < 2:
+        raise ValueError("standardize requires at least 2 rows")
+    names = table.ordered_subset(subset)
+    matrix = table.feature_matrix(names)
+    means = matrix.mean(axis=0)
+    stds = matrix.std(axis=0)  # population (divisor N)
+
+    keep = stds > _ZERO_STD * np.maximum(1.0, np.abs(means))
+    dropped = tuple(n for n, k in zip(names, keep) if not k)
+    kept_names = tuple(n for n, k in zip(names, keep) if k)
+    if not kept_names:
+        raise AllFeaturesDropped(f"all {len(names)} columns have zero variance")
+
+    standardized = (matrix[:, keep] - means[keep]) / stds[keep]
+    params = ScalingParams(
+        feature_names=kept_names,
+        means=tuple(float(v) for v in means[keep]),
+        stds=tuple(float(v) for v in stds[keep]),
+        dropped_features=dropped,
+    )
+    return standardized, params
 
 
 def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:

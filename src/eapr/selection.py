@@ -12,9 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from .classify import SvmConfig, _fold_splits, decision_values, fold_pool, train_svm
-from .ingest import AllFeaturesDropped
 from .model import FeatureSubset, InstanceTable
-from .project import fit_projection
+from .project import AllFeaturesDropped, fit_projection
 from .seeds import derive_seed
 
 
@@ -80,13 +79,6 @@ def _order_key(names: tuple[str, ...], fitness: FitnessValue):
     higher accuracy, then smaller subset, then lexicographically smaller names.
     Minimal key = best candidate."""
     return (-fitness.mean_cv_accuracy, fitness.subset_size, names)
-
-
-def tie_break(candidates: Sequence[tuple[FeatureSubset, FitnessValue]]) -> FeatureSubset:
-    if not candidates:
-        raise ValueError("no candidates")
-    best = min(candidates, key=lambda c: _order_key(c[0].sorted_names, c[1]))
-    return best[0]
 
 
 def _fold_correct(job: tuple) -> int:

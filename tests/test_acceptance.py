@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from eapr.classify import SvmConfig, cross_validate, decision_values, predict, train_svm
+from eapr.classify import SvmConfig, cross_validate, decision_values, train_svm
 from eapr.cli import PipelineConfig, cmd_pipeline, main, rank_for_vector
 from eapr.footprint import convex_hull, convex_intersection, polygon_area
 from eapr.model import FeatureSubset, Outcome
@@ -159,7 +159,7 @@ def test_criterion_4_svm_correctness():
         check_kkt(model, pts, y)
         assert abs(float(np.sum(model.alphas * model.labels))) < 1e-8
         for point in rng.uniform(-2, 2, (40, 2)):
-            _, value = predict(model, point)
+            value = decision_values(model, point)[0]
             expected = kernel_sum_decision(
                 model.support_vectors, model.alphas, model.labels,
                 model.bias, model.config.kernel, model.gamma, point,
@@ -257,8 +257,8 @@ RTA_ENV = "EAPR_RTA_EXPORT"
 def test_criterion_7_benchmark_separation_on_user_export(tmp_path):
     """With a real experiment export, IntroClassJava must be linearly separable
     from Defects4J in the learned 2D space (linear SVM accuracy >= 0.95)."""
-    from eapr.ingest import aggregate_rows, parse_instance_table, standardize
-    from eapr.project import fit_pca
+    from eapr.ingest import aggregate_rows, parse_instance_table
+    from eapr.project import fit_pca, standardize
 
     source = Path(os.environ[RTA_ENV]).read_bytes()
     table = aggregate_rows(parse_instance_table(source), "instance_id")

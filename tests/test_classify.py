@@ -20,7 +20,6 @@ from eapr.classify import (
     median_heuristic_gamma,
     model_from_dict,
     model_to_dict,
-    predict,
     select_aprt,
     stratified_folds,
     train_svm,
@@ -308,17 +307,18 @@ class TestPredict:
         ]
         assert margin_svs
         for sv in margin_svs:
-            _, value = predict(model, sv)
+            value = decision_values(model, sv)[0]
             assert abs(abs(value) - 1.0) <= model.config.tolerance + 1e-9
 
     def test_symmetric_midpoint(self):
         pts = np.array([[-1.0, 0.0], [-1.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([-1.0, -1.0, 1.0, 1.0])
         model = train_svm(pts, y, SvmConfig(kernel="linear", seed=11))
-        _, value = predict(model, (0.0, 0.5))
+        value = decision_values(model, (0.0, 0.5))[0]
         assert abs(value) <= model.config.tolerance
 
-    def test_sign_zero_is_positive(self):
+    def test_sign_zero_is_positive(self, monkeypatch):
+        # a fold fit labels its test points by the sign of the decision value
         model = SvmModel(
             support_vectors=np.zeros((0, 2)),
             alphas=np.zeros(0),
@@ -328,7 +328,10 @@ class TestPredict:
             config=SvmConfig(),
             converged=True,
         )
-        label, value = predict(model, (1.0, 1.0))
+        monkeypatch.setattr(classify, "train_svm", lambda *args: model)
+        job = (np.zeros((2, 2)), np.array([1.0, -1.0]), np.array([[1.0, 1.0]]), SvmConfig())
+        _, (label,) = classify._fit_fold(job)
+        value = decision_values(model, (1.0, 1.0))[0]
         assert value == 0.0
         assert label == 1
 
@@ -338,7 +341,7 @@ class TestPredict:
             model = train_svm(pts, y, SvmConfig(kernel=kernel, seed=12))
             rng = np.random.default_rng(13)
             for point in rng.uniform(-3, 3, (100, 2)):
-                _, value = predict(model, point)
+                value = decision_values(model, point)[0]
                 expected = kernel_sum_decision(
                     model.support_vectors,
                     model.alphas,

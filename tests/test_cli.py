@@ -1,6 +1,8 @@
 import concurrent.futures
 import hashlib
+import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,8 @@ import eapr
 import eapr.classify as classify
 import eapr.selection as selection
 from eapr.cli import build_config, main, parse_config_file
+
+from conftest import DATA_DIR
 
 FAST_GA = """\
 repeats=1
@@ -45,6 +49,28 @@ def write_config(tmp_path, input_path, output_dir, seed=7, extra=""):
         f"input={input_path}\noutput={output_dir}\nseed={seed}\n{FAST_GA}{extra}"
     )
     return cfg
+
+
+def select_in_a_process(model_dir, text, *flags):
+    """`python FLAGS -m eapr select --models MODEL_DIR` with ``text`` on stdin."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    argv = [sys.executable, *flags, "-m", "eapr", "select", "--models", str(model_dir)]
+    return subprocess.run(argv, input=text, env=env, capture_output=True, text=True)
+
+
+@pytest.fixture(scope="module")
+def synthetic60_models(tmp_path_factory):
+    """Kernel -> the output directory of a synthetic60 pipeline (seed 7) whose
+    selectors use that kernel."""
+    root = tmp_path_factory.mktemp("models")
+    dirs = {}
+    for kernel in ("linear", "rbf"):
+        dirs[kernel] = root / kernel
+        cfg = write_config(root, DATA_DIR / "synthetic60.csv", dirs[kernel],
+                           extra=f"svm.kernel={kernel}\n")
+        result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 0, result.stderr
+    return dirs
 
 
 def run_pipeline(runner, tmp_path, synthetic60_path, name, seed=7, args=(), env=None):
@@ -427,6 +453,36 @@ class TestSelect:
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
 
+    def test_duplicate_feature_rejected(self, runner, single_model_dir):
+        result = runner.invoke(
+            main, ["select", "--models", str(single_model_dir)], input="f1,0.3\nf2,0.2\nf1,9\n"
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "E_MODEL stdin line 3: duplicate feature 'f1'\n"
+
+    # 1e308 projects to a finite point; the linear scores overflow, the rbf
+    # kernel underflows to 0. The largest float overflows the projection.
+    @pytest.mark.parametrize("kernel, value, fails", [
+        ("linear", "1e308", True),
+        ("rbf", "1e308", False),
+        ("rbf", "1.7976931348623157e308", True),
+    ])
+    def test_overflowing_vector(self, synthetic60_models, kernel, value, fails):
+        model_dir = synthetic60_models[kernel]
+        selected = json.loads((model_dir / "selection.json").read_text())["selected"]
+        result = select_in_a_process(model_dir, "".join(f"{n},{value}\n" for n in selected))
+        if fails:
+            assert result.returncode == 1
+            assert result.stdout == ""
+            assert result.stderr == (
+                "E_MODEL feature vector gives a non-finite projection or score\n"
+            )
+        else:
+            assert result.returncode == 0
+            assert result.stderr == ""
+            scores = [float(line.split(",")[2]) for line in result.stdout.splitlines()]
+            assert len(scores) == 3 and all(math.isfinite(v) for v in scores)
+
     def test_name_equals_value_form(self, runner, single_model_dir):
         result = runner.invoke(
             main, ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
@@ -446,6 +502,70 @@ def test_cli_import_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\n"
+
+
+def test_select_loads_only_the_modules_it_runs(synthetic60_models):
+    model_dir = synthetic60_models["rbf"]
+    selected = json.loads((model_dir / "selection.json").read_text())["selected"]
+    result = select_in_a_process(
+        model_dir, "".join(f"{n},0.1\n" for n in selected), "-X", "importtime"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("1,")
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    # runpy runs eapr.__main__ itself, so only the package and what it imports show
+    assert {m for m in loaded if m.startswith("eapr")} == {
+        "eapr", "eapr.cli", "eapr.model", "eapr.project", "eapr.classify"
+    }
+    stage_only = {"eapr.selection", "eapr.report", "eapr.footprint", "eapr.ingest",
+                  "eapr.seeds", "hashlib", "csv", "multiprocessing"}
+    assert not loaded & stage_only
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, eapr; print(sorted(m for m in sys.modules if m.startswith('eapr')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "['eapr']\n"
+
+
+class TestPackageApi:
+    def test_every_export_is_its_defining_modules_object(self):
+        readme = {"FeatureSubset", "GaConfig", "parse_instance_table", "run_ga", "fit_projection",
+                  "compute_footprint", "train_svm", "select_aprt", "cross_validate"}
+        assert readme <= set(eapr.__all__)
+        for name in eapr.__all__:
+            namespace = {}
+            exec(f"from eapr import {name}", namespace)
+            module = importlib.import_module(f"eapr.{eapr._EXPORTS[name]}")
+            assert namespace[name] is getattr(module, name)
+            defined_in = getattr(namespace[name], "__module__", "")
+            if defined_in.startswith("eapr"):  # Coordinates2D is numpy's ndarray
+                assert defined_in == module.__name__, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            eapr.no_such_name
+        for deleted in ("predict", "tie_break"):
+            assert not hasattr(eapr, deleted)
+        with pytest.raises(ImportError):
+            exec("from eapr import no_such_name", {})
+
+    def test_access_adds_no_binding(self):
+        for module in set(eapr._EXPORTS.values()):
+            importlib.import_module(f"eapr.{module}")
+        before = dict(vars(eapr))
+        for name in eapr.__all__:
+            getattr(eapr, name)
+        assert vars(eapr).keys() == before.keys()
+        assert all(vars(eapr)[k] is v for k, v in before.items())
+        assert not set(eapr.__all__) & vars(eapr).keys()
 
 
 class TestIngestErrors:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from eapr.ingest import (
-    AllFeaturesDropped,
     ColumnSchema,
     EmptyTable,
     InconsistentOutcomes,
@@ -14,9 +13,9 @@ from eapr.ingest import (
     aggregate_rows,
     minmax_normalize,
     parse_instance_table,
-    standardize,
 )
 from eapr.model import FeatureSubset, Outcome
+from eapr.project import AllFeaturesDropped, standardize
 
 from conftest import BAD, GOOD, MISSING, make_table
 from oracles import pairwise_sorted_mean

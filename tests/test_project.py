@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from eapr.ingest import ScalingParams
 from eapr.model import FeatureSubset
 from eapr.project import (
     ConvergenceFailure,
     FeatureMismatch,
     NonFiniteInput,
     PcaModel,
+    ScalingParams,
     explained_variance,
     fit_pca,
     fit_projection,

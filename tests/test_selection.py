@@ -10,10 +10,10 @@ from eapr.selection import (
     DegenerateLabels,
     FitnessValue,
     GaConfig,
+    _order_key,
     evaluate_subset,
     evaluate_subsets,
     run_ga,
-    tie_break,
 )
 
 from conftest import BAD, GOOD, make_table, planted_table
@@ -212,6 +212,11 @@ class TestRunGa:
         )
         with pytest.raises(ValueError):
             run_ga(table, config)
+
+
+def tie_break(candidates):
+    """The best candidate by the ``_order_key`` order that ``run_ga`` uses."""
+    return min(candidates, key=lambda c: _order_key(c[0].sorted_names, c[1]))[0]
 
 
 class TestTieBreak:
