@@ -173,15 +173,27 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 # Artifact helpers
 
 
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: Path, data: dict) -> bytes:
+    """Write one artifact and return its bytes."""
+    raw = (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    path.write_bytes(raw)
+    return raw
 
 
-def _read_json(out_dir: Path, name: str, decode=lambda data: data):
-    """Load one artifact and decode it. A missing, unreadable, malformed or
-    stale file fails as `E_STAGE <stage that writes it>`."""
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _parse_json(raw: bytes):
+    return json.loads(raw.decode("utf-8"), parse_constant=_no_constant)
+
+
+def _read_json(out_dir: Path, name: str, decode=lambda data: data, parse=_parse_json):
+    """Load one artifact: parse its bytes, then decode the result. A missing,
+    unreadable, malformed (NaN or Infinity included) or stale file fails as
+    `E_STAGE <stage that writes it>`."""
     try:
-        return decode(json.loads((out_dir / name).read_text(encoding="utf-8")))
+        return decode(parse((out_dir / name).read_bytes()))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CliFailure("E_STAGE", _ARTIFACTS[name]) from exc
 
@@ -228,8 +240,22 @@ def _table_from_dict(data: dict) -> tuple[InstanceTable, str]:
     return table, data["input_digest"]
 
 
+# The last table.json this process wrote or decoded: [sha256 of its bytes,
+# (table, input digest)]. Mutated in place, so no module binding ever changes.
+_TABLE_MEMO: list = [None, None]
+
+
 def _load_table(out_dir: Path) -> tuple[InstanceTable, str]:
-    return _read_json(out_dir, "table.json", _table_from_dict)
+    """Read table.json; decode it unless its sha256 is the memo's."""
+    import hashlib
+
+    def parse(raw: bytes) -> tuple[InstanceTable, str]:
+        key = hashlib.sha256(raw).digest()
+        if _TABLE_MEMO[0] != key:
+            _TABLE_MEMO[:] = key, _table_from_dict(_parse_json(raw))
+        return _TABLE_MEMO[1]
+
+    return _read_json(out_dir, "table.json", parse=parse)
 
 
 def _load_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
@@ -284,7 +310,8 @@ def stage_ingest(cfg: PipelineConfig, pool) -> None:
         raise CliFailure(code, f"{len(violations)} violation(s), first: {first}")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.output_dir / "table.json", _table_to_dict(table, digest))
+    written = _write_json(cfg.output_dir / "table.json", _table_to_dict(table, digest))
+    _TABLE_MEMO[:] = hashlib.sha256(written).digest(), (table, digest)
 
 
 def _final_subset(

@@ -86,27 +86,37 @@ class _AxisMap:
         pad = 0.05 * span if span > 0.0 else 0.5
         return lo - pad, hi + pad
 
-    def x(self, v: float) -> float:
+    def pixels(self, points) -> list[tuple[float, float]]:
+        """The (x, y) pixel of each row of an (n, 2) array of data points,
+        bit-identical to the same formula applied to one point's floats."""
         s = self.spec
-        return s.margin + (v - self.x0) / (self.x1 - self.x0) * (s.width - 2 * s.margin)
-
-    def y(self, v: float) -> float:
-        s = self.spec
-        return s.height - s.margin - (v - self.y0) / (self.y1 - self.y0) * (
+        pts = np.asarray(points, dtype=float)
+        xs = s.margin + (pts[:, 0] - self.x0) / (self.x1 - self.x0) * (s.width - 2 * s.margin)
+        ys = s.height - s.margin - (pts[:, 1] - self.y0) / (self.y1 - self.y0) * (
             s.height - 2 * s.margin
         )
+        return list(zip(xs.tolist(), ys.tolist()))
 
-    def point(self, p: Sequence[float]) -> tuple[float, float]:
-        return self.x(float(p[0])), self.y(float(p[1]))
+
+def _gradient_colors(values) -> list[str]:
+    """Blue-to-yellow linear interpolation, endpoints at t=0 and t=1. Values
+    outside [0, 1] are clipped; -0.0 and NaN pass through unchanged."""
+    t = np.asarray(values, dtype=float)
+    t = np.where(t > 1.0, 1.0, np.where(t < 0.0, 0.0, t))
+    rg = (100.0 * t).tolist()
+    b = (100.0 * (1.0 - t)).tolist()
+    return ["rgb(%.4f%%,%.4f%%,%.4f%%)" % (v, v, w) for v, w in zip(rg, b)]
 
 
 def gradient_color(t: float) -> str:
-    """Blue-to-yellow linear interpolation, endpoints at t=0 and t=1."""
-    t = min(max(float(t), 0.0), 1.0)
-    r = 100.0 * t
-    g = 100.0 * t
-    b = 100.0 * (1.0 - t)
-    return f"rgb({r:.4f}%,{g:.4f}%,{b:.4f}%)"
+    """The gradient colour of one value."""
+    return _gradient_colors([float(t)])[0]
+
+
+def _circles(axis: _AxisMap, points, fills: Sequence[str], radius: float) -> list[str]:
+    """One ``<circle>`` per data point, in the matching fill."""
+    template = '<circle cx="%.2f" cy="%.2f" r="' + f"{radius}" + '" fill="%s"/>'
+    return [template % (px, py, fill) for (px, py), fill in zip(axis.pixels(points), fills)]
 
 
 def _svg_open(spec: PlotSpec) -> list[str]:
@@ -131,9 +141,7 @@ def _axes(axis: _AxisMap, spec: PlotSpec) -> list[str]:
 def _polygon_element(
     poly: ConvexPolygon, axis: _AxisMap, stroke: str, fill: str, extra: str = ""
 ) -> str:
-    points = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (axis.point(v) for v in poly.vertices)
-    )
+    points = " ".join("%.2f,%.2f" % p for p in axis.pixels(poly.vertices))
     return f'<polygon points="{points}" stroke="{stroke}" fill="{fill}"{extra}/>'
 
 
@@ -180,14 +188,9 @@ def render_footprint_svg(
             )
         )
 
-    for p, outcome in zip(pts, labels):
-        if outcome is Outcome.MISSING:
-            continue
-        color = GOOD_COLOR if outcome is Outcome.GOOD else BAD_COLOR
-        px, py = axis.point(p)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{spec.point_radius}" fill="{color}"/>'
-        )
+    drawn = [i for i, outcome in enumerate(labels) if outcome is not Outcome.MISSING]
+    colors = [GOOD_COLOR if labels[i] is Outcome.GOOD else BAD_COLOR for i in drawn]
+    parts.extend(_circles(axis, pts[drawn], colors, spec.point_radius))
 
     lx = spec.width - spec.margin - 90
     parts.extend(_legend_entry(lx, spec.margin, GOOD_COLOR, "GOOD"))
@@ -219,24 +222,19 @@ def render_feature_svg(
     parts.append(f"<title>{name}</title>")
     parts.extend(_axes(axis, spec))
 
-    for p, t in zip(pts, vals):
-        px, py = axis.point(p)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{spec.point_radius}" '
-            f'fill="{gradient_color(float(t))}"/>'
-        )
+    parts.extend(_circles(axis, pts, _gradient_colors(vals), spec.point_radius))
 
     # Color bar: stacked slices from high (top) to low (bottom).
     bar_x = spec.width - spec.margin + 8
     bar_top = spec.margin
     bar_h = spec.height - 2 * spec.margin
     slices = 32
-    for i in range(slices):
-        t_hi = 1.0 - i / slices
+    colors = _gradient_colors([1.0 - i / slices - 0.5 / slices for i in range(slices)])
+    for i, color in enumerate(colors):
         y = bar_top + i * bar_h / slices
         parts.append(
             f'<rect x="{bar_x}" y="{_fmt(y)}" width="10" height="{_fmt(bar_h / slices + 0.5)}" '
-            f'fill="{gradient_color(t_hi - 0.5 / slices)}"/>'
+            f'fill="{color}"/>'
         )
     parts.append(
         f'<text x="{bar_x + 14}" y="{bar_top + 9}" font-size="10">{_fmt(vmax)}</text>'
@@ -266,12 +264,7 @@ def render_dataset_svg(
     parts = _svg_open(spec)
     parts.append("<title>datasets</title>")
     parts.extend(_axes(axis, spec))
-    for p, tag in zip(pts, tags):
-        px, py = axis.point(p)
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{spec.point_radius}" '
-            f'fill="{color_of[tag]}"/>'
-        )
+    parts.extend(_circles(axis, pts, [color_of[tag] for tag in tags], spec.point_radius))
     lx = spec.width - spec.margin - 110
     for i, tag in enumerate(unique):
         parts.extend(_legend_entry(lx, spec.margin + 16 * i, color_of[tag], tag))

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 import eapr
 import eapr.classify as classify
+import eapr.cli as cli
 import eapr.selection as selection
 from eapr.cli import build_config, main, parse_config_file
 
@@ -51,11 +52,16 @@ def write_config(tmp_path, input_path, output_dir, seed=7, extra=""):
     return cfg
 
 
+def eapr_in_a_process(*args, text=None, flags=()):
+    """`python FLAGS -m eapr ARGS` in a fresh process, ``text`` on stdin."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    argv = [sys.executable, *flags, "-m", "eapr", *args]
+    return subprocess.run(argv, input=text, env=env, capture_output=True, text=True)
+
+
 def select_in_a_process(model_dir, text, *flags):
     """`python FLAGS -m eapr select --models MODEL_DIR` with ``text`` on stdin."""
-    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
-    argv = [sys.executable, *flags, "-m", "eapr", "select", "--models", str(model_dir)]
-    return subprocess.run(argv, input=text, env=env, capture_output=True, text=True)
+    return eapr_in_a_process("select", "--models", str(model_dir), text=text, flags=flags)
 
 
 @pytest.fixture(scope="module")
@@ -119,13 +125,18 @@ class TestPipeline:
 
 class TestStages:
     def test_staged_equals_pipeline(self, runner, tmp_path, synthetic60_path):
+        # each stage in its own process, so each one decodes table.json
         _, mono = run_pipeline(runner, tmp_path, synthetic60_path, "mono")
         staged = tmp_path / "staged"
         cfg = write_config(tmp_path, synthetic60_path, staged)
-        for stage in ("ingest", "select-features", "project", "footprint", "classify", "plot"):
-            result = runner.invoke(main, [stage, "--config", str(cfg)])
-            assert result.exit_code == 0, f"{stage}: {result.stderr}"
-        assert (mono / "report.json").read_bytes() == (staged / "report.json").read_bytes()
+        for stage in cli._STAGE_FNS:
+            result = eapr_in_a_process(stage, "--config", str(cfg))
+            assert result.returncode == 0, f"{stage}: {result.stderr}"
+        files = sorted(p.name for p in mono.iterdir())
+        assert files == sorted(p.name for p in staged.iterdir())
+        assert "report.json" in files
+        for name in files:
+            assert (mono / name).read_bytes() == (staged / name).read_bytes(), name
 
     def test_unconverged_selector_warns(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "unconverged"
@@ -243,6 +254,37 @@ class TestStages:
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
+    def test_nan_feature_in_table_names_ingest(self, runner, tmp_path, synthetic60_path):
+        # ingest leaves its table in the memo; the edited file is decoded anew
+        out = tmp_path / "nan_table"
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        path = out / "table.json"
+        table = json.loads(path.read_text())
+        table["rows"][3]["features"][0] = math.nan
+        path.write_text(json.dumps(table))
+        for stage in ("select-features", "project", "footprint", "classify", "plot"):
+            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            assert result.exit_code == 1, stage
+            assert result.stderr.strip() == "E_STAGE ingest", stage
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_coordinate_names_project(
+        self, runner, tmp_path, synthetic60_path, literal
+    ):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "nan_coords")
+        assert result.exit_code == 0, result.stderr
+        path = out / "coordinates.json"
+        coords = json.loads(path.read_text())
+        coords["coords"][5][0] = literal
+        path.write_text(json.dumps(coords).replace(f'"{literal}"', literal))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        for stage in ("footprint", "classify", "plot"):
+            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            assert result.exit_code == 1, stage
+            assert result.stderr.strip() == "E_STAGE project", stage
+        assert "nan" not in (out / "datasets.svg").read_text()
+
     def test_truncated_coordinates_names_project(self, runner, tmp_path, synthetic60_path):
         result, out = run_pipeline(runner, tmp_path, synthetic60_path, "trunc")
         assert result.exit_code == 0, result.stderr
@@ -273,6 +315,60 @@ class TestStages:
             assert runner.invoke(main, [stage, "--config", str(cfg)]).exit_code == 0
         assert (out / "pca_model.json").exists()
         assert (out / "coordinates.json").exists()
+
+
+def module_bindings():
+    """Every eapr module attribute, and every item of a module-level dict, by key."""
+    bindings = {}
+    for name, module in sys.modules.items():
+        if name == "eapr" or name.startswith("eapr."):
+            for attr, value in vars(module).items():
+                bindings[(name, attr, None)] = value
+                if isinstance(value, dict):
+                    bindings.update(((name, attr, repr(k)), v) for k, v in value.items())
+    return bindings
+
+
+class TestTableMemo:
+    def test_pipeline_decodes_no_table(self, runner, tmp_path, synthetic60_path, monkeypatch):
+        calls = []
+        decode = cli._table_from_dict
+
+        def spy(data):
+            calls.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(cli, "_table_from_dict", spy)
+        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "memo")
+        assert result.exit_code == 0, result.stderr
+        assert calls == []
+
+    @pytest.mark.parametrize("where", ["in-process", "in-a-process"])
+    def test_reingest_is_seen_by_the_next_stage(
+        self, runner, tmp_path, synthetic60_path, where
+    ):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "reingest")
+        assert result.exit_code == 0, result.stderr
+        lines = Path(synthetic60_path).read_text().splitlines(keepends=True)
+        sliced = tmp_path / "slice.csv"
+        sliced.write_text("".join(lines[:31]))
+        cfg = write_config(tmp_path, sliced, out)
+        if where == "in-process":
+            assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        else:
+            assert eapr_in_a_process("ingest", "--config", str(cfg)).returncode == 0
+        result = runner.invoke(main, ["project", "--config", str(cfg)])
+        assert result.exit_code == 0, result.stderr
+        assert len(json.loads((out / "coordinates.json").read_text())["ids"]) == 30
+
+    def test_pipeline_adds_no_module_binding(self, runner, tmp_path, synthetic60_path):
+        run_pipeline(runner, tmp_path, synthetic60_path, "warm")  # imports every stage module
+        before = module_bindings()
+        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "bindings", seed=8)
+        assert result.exit_code == 0, result.stderr
+        after = module_bindings()
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
 
 class TestSeeds:

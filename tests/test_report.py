@@ -242,3 +242,81 @@ class TestPlotSpec:
             PlotSpec(width=90, height=480, margin=48)
         with pytest.raises(ValueError):
             PlotSpec(palette="nope")
+
+
+# Fixed inputs whose SVG bytes are pinned: duplicated points, -0.0 and values
+# below 0, above 1 and exactly 0 and 1, MISSING labels, a footprint with both
+# polygons drawn, and one on a zero-span y axis whose hulls are degenerate.
+PINNED_COORDS = np.array([
+    (0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.5),
+    (-0.0, 0.25), (1.0 / 3.0, 2.0 / 3.0), (0.9, 0.1), (0.2, 0.9), (-1.25, 1e-9),
+])
+PINNED_VALUES = [-0.0, -0.5, 1.5, 0.0, 1.0, 0.5, 1.0 / 3.0, 0.25, 0.999, 1e-12, 0.7]
+PINNED_LABELS = [GOOD, GOOD, GOOD, BAD, GOOD, BAD, Outcome.MISSING, BAD, BAD,
+                 Outcome.MISSING, BAD]
+PINNED_TAGS = ["d3", "d1", "d1", "d2", "d3", "d3", "d1", "d2", "d2", "d1", "d4"]
+FLAT_COORDS = np.array([(0.0, 3.0), (2.0, 3.0), (2.0, 3.0), (1.0, 3.0), (-1.0, 3.0)])
+FLAT_LABELS = [GOOD, GOOD, BAD, Outcome.MISSING, GOOD]
+
+PINNED_SVG_SHA256 = {
+    "footprint": "4a67c6d4ffe402d811040219960cd5cb7756ecc0d9b9f1d31d42c36724fa6d1a",
+    "flat_footprint": "ecefa3f2fc92fb9692cba74ada38c18c2c63f8efc8b7d010e7ec539f83475589",
+    "feature": "5f1e112b794203f038aedb7fc99c92042b35c8e73b9262cc8b11ffc569f15944",
+    "flat_feature": "08cb2f781a2a902977edc9bf50a1d33125bc8d534a5a04367fcedb4618cd8e90",
+    "datasets": "92d7292dc9422dd9469b5af16713b8a7e8bf449c4955ea0f6cf6509dfde6af18",
+}
+
+
+def pinned_svgs():
+    fp = compute_footprint(PINNED_COORDS, PINNED_LABELS, "A")
+    flat = compute_footprint(FLAT_COORDS, FLAT_LABELS, "B")
+    assert not fp.good_hull.is_degenerate and not fp.contradiction.is_degenerate
+    assert flat.good_hull.is_degenerate
+    return {
+        "footprint": render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, SPEC),
+        "flat_footprint": render_footprint_svg(FLAT_COORDS, FLAT_LABELS, flat, SPEC),
+        "feature": render_feature_svg(
+            PINNED_COORDS, PINNED_VALUES, SPEC, name="wmc", vmin=-2.5, vmax=7.125
+        ),
+        "flat_feature": render_feature_svg(
+            FLAT_COORDS, [0.0, 1.0, -0.0, 0.5, 2.0], PlotSpec(point_radius=2)
+        ),
+        "datasets": render_dataset_svg(PINNED_COORDS, PINNED_TAGS, SPEC),
+    }
+
+
+def test_pinned_svg_bytes():
+    import hashlib
+
+    digests = {
+        name: hashlib.sha256(svg.encode("utf-8")).hexdigest()
+        for name, svg in pinned_svgs().items()
+    }
+    assert digests == PINNED_SVG_SHA256
+
+
+def test_array_maps_equal_the_scalar_formulas():
+    # the per-point float arithmetic the array maps replaced, kept as the reference
+    from eapr.report import _AxisMap, _gradient_colors
+
+    def pixel(axis, v):
+        s = axis.spec
+        x = s.margin + (float(v[0]) - axis.x0) / (axis.x1 - axis.x0) * (s.width - 2 * s.margin)
+        y = s.height - s.margin - (float(v[1]) - axis.y0) / (axis.y1 - axis.y0) * (
+            s.height - 2 * s.margin
+        )
+        return x, y
+
+    def color(t):
+        t = min(max(float(t), 0.0), 1.0)
+        return f"rgb({100.0 * t:.4f}%,{100.0 * t:.4f}%,{100.0 * (1.0 - t):.4f}%)"
+
+    rng = np.random.default_rng(5)
+    for scale in (1e-9, 1.0, 1e6):
+        pts = rng.normal(0.0, scale, (500, 2))
+        axis = _AxisMap(pts, SPEC)
+        assert axis.pixels(pts) == [pixel(axis, p) for p in pts]
+    values = np.concatenate([rng.normal(0.5, 0.7, 500), [-0.0, 0.0, 1.0, np.nan, np.inf]])
+    expected = [color(t) for t in values]
+    assert _gradient_colors(values) == expected
+    assert [gradient_color(t) for t in values] == expected
