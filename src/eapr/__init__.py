@@ -17,8 +17,7 @@ _EXPORTS = {
         ["Coordinates2D", "FeatureSubset", "InstanceTable", "Outcome", "Violation",
          "validate_table"], "model"),
     **dict.fromkeys(
-        ["ColumnSchema", "MinMaxParams", "aggregate_rows", "minmax_normalize",
-         "parse_instance_table"], "ingest"),
+        ["aggregate_rows", "minmax_normalize", "parse_instance_table"], "ingest"),
     **dict.fromkeys(
         ["PcaModel", "ScalingParams", "explained_variance", "fit_pca", "fit_projection",
          "standardize", "transform"], "project"),

@@ -23,7 +23,7 @@ import click
 import numpy as np
 
 from . import classify, project
-from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, validate_table
+from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, json_text, validate_table
 
 if TYPE_CHECKING:
     from . import footprint as fp, report as rpt, selection
@@ -175,7 +175,7 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 
 def _write_json(path: Path, data: dict) -> bytes:
     """Write one artifact and return its bytes."""
-    raw = (json.dumps(data, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    raw = (json_text(data) + "\n").encode("utf-8")
     path.write_bytes(raw)
     return raw
 
@@ -287,7 +287,7 @@ def stage_ingest(cfg: PipelineConfig, pool) -> None:
 
     try:
         table = ingest.parse_instance_table(raw)
-        table = ingest.aggregate_rows(table, "instance_id")
+        table = ingest.aggregate_rows(table)
     except ingest.IngestError as exc:
         raise CliFailure("E_PARSE", str(exc)) from exc
 
@@ -542,20 +542,19 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
         svg = rpt.render_footprint_svg(
             coords, table.outcome_labels(algorithm), print_, cfg.plot
         )
-        (out / f"footprint_{algorithm}.svg").write_text(svg, encoding="utf-8")
+        (out / f"footprint_{rpt.file_stem(algorithm)}.svg").write_text(svg, encoding="utf-8")
 
     for name in sel["selected"]:
         raw = table.feature_matrix([name])[:, 0]
-        params = ingest.MinMaxParams.from_values(raw)
         svg = rpt.render_feature_svg(
             coords,
             ingest.minmax_normalize(raw),
             cfg.plot,
             name=name,
-            vmin=params.vmin,
-            vmax=params.vmax,
+            vmin=float(raw.min()),
+            vmax=float(raw.max()),
         )
-        (out / f"feature_{name}.svg").write_text(svg, encoding="utf-8")
+        (out / f"feature_{rpt.file_stem(name)}.svg").write_text(svg, encoding="utf-8")
 
     (out / "datasets.svg").write_text(
         rpt.render_dataset_svg(coords, table.dataset_tags, cfg.plot), encoding="utf-8"

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -44,32 +43,9 @@ class InconsistentOutcomes(IngestError):
     pass
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Designates the id column, the optional dataset column, and the prefix
-    marking per-algorithm outcome columns."""
-
-    id_column: str = "instance_id"
-    dataset_column: str = "dataset"
-    outcome_prefix: str = "aprt:"
-
-
-@dataclass(frozen=True)
-class MinMaxParams:
-    vmin: float
-    vmax: float
-
-    def __post_init__(self) -> None:
-        if self.vmax < self.vmin:
-            raise ValueError("max must be >= min")
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "MinMaxParams":
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            raise ValueError("empty value vector")
-        return cls(float(arr.min()), float(arr.max()))
-
+ID_COLUMN = "instance_id"
+DATASET_COLUMN = "dataset"
+OUTCOME_PREFIX = "aprt:"
 
 # Outcome cell text -> its code in InstanceTable.outcomes.
 _OUTCOME_CELLS = {
@@ -79,13 +55,22 @@ _OUTCOME_CELLS = {
 }
 
 
-def parse_instance_table(
-    source: BinaryIO | bytes, schema: ColumnSchema = ColumnSchema()
-) -> InstanceTable:
+def _first_unparseable(cells: list[str]) -> int:
+    """The index of the first cell that float() rejects, in cells that hold one."""
+    for i, cell in enumerate(cells):
+        try:
+            float(cell)
+        except ValueError:
+            return i
+
+
+def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     """Parse a CSV byte stream into an InstanceTable.
 
     Raises MalformedCsv on structural problems, UnparseableCell on bad cells
-    and EmptyTable when no data rows are present.
+    and EmptyTable when no data rows are present. The error raised is the
+    first one met reading the data rows in order, and a row's cells in
+    order after its length.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -98,10 +83,13 @@ def parse_instance_table(
         raise EmptyTable("no header row")
     header = [h.strip() for h in records[0]]
 
-    if schema.id_column not in header:
-        raise MalformedCsv(f"missing id column {schema.id_column!r}")
-    id_pos = header.index(schema.id_column)
-    dataset_pos = header.index(schema.dataset_column) if schema.dataset_column in header else None
+    if ID_COLUMN not in header:
+        raise MalformedCsv(f"missing id column {ID_COLUMN!r}")
+    for special in (ID_COLUMN, DATASET_COLUMN):
+        if header.count(special) > 1:
+            raise MalformedCsv(f"duplicate column {special!r}")
+    id_pos = header.index(ID_COLUMN)
+    dataset_pos = header.index(DATASET_COLUMN) if DATASET_COLUMN in header else None
 
     algorithm_names: list[str] = []
     outcome_pos: list[int] = []
@@ -110,8 +98,8 @@ def parse_instance_table(
     for pos, name in enumerate(header):
         if pos == id_pos or pos == dataset_pos:
             continue
-        if name.startswith(schema.outcome_prefix):
-            algorithm = name[len(schema.outcome_prefix):]
+        if name.startswith(OUTCOME_PREFIX):
+            algorithm = name[len(OUTCOME_PREFIX):]
             if algorithm in algorithm_names:
                 raise MalformedCsv(f"duplicate outcome column {name!r}")
             algorithm_names.append(algorithm)
@@ -120,76 +108,108 @@ def parse_instance_table(
             feature_names.append(name)
             feature_pos.append(pos)
 
-    ids: list[str] = []
-    tags: list[str] = []
-    features: list[list[float]] = []
-    outcomes: list[list[int]] = []
-    for line_no, cells in enumerate(records[1:], start=2):
-        if not cells:
-            continue
-        if len(cells) != len(header):
-            raise MalformedCsv(
-                f"row {line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
-        cells = [c.strip() for c in cells]
-        row = []
-        for pos, name in zip(feature_pos, feature_names):
-            try:
-                row.append(float(cells[pos] or "nan"))
-            except ValueError:
-                raise UnparseableCell(line_no, name, cells[pos]) from None
-        codes = []
-        for pos, alg in zip(outcome_pos, algorithm_names):
-            code = _OUTCOME_CELLS.get(cells[pos])
-            if code is None:
-                raise UnparseableCell(line_no, schema.outcome_prefix + alg, cells[pos])
-            codes.append(code)
-        ids.append(cells[id_pos])
-        tags.append(cells[dataset_pos] if dataset_pos is not None else "")
-        features.append(row)
-        outcomes.append(codes)
+    # Blank records are skipped; a row's number counts them, the header is 1.
+    line_nos = [no for no, cells in enumerate(records[1:], start=2) if cells]
+    rows = [cells for cells in records[1:] if cells]
+    width = len(header)
+    n = next((i for i, cells in enumerate(rows) if len(cells) != width), len(rows))
+    # The rows before the first one of the wrong length, as columns of stripped cells.
+    columns = [list(map(str.strip, column)) for column in zip(*rows[:n])] or [[]] * width
 
-    if not ids:
+    # (row, column order, error) of the first bad cell of each column.
+    errors: list[tuple[int, int, IngestError]] = []
+    features = np.empty((n, len(feature_pos)))
+    for j, (pos, name) in enumerate(zip(feature_pos, feature_names)):
+        cells = [cell or "nan" for cell in columns[pos]]
+        try:
+            features[:, j] = list(map(float, cells))
+        except ValueError:
+            i = _first_unparseable(cells)
+            errors.append((i, j, UnparseableCell(line_nos[i], name, cells[i])))
+    outcomes = np.empty((n, len(outcome_pos)), dtype=np.int8)
+    for j, (pos, algorithm) in enumerate(zip(outcome_pos, algorithm_names)):
+        codes = list(map(_OUTCOME_CELLS.get, columns[pos]))
+        if None in codes:
+            i = codes.index(None)
+            cell = UnparseableCell(line_nos[i], OUTCOME_PREFIX + algorithm, columns[pos][i])
+            errors.append((i, len(feature_pos) + j, cell))
+        else:
+            outcomes[:, j] = codes
+    if errors:
+        raise min(errors, key=lambda error: error[:2])[2]
+    if n < len(rows):
+        raise MalformedCsv(f"row {line_nos[n]}: expected {width} cells, got {len(rows[n])}")
+
+    if not rows:
         raise EmptyTable("no data rows")
-    return InstanceTable(feature_names, algorithm_names, ids, tags, features, outcomes)
+    tags = columns[dataset_pos] if dataset_pos is not None else [""] * n
+    return InstanceTable(feature_names, algorithm_names, columns[id_pos], tags, features, outcomes)
 
 
-def aggregate_rows(table: InstanceTable, group_key: str = "instance_id") -> InstanceTable:
-    """Collapse sub-program rows to one row per group.
+def _overflows(values: np.ndarray) -> bool:
+    """Whether the mean over axis 0 overflows float64."""
+    try:
+        with np.errstate(over="raise"):
+            values.mean(axis=0)
+    except FloatingPointError:
+        return True
+    return False
 
-    ``group_key`` is "instance_id" or "dataset". Groups keep the order of their
-    first row. Feature values become the arithmetic mean over the group;
-    outcome labels must be identical within a group and are carried through
-    (InconsistentOutcomes otherwise). A mean that overflows float64 raises
-    MalformedCsv.
+
+def aggregate_rows(table: InstanceTable) -> InstanceTable:
+    """Collapse sub-program rows to one row per instance id.
+
+    Groups keep the order of their first row. Feature values become the
+    arithmetic mean over the group; outcome labels must be identical within a
+    group and are carried through (InconsistentOutcomes otherwise). A mean that
+    overflows float64 raises MalformedCsv. The error is the first failing
+    group's, and a group with conflicting labels fails on those.
+
+    Groups of one size k are averaged together, as one ``(groups, k, m)``
+    stack: its mean over axis 1 sums each group's rows in the same sequence
+    as the group's own mean over axis 0, so the values are bit-identical.
     """
-    if group_key == "instance_id":
-        keys = table.instance_ids
-    elif group_key == "dataset":
-        keys = table.dataset_tags
-    else:
-        raise KeyError(f"group key must be 'instance_id' or 'dataset', got {group_key!r}")
+    index: dict[str, int] = {}
+    group_of = np.array(
+        [index.setdefault(key, len(index)) for key in table.instance_ids], dtype=np.intp
+    )
+    order = np.argsort(group_of, kind="stable")  # row indices, group by group
+    sizes = np.bincount(group_of, minlength=len(index))
+    starts = np.cumsum(sizes) - sizes
+    firsts = order[starts]
 
-    groups: dict[str, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
+    labels = table.outcomes
+    failed = set(group_of[(labels != labels[firsts[group_of]]).any(axis=1)].tolist())
+    conflicted = min(failed, default=len(index))
+    means = np.empty((len(index), len(table.feature_names)))
+    for k in sorted(set(sizes.tolist())):
+        groups = np.flatnonzero(sizes == k)
+        stack = table.features[order[starts[groups, None] + np.arange(k)]]
+        try:
+            with np.errstate(over="raise"):
+                means[groups] = stack.mean(axis=1)
+        except FloatingPointError:
+            failed.add(next(g for g, rows in zip(groups.tolist(), stack) if _overflows(rows)))
 
-    means = []
-    with np.errstate(over="raise"):
-        for value, rows in groups.items():
-            labels = table.outcomes[rows]
-            conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
-            if conflicts.size:
-                raise InconsistentOutcomes(
-                    f"group {value!r}: algorithm {table.algorithm_names[conflicts[0]]!r} "
-                    "has conflicting labels"
-                )
-            try:
-                means.append(table.features[rows].mean(axis=0))
-            except FloatingPointError:
-                raise MalformedCsv(f"group {value!r}: feature mean overflows") from None
-    firsts = table.take(rows[0] for rows in groups.values())
-    return replace(firsts, instance_ids=tuple(groups), features=means)
+    if failed:
+        g = min(failed)
+        key = list(index)[g]
+        if g == conflicted:
+            rows = labels[order[starts[g]:starts[g] + sizes[g]]]
+            conflict = np.flatnonzero((rows != rows[0]).any(axis=0))[0]
+            raise InconsistentOutcomes(
+                f"group {key!r}: algorithm {table.algorithm_names[conflict]!r} "
+                "has conflicting labels"
+            )
+        raise MalformedCsv(f"group {key!r}: feature mean overflows")
+    return InstanceTable(
+        table.feature_names,
+        table.algorithm_names,
+        index,
+        [table.dataset_tags[i] for i in firsts.tolist()],
+        means,
+        labels[firsts],
+    )
 
 
 def minmax_normalize(values: Sequence[float]) -> np.ndarray:

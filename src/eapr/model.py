@@ -1,8 +1,11 @@
-"""Shared domain types: instance tables, outcome labels, and table validation."""
+"""Shared domain types: instance tables, outcome labels, table validation,
+and the JSON text every artifact is written in."""
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -192,3 +195,75 @@ def validate_table(table: InstanceTable) -> list[Violation]:
                 )
 
     return violations
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True or key is False or key is None:
+        return "true" if key else "false" if key is False else "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_value(value, indent: str) -> str:
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        separator = ",\n" + inner
+        if type(value[0]) is float:
+            try:
+                body = separator.join(map(float.__repr__, value))
+            except TypeError:  # an item that is not a float
+                body = "n"
+            if "n" not in body:  # no "nan" or "inf": every float is finite
+                return f"[\n{inner}{body}\n{indent}]"
+        body = separator.join([_json_value(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [
+                f"{_json_string(key if type(key) is str else _json_key(key))}: "
+                f"{_json_value(item, inner)}"
+                for key, item in sorted(value.items())
+            ]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, character for character.
+
+    With ``indent``, Python's ``json`` encodes in pure Python, one generator
+    step per value. This writer joins each container's items once, and a
+    list of finite floats in one ``join``.
+    """
+    return _json_value(value, "")

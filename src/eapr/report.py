@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import string
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -15,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .footprint import ConvexPolygon, Footprint
-from .model import Coordinates2D, Outcome
+from .model import Coordinates2D, Outcome, json_text
 
 GOOD_COLOR = "#0072B2"
 BAD_COLOR = "#D55E00"
@@ -67,6 +68,24 @@ class PlotSpec:
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+def _xml(name: str) -> str:
+    """A name as SVG text or attribute value: ``&``, ``<``, ``>`` and ``"`` escaped."""
+    return (
+        name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    )
+
+
+# Bytes a file name keeps as they are; file_stem percent-encodes every other.
+_PLAIN_BYTES = frozenset((string.ascii_letters + string.digits + "._-").encode("ascii"))
+
+
+def file_stem(name: str) -> str:
+    """A name as part of a file name in the output directory: each UTF-8 byte
+    outside ``[A-Za-z0-9._-]`` (``%`` and ``/`` included) becomes ``%XX``, so
+    no two names share a file and none leaves the directory."""
+    return "".join(chr(b) if b in _PLAIN_BYTES else f"%{b:02X}" for b in name.encode("utf-8"))
 
 
 class _AxisMap:
@@ -130,11 +149,12 @@ def _svg_open(spec: PlotSpec) -> list[str]:
 def _axes(axis: _AxisMap, spec: PlotSpec) -> list[str]:
     m = spec.margin
     w, h = spec.width, spec.height
+    x_label, y_label = _xml(spec.x_label), _xml(spec.y_label)
     return [
         f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{w - m}" y="{h - m + 28}" font-size="12" text-anchor="end">{spec.x_label}</text>',
-        f'<text x="{m - 28}" y="{m}" font-size="12" text-anchor="start">{spec.y_label}</text>',
+        f'<text x="{w - m}" y="{h - m + 28}" font-size="12" text-anchor="end">{x_label}</text>',
+        f'<text x="{m - 28}" y="{m}" font-size="12" text-anchor="start">{y_label}</text>',
     ]
 
 
@@ -148,7 +168,7 @@ def _polygon_element(
 def _legend_entry(x: float, y: float, color: str, label: str) -> list[str]:
     return [
         f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="10" height="10" fill="{color}"/>',
-        f'<text x="{_fmt(x + 14)}" y="{_fmt(y + 9)}" font-size="11">{label}</text>',
+        f'<text x="{_fmt(x + 14)}" y="{_fmt(y + 9)}" font-size="11">{_xml(label)}</text>',
     ]
 
 
@@ -168,7 +188,7 @@ def render_footprint_svg(
 
     axis = _AxisMap(pts, spec)
     parts = _svg_open(spec)
-    parts.append(f"<title>{footprint.algorithm}</title>")
+    parts.append(f"<title>{_xml(footprint.algorithm)}</title>")
     parts.extend(_axes(axis, spec))
 
     if not footprint.good_hull.is_degenerate:
@@ -219,7 +239,7 @@ def render_feature_svg(
 
     axis = _AxisMap(pts, spec)
     parts = _svg_open(spec)
-    parts.append(f"<title>{name}</title>")
+    parts.append(f"<title>{_xml(name)}</title>")
     parts.extend(_axes(axis, spec))
 
     parts.extend(_circles(axis, pts, _gradient_colors(vals), spec.point_radius))
@@ -348,7 +368,7 @@ def _canonical(value):
 
 
 def canonical_json(data: dict) -> str:
-    return json.dumps(_canonical(data), sort_keys=True, indent=2) + "\n"
+    return json_text(_canonical(data)) + "\n"
 
 
 def write_report(report: AnalysisReport, path: Path) -> None:

@@ -3,11 +3,23 @@
 Each function here deliberately uses a different algorithm than the code
 under test: brute-force extremity for hulls, Monte Carlo for areas,
 characteristic-polynomial roots for eigenvalues, ray casting for membership,
-sorted pairwise summation for means.
+sorted pairwise summation for means, a row-by-row CSV parse and a group-by-group
+aggregation for ingest.
 """
+import csv
+import io
 import itertools
 
 import numpy as np
+
+from eapr.ingest import (
+    EmptyTable,
+    InconsistentOutcomes,
+    MalformedCsv,
+    UnparseableCell,
+    _OUTCOME_CELLS,
+)
+from eapr.model import InstanceTable
 
 
 def brute_force_hull(points):
@@ -138,3 +150,98 @@ def kernel_sum_decision(support_vectors, alphas, labels, bias, kernel, gamma, po
             k = np.exp(-gamma * (d0 * d0 + d1 * d1))
         total += a * y * k
     return total + bias
+
+
+def rowwise_parse(source: bytes) -> InstanceTable:
+    """``ingest.parse_instance_table`` one row and one cell at a time: the
+    first bad row or cell in reading order raises."""
+    try:
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
+        records = list(csv.reader(text))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedCsv(f"unreadable CSV: {exc}") from None
+
+    if not records:
+        raise EmptyTable("no header row")
+    header = [h.strip() for h in records[0]]
+
+    if "instance_id" not in header:
+        raise MalformedCsv("missing id column 'instance_id'")
+    for special in ("instance_id", "dataset"):
+        if header.count(special) > 1:
+            raise MalformedCsv(f"duplicate column {special!r}")
+    id_pos = header.index("instance_id")
+    dataset_pos = header.index("dataset") if "dataset" in header else None
+
+    algorithm_names, outcome_pos, feature_names, feature_pos = [], [], [], []
+    for pos, name in enumerate(header):
+        if pos == id_pos or pos == dataset_pos:
+            continue
+        if name.startswith("aprt:"):
+            if name[5:] in algorithm_names:
+                raise MalformedCsv(f"duplicate outcome column {name!r}")
+            algorithm_names.append(name[5:])
+            outcome_pos.append(pos)
+        else:
+            feature_names.append(name)
+            feature_pos.append(pos)
+
+    ids, tags, features, outcomes = [], [], [], []
+    for line_no, cells in enumerate(records[1:], start=2):
+        if not cells:
+            continue
+        if len(cells) != len(header):
+            raise MalformedCsv(f"row {line_no}: expected {len(header)} cells, got {len(cells)}")
+        cells = [c.strip() for c in cells]
+        row = []
+        for pos, name in zip(feature_pos, feature_names):
+            try:
+                row.append(float(cells[pos] or "nan"))
+            except ValueError:
+                raise UnparseableCell(line_no, name, cells[pos]) from None
+        codes = []
+        for pos, alg in zip(outcome_pos, algorithm_names):
+            code = _OUTCOME_CELLS.get(cells[pos])
+            if code is None:
+                raise UnparseableCell(line_no, "aprt:" + alg, cells[pos])
+            codes.append(code)
+        ids.append(cells[id_pos])
+        tags.append(cells[dataset_pos] if dataset_pos is not None else "")
+        features.append(row)
+        outcomes.append(codes)
+
+    if not ids:
+        raise EmptyTable("no data rows")
+    return InstanceTable(feature_names, algorithm_names, ids, tags, features, outcomes)
+
+
+def per_group_aggregate(table: InstanceTable) -> InstanceTable:
+    """``ingest.aggregate_rows`` one group at a time, in first-row order: each
+    group's labels are checked, then its mean taken over axis 0."""
+    groups = {}
+    for i, key in enumerate(table.instance_ids):
+        groups.setdefault(key, []).append(i)
+
+    means = []
+    with np.errstate(over="raise"):
+        for value, rows in groups.items():
+            labels = table.outcomes[rows]
+            conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
+            if conflicts.size:
+                raise InconsistentOutcomes(
+                    f"group {value!r}: algorithm {table.algorithm_names[conflicts[0]]!r} "
+                    "has conflicting labels"
+                )
+            try:
+                means.append(table.features[rows].mean(axis=0))
+            except FloatingPointError:
+                raise MalformedCsv(f"group {value!r}: feature mean overflows") from None
+    firsts = [rows[0] for rows in groups.values()]
+    return InstanceTable(
+        table.feature_names,
+        table.algorithm_names,
+        list(groups),
+        [table.dataset_tags[i] for i in firsts],
+        means,
+        table.outcomes[firsts],
+    )

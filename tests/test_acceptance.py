@@ -261,7 +261,7 @@ def test_criterion_7_benchmark_separation_on_user_export(tmp_path):
     from eapr.project import fit_pca, standardize
 
     source = Path(os.environ[RTA_ENV]).read_bytes()
-    table = aggregate_rows(parse_instance_table(source), "instance_id")
+    table = aggregate_rows(parse_instance_table(source))
 
     config = GaConfig(population_size=24, generations=15, cv_folds=3, seed=0)
     selected = run_ga(table, config).best

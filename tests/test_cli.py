@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from click.testing import CliRunner
@@ -664,6 +665,61 @@ class TestPackageApi:
         assert not set(eapr.__all__) & vars(eapr).keys()
 
 
+def renamed_csv(path, algorithm="A", tag="alpha", feature="f2"):
+    """40 rows of synthetic60 with features f1, f2 and algorithms A, B, one
+    algorithm, tag and feature renamed."""
+    import csv
+
+    with open(DATA_DIR / "synthetic60.csv", newline="") as handle:
+        records = list(csv.DictReader(handle))[:40]
+    rename = {"aprt:A": f"aprt:{algorithm}", "f2": feature}
+    columns = ["instance_id", "dataset", "f1", "f2", "aprt:A", "aprt:B"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([rename.get(c, c) for c in columns])
+        for record in records:
+            record["dataset"] = tag if record["dataset"] == "alpha" else record["dataset"]
+            writer.writerow([record[c] for c in columns])
+
+
+class TestNamesAreData:
+    """Names reach SVG text escaped, and file names percent-encoded inside
+    the output directory."""
+
+    def run(self, runner, tmp_path, **names):
+        csv = tmp_path / "named.csv"
+        renamed_csv(csv, **names)
+        out = tmp_path / "a" / "b" / "out"
+        cfg = write_config(tmp_path, csv, out)
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 0, (result.stderr, result.exception)
+        svgs = {path.name: minidom.parse(str(path)) for path in out.glob("*.svg")}
+        written = {path for path in tmp_path.rglob("*") if path.is_file()}
+        assert {p for p in written if out not in p.parents} == {csv, cfg}
+        return svgs
+
+    @staticmethod
+    def texts(doc, tag):
+        return [node.firstChild.data for node in doc.getElementsByTagName(tag)]
+
+    def test_markup_in_an_algorithm_name(self, runner, tmp_path):
+        svgs = self.run(runner, tmp_path, algorithm="C&D<x>", feature='w"<&>')
+        assert self.texts(svgs["footprint_C%26D%3Cx%3E.svg"], "title") == ["C&D<x>"]
+        assert self.texts(svgs["feature_w%22%3C%26%3E.svg"], "title") == ['w"<&>']
+
+    def test_markup_in_a_dataset_tag(self, runner, tmp_path):
+        svgs = self.run(runner, tmp_path, tag="t<1>&")
+        assert "t<1>&" in self.texts(svgs["datasets.svg"], "text")
+
+    def test_slash_in_an_algorithm_name(self, runner, tmp_path):
+        svgs = self.run(runner, tmp_path, algorithm="A/B", feature="f/2")
+        assert {"footprint_A%2FB.svg", "feature_f%2F2.svg"} <= svgs.keys()
+
+    def test_parent_path_in_an_algorithm_name(self, runner, tmp_path):
+        svgs = self.run(runner, tmp_path, algorithm="../../escaped")
+        assert self.texts(svgs["footprint_..%2F..%2Fescaped.svg"], "title") == ["../../escaped"]
+
+
 class TestIngestErrors:
     def test_header_only_csv(self, runner, tmp_path):
         csv = tmp_path / "empty.csv"
@@ -714,6 +770,16 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE group 'big': feature mean overflows"]
+
+    def test_repeated_id_column_is_named(self, runner, tmp_path):
+        csv = tmp_path / "twice.csv"
+        rows = [f"p{i},z,{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
+        csv.write_text("instance_id,instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
+        result = runner.invoke(
+            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["E_PARSE duplicate column 'instance_id'"]
 
     def test_single_feature_table_is_degenerate(self, runner, tmp_path):
         csv = tmp_path / "narrow.csv"

@@ -1,6 +1,11 @@
-import pytest
+import json
 
-from eapr.model import FeatureSubset, Outcome, validate_table
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eapr.model import FeatureSubset, Outcome, json_text, validate_table
 
 from conftest import BAD, GOOD, make_table
 
@@ -101,3 +106,49 @@ def test_subset_ordering_follows_table():
     assert table.ordered_subset(FeatureSubset.of(["m", "z"])) == ("z", "m")
     with pytest.raises(KeyError):
         table.ordered_subset(FeatureSubset.of(["nope"]))
+
+
+floats = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e-308, 5e-324, 0.1, 1e16])
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | floats
+    | floats.map(np.float64)
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers() | st.booleans(), children)
+    | st.dictionaries(floats, children)
+    | st.lists(floats)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_json_text_is_json_dumps_sorted_and_indented(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, [[]], {"": {}}, [1.5, 2, 3.0], [0.5, float("nan")], ("é", "\u2028", "\x00"),
+     {"b": [-0.0, float("inf")], "a": -(10**30)}, {1.5: None, True: 1, 2: 2}, {None: 0}],
+)
+def test_json_text_edge_values(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), [np.int64(1)], {(1, 2): 0}])
+def test_json_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json_text(value)

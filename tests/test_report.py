@@ -1,5 +1,6 @@
 import json
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eapr.report import (
     PlotSpec,
     ReportInvariantError,
     canonical_json,
+    file_stem,
     gradient_color,
     read_report,
     render_dataset_svg,
@@ -320,3 +322,32 @@ def test_array_maps_equal_the_scalar_formulas():
     expected = [color(t) for t in values]
     assert _gradient_colors(values) == expected
     assert [gradient_color(t) for t in values] == expected
+
+
+def test_file_stem_keeps_plain_names_and_encodes_every_other_byte():
+    assert file_stem("Kali-2.0_x.y") == "Kali-2.0_x.y"
+    assert file_stem("A/B") == "A%2FB"
+    assert file_stem("../../escaped") == "..%2F..%2Fescaped"
+    assert file_stem("50%") == "50%25"
+    assert file_stem("é~ ") == "%C3%A9%7E%20"
+    names = ["A/B", "A%2FB", "A%252FB", "a/b", "", "%", "%25", "é", "%C3%A9"]
+    assert len({file_stem(n) for n in names}) == len(names)
+
+
+def test_names_are_escaped_in_svg_text():
+    name = 'C&D<x> "q"'
+    fp = compute_footprint(PINNED_COORDS, PINNED_LABELS, name)
+    spec = PlotSpec(x_label="z<1>", y_label="&")
+    svgs = [
+        render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, spec),
+        render_feature_svg(PINNED_COORDS, PINNED_VALUES, spec, name=name),
+        render_dataset_svg(PINNED_COORDS, [name] * len(PINNED_COORDS), spec),
+    ]
+    for svg in svgs:
+        texts = {
+            node.firstChild.data
+            for tag in ("title", "text")
+            for node in minidom.parseString(svg).getElementsByTagName(tag)
+        }
+        assert {"z<1>", "&"} <= texts
+        assert name in texts
