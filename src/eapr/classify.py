@@ -75,19 +75,14 @@ class SvmModel:
     converged: bool
 
 
-def median_heuristic_gamma(points: np.ndarray) -> float:
-    """1 / (2 * median^2) of the pairwise Euclidean distances; 1.0 if degenerate."""
-    x = np.asarray(points, dtype=float)
-    return _median_gamma(_sq_dists(x, x))
-
-
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a[:, None, :] - b[None, :, :]
     return (diff * diff).sum(axis=2)
 
 
 def _median_gamma(sq: np.ndarray) -> float:
-    """``median_heuristic_gamma`` from the points' squared distance matrix."""
+    """1 / (2 * median^2) of the pairwise Euclidean distances, from the
+    points' squared distance matrix; 1.0 if degenerate."""
     if len(sq) < 2:
         return 1.0
     med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))

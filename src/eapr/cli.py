@@ -309,7 +309,6 @@ def stage_ingest(cfg: PipelineConfig, pool) -> None:
         code = "E_DEGENERATE" if degenerate else "E_PARSE"
         raise CliFailure(code, f"{len(violations)} violation(s), first: {first}")
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     written = _write_json(cfg.output_dir / "table.json", _table_to_dict(table, digest))
     _TABLE_MEMO[:] = hashlib.sha256(written).digest(), (table, digest)
 
@@ -710,6 +709,9 @@ def _make_config(config_path, input_path, output_dir, seed, repeats) -> Pipeline
 def _guarded(fn):
     try:
         fn()
+    except OSError as exc:  # reads map their own OSError: this is a failed mkdir or write
+        click.echo(f"E_IO {exc.filename}: {exc.strerror}", err=True)
+        sys.exit(1)
     except CliFailure as failure:
         click.echo(str(failure), err=True)
         sys.exit(1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -55,6 +56,11 @@ _OUTCOME_CELLS = {
 }
 
 
+# Characters XML 1.0 forbids even as character references: no SVG can hold a
+# name that has one.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _first_unparseable(cells: list[str]) -> int:
     """The index of the first cell that float() rejects, in cells that hold one."""
     for i, cell in enumerate(cells):
@@ -70,7 +76,8 @@ def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     Raises MalformedCsv on structural problems, UnparseableCell on bad cells
     and EmptyTable when no data rows are present. The error raised is the
     first one met reading the data rows in order, and a row's cells in
-    order after its length.
+    order after its length. Then a column name or dataset tag holding a
+    character XML 1.0 forbids raises MalformedCsv.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
@@ -143,13 +150,16 @@ def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     if not rows:
         raise EmptyTable("no data rows")
     tags = columns[dataset_pos] if dataset_pos is not None else [""] * n
+    for name in (*header, *dict.fromkeys(tags)):
+        if bad := _NOT_XML.search(name):
+            raise MalformedCsv(f"{name!r} holds {bad.group()!r}, which XML cannot hold")
     return InstanceTable(feature_names, algorithm_names, columns[id_pos], tags, features, outcomes)
 
 
 def _overflows(values: np.ndarray) -> bool:
     """Whether the mean over axis 0 overflows float64."""
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="ignore"):
             values.mean(axis=0)
     except FloatingPointError:
         return True
@@ -186,7 +196,8 @@ def aggregate_rows(table: InstanceTable) -> InstanceTable:
         groups = np.flatnonzero(sizes == k)
         stack = table.features[order[starts[groups, None] + np.arange(k)]]
         try:
-            with np.errstate(over="raise"):
+            # inf and -inf in one group make a NaN mean: validate_table drops it
+            with np.errstate(over="raise", invalid="ignore"):
                 means[groups] = stack.mean(axis=1)
         except FloatingPointError:
             failed.add(next(g for g, rows in zip(groups.tolist(), stack) if _overflows(rows)))

@@ -1,9 +1,9 @@
 """Standardization of the selected feature columns and their PCA projection
 onto a 2D instance space.
 
-The eigendecomposition is a cyclic Jacobi iteration: the selected feature
-count is small (a dozen or so), the covariance is symmetric, and Jacobi keeps
-the whole pipeline free of external linear-algebra solvers.
+The eigendecomposition is LAPACK's symmetric solver (``np.linalg.eigh``).
+``symmetric_eig`` fixes each eigenvector's sign and the order of tied
+eigenvalues by its own rules, not by the solver's conventions.
 """
 from __future__ import annotations
 
@@ -13,15 +13,8 @@ import numpy as np
 
 from .model import Coordinates2D, FeatureSubset, InstanceTable
 
-JACOBI_OFF_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 
 class NonFiniteInput(Exception):
-    pass
-
-
-class ConvergenceFailure(Exception):
     pass
 
 
@@ -100,35 +93,6 @@ def standardize(
     return standardized, params
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-    if theta >= 0.0:
-        t = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-    else:
-        t = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
-
-
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive."""
     fixed = vectors.copy()
@@ -140,38 +104,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def symmetric_eig(
-    matrix: np.ndarray,
-    off_tol: float = JACOBI_OFF_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decompose a symmetric matrix by cyclic Jacobi sweeps.
+def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decompose a symmetric matrix with LAPACK (``np.linalg.eigh``).
 
     Returns eigenvalues in descending order and the matching eigenvectors as
     columns, each sign-fixed. Exact-eigenvalue ties are ordered by the
-    lexicographic comparison of the sign-fixed vectors.
+    lexicographic comparison of the sign-fixed vectors. A LAPACK failure
+    raises ``np.linalg.LinAlgError``, a ValueError.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput("matrix contains NaN or infinite entries")
-    n = a.shape[0]
-    v = np.eye(n)
-
-    for sweep in range(max_sweeps + 1):
-        off = np.abs(a - np.diag(np.diag(a))).max() if n > 1 else 0.0
-        if off <= off_tol:
-            break
-        if sweep == max_sweeps:
-            raise ConvergenceFailure(f"Jacobi did not converge in {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, v, p, q)
-
-    values = np.diag(a).copy()
+    values, v = np.linalg.eigh(a)
     vectors = _fix_signs(v)
-    order = sorted(range(n), key=lambda i: (-values[i], tuple(vectors[:, i])))
+    order = sorted(range(len(values)), key=lambda i: (-values[i], tuple(vectors[:, i])))
     return values[order], vectors[:, order]
 
 

@@ -127,11 +127,6 @@ def _gradient_colors(values) -> list[str]:
     return ["rgb(%.4f%%,%.4f%%,%.4f%%)" % (v, v, w) for v, w in zip(rg, b)]
 
 
-def gradient_color(t: float) -> str:
-    """The gradient colour of one value."""
-    return _gradient_colors([float(t)])[0]
-
-
 def _circles(axis: _AxisMap, points, fills: Sequence[str], radius: float) -> list[str]:
     """One ``<circle>`` per data point, in the matching fill."""
     template = '<circle cx="%.2f" cy="%.2f" r="' + f"{radius}" + '" fill="%s"/>'
@@ -374,10 +369,7 @@ def canonical_json(data: dict) -> str:
 def write_report(report: AnalysisReport, path: Path) -> None:
     """Write the canonical report; refuses reports that break invariants."""
     _check_report(report)
-    try:
-        path.write_text(canonical_json(report.to_dict()), encoding="utf-8")
-    except OSError as exc:
-        raise IOError(f"cannot write report to {path}: {exc}") from exc
+    path.write_text(canonical_json(report.to_dict()), encoding="utf-8")
 
 
 def read_report(path: Path) -> dict:

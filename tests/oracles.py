@@ -17,6 +17,7 @@ from eapr.ingest import (
     InconsistentOutcomes,
     MalformedCsv,
     UnparseableCell,
+    _NOT_XML,
     _OUTCOME_CELLS,
 )
 from eapr.model import InstanceTable
@@ -212,6 +213,10 @@ def rowwise_parse(source: bytes) -> InstanceTable:
 
     if not ids:
         raise EmptyTable("no data rows")
+    for name in header + tags:
+        bad = _NOT_XML.search(name)
+        if bad:
+            raise MalformedCsv(f"{name!r} holds {bad.group()!r}, which XML cannot hold")
     return InstanceTable(feature_names, algorithm_names, ids, tags, features, outcomes)
 
 
@@ -223,7 +228,7 @@ def per_group_aggregate(table: InstanceTable) -> InstanceTable:
         groups.setdefault(key, []).append(i)
 
     means = []
-    with np.errstate(over="raise"):
+    with np.errstate(over="raise", invalid="ignore"):
         for value, rows in groups.items():
             labels = table.outcomes[rows]
             conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))

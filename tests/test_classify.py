@@ -17,7 +17,6 @@ from eapr.classify import (
     compute_metrics,
     cross_validate,
     decision_values,
-    median_heuristic_gamma,
     model_from_dict,
     model_to_dict,
     select_aprt,
@@ -447,11 +446,13 @@ class TestSelect:
 
 class TestMisc:
     def test_median_heuristic_degenerate(self):
-        assert median_heuristic_gamma(np.zeros((5, 2))) == 1.0
+        config = SvmConfig(gamma="median-heuristic")
+        assert train_svm(np.zeros((5, 2)), [1, -1, 1, -1, 1], config).gamma == 1.0
 
     def test_median_heuristic_value(self):
         pts = np.array([[0.0, 0.0], [0.0, 2.0]])
-        assert median_heuristic_gamma(pts) == pytest.approx(1.0 / 8.0)
+        config = SvmConfig(gamma="median-heuristic")
+        assert train_svm(pts, [1, -1], config).gamma == pytest.approx(1.0 / 8.0)
 
     def test_serialization_round_trip(self):
         pts, y = blobs(seed=17)

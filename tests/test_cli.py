@@ -6,11 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eapr
 import eapr.classify as classify
@@ -106,6 +109,20 @@ class TestPipeline:
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_IO"
+
+    @pytest.mark.parametrize(
+        "output, reason",
+        [("file/out", "Not a directory"), ("file", "File exists")],
+        ids=["under-a-file", "a-file"],
+    )
+    def test_unmakeable_output_dir_is_io_error(self, runner, tmp_path, output, reason):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / output
+        result = runner.invoke(
+            main, ["pipeline", "--input", str(DATA_DIR / "synthetic60.csv"), "--output", str(out)]
+        )
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [f"E_IO {out}: {reason}"]
 
     def test_byte_determinism(self, runner, tmp_path, synthetic60_path):
         r1, out1 = run_pipeline(runner, tmp_path, synthetic60_path, "d1")
@@ -720,6 +737,63 @@ class TestNamesAreData:
         assert self.texts(svgs["footprint_..%2F..%2Fescaped.svg"], "title") == ["../../escaped"]
 
 
+@pytest.mark.parametrize(
+    "names, error",
+    [
+        ({"algorithm": "A\x01B"}, "'aprt:A\\x01B' holds '\\x01'"),
+        ({"feature": "f\x1f2"}, "'f\\x1f2' holds '\\x1f'"),
+        ({"tag": "al\ufffepha"}, "'al\\ufffepha' holds '\\ufffe'"),
+    ],
+    ids=["algorithm", "feature", "tag"],
+)
+def test_name_xml_cannot_hold_is_parse_error(runner, tmp_path, names, error):
+    csv = tmp_path / "named.csv"
+    renamed_csv(csv, **names)
+    cfg = write_config(tmp_path, csv, tmp_path / "out")
+    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"E_PARSE {error}, which XML cannot hold"]
+
+
+def test_name_too_long_for_a_file_is_io_error(runner, tmp_path):
+    csv = tmp_path / "named.csv"
+    renamed_csv(csv, algorithm="\u00e9" * 100)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["pipeline", "--config", str(write_config(tmp_path, csv, out))])
+    assert result.exit_code == 1
+    svg = out / ("footprint_" + "%C3%A9" * 100 + ".svg")
+    assert result.stderr.splitlines() == [f"E_IO {svg}: File name too long"]
+
+
+printable_names = st.text(
+    st.characters(blacklist_categories=("C", "Z")) | st.sampled_from("&<>\"'/\\. "),
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fixed_dictionaries(
+    {"algorithm": printable_names, "tag": printable_names, "feature": printable_names}
+))
+def test_printable_names_give_well_formed_svgs_or_one_error(names):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        csv = root / "named.csv"
+        renamed_csv(csv, **names)
+        out = root / "out"
+        cfg = write_config(root, csv, out)
+        result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
+        written = {path for path in root.rglob("*") if path.is_file()}
+        assert {path for path in written if out not in path.parents} == {csv, cfg}
+        if result.exit_code == 0:
+            for path in out.glob("*.svg"):
+                minidom.parse(str(path))
+            return
+    assert result.exit_code == 1, repr(result.exception)
+    errors = [line for line in result.stderr.splitlines() if line.startswith("E_")]
+    assert len(errors) == 1 and "Traceback" not in result.stderr, result.stderr
+
+
 class TestIngestErrors:
     def test_header_only_csv(self, runner, tmp_path):
         csv = tmp_path / "empty.csv"
@@ -770,6 +844,15 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE group 'big': feature mean overflows"]
+
+    def test_inf_and_minus_inf_in_a_group_only_drop_it(self, tmp_path):
+        csv = tmp_path / "infs.csv"
+        rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(4)]
+        rows += ["both,inf,0,1", "both,-inf,1,1"]
+        csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
+        result = eapr_in_a_process("ingest", "--input", str(csv), "--output", str(tmp_path / "o"))
+        assert result.returncode == 0
+        assert result.stderr == "warning: dropping 1 row(s) with non-finite features: both\n"
 
     def test_repeated_id_column_is_named(self, runner, tmp_path):
         csv = tmp_path / "twice.csv"

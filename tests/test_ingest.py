@@ -227,8 +227,8 @@ ODD_CELLS = ["", "  ", " 2.5 ", "nan", "1_000", "x", "0x1p3", "1e-320", "infinit
 @st.composite
 def sub_program_csv(draw) -> bytes:
     """Interleaved sub-program rows of up to 6 ids with 1-20 rows each, and
-    rare defects: odd or bad cells, conflicting labels, ragged rows and blank
-    records."""
+    rare defects: odd or bad cells, a dataset tag XML cannot hold, conflicting
+    labels, ragged rows and blank records."""
     rare = lambda n: draw(st.sampled_from([False] * n + [True]))  # p = 1 / (n + 1)
     features = [f"f{j}" for j in range(draw(st.integers(1, 4)))]
     huge = {name: draw(st.booleans()) for name in features}
@@ -247,6 +247,8 @@ def sub_program_csv(draw) -> bytes:
                 cell = rid
             elif name == "dataset":
                 cell = draw(st.sampled_from(["Defects4J", "Bears", ""]))
+                if rare(500):
+                    cell = "Be\x1fars"  # XML cannot hold it
             elif name.startswith("aprt:"):
                 cell = labels[rid, name]
                 if rare(60):

@@ -13,9 +13,9 @@ from eapr.report import (
     PALETTES,
     PlotSpec,
     ReportInvariantError,
+    _gradient_colors,
     canonical_json,
     file_stem,
-    gradient_color,
     read_report,
     render_dataset_svg,
     render_feature_svg,
@@ -94,13 +94,12 @@ def parse_rgb_percent(color):
 
 class TestFeatureSvg:
     def test_gradient_endpoints(self):
-        assert parse_rgb_percent(gradient_color(0.0)) == (0.0, 0.0, 100.0)
-        assert parse_rgb_percent(gradient_color(1.0)) == (100.0, 100.0, 0.0)
+        low, high = _gradient_colors([0.0, 1.0])
+        assert parse_rgb_percent(low) == (0.0, 0.0, 100.0)
+        assert parse_rgb_percent(high) == (100.0, 100.0, 0.0)
 
     def test_midpoint_is_exact_average(self):
-        low = parse_rgb_percent(gradient_color(0.0))
-        high = parse_rgb_percent(gradient_color(1.0))
-        mid = parse_rgb_percent(gradient_color(0.5))
+        low, high, mid = map(parse_rgb_percent, _gradient_colors([0.0, 1.0, 0.5]))
         assert mid == tuple((a + b) / 2 for a, b in zip(low, high))
 
     def test_point_colors_monotone_along_values(self):
@@ -299,7 +298,7 @@ def test_pinned_svg_bytes():
 
 def test_array_maps_equal_the_scalar_formulas():
     # the per-point float arithmetic the array maps replaced, kept as the reference
-    from eapr.report import _AxisMap, _gradient_colors
+    from eapr.report import _AxisMap
 
     def pixel(axis, v):
         s = axis.spec
@@ -321,7 +320,7 @@ def test_array_maps_equal_the_scalar_formulas():
     values = np.concatenate([rng.normal(0.5, 0.7, 500), [-0.0, 0.0, 1.0, np.nan, np.inf]])
     expected = [color(t) for t in values]
     assert _gradient_colors(values) == expected
-    assert [gradient_color(t) for t in values] == expected
+    assert [_gradient_colors([t])[0] for t in values] == expected
 
 
 def test_file_stem_keeps_plain_names_and_encodes_every_other_byte():
