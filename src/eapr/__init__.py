@@ -30,7 +30,7 @@ _EXPORTS = {
     **dict.fromkeys(
         ["FitnessValue", "GaConfig", "SelectionResult", "evaluate_subset", "run_ga"],
         "selection"),
-    **dict.fromkeys(["AnalysisReport", "PlotSpec", "write_report"], "report"),
+    **dict.fromkeys(["PlotSpec", "write_report"], "report"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -245,41 +245,30 @@ def stratified_folds(
     return [np.array(sorted(a), dtype=int) for a in assignments]
 
 
-def _fold_splits(
-    labels: np.ndarray, folds: int, rng: np.random.Generator
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(test rows, training mask) of each non-empty stratified fold."""
+def cv_splits(
+    labels: np.ndarray, folds: int, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The (test rows, training mask) of each fold of a stratified CV of the
+    +1/-1 ``labels`` into k = min(folds, n_pos, n_neg) folds, dealt by
+    ``seed``; None, so no CV, unless each class has at least 2 rows."""
+    n_pos, n_neg = int(np.sum(labels == 1.0)), int(np.sum(labels == -1.0))
+    if min(n_pos, n_neg) < 2:
+        return None
     splits = []
-    for test_idx in stratified_folds(labels, folds, rng):
-        if len(test_idx):
-            train_mask = np.ones(len(labels), dtype=bool)
-            train_mask[test_idx] = False
-            splits.append((test_idx, train_mask))
+    rng = np.random.default_rng(seed)
+    for test_idx in stratified_folds(labels, min(folds, n_pos, n_neg), rng):
+        train_mask = np.ones(len(labels), dtype=bool)
+        train_mask[test_idx] = False
+        splits.append((test_idx, train_mask))
     return splits
 
 
 def _cv_jobs(
-    coords: Coordinates2D, labels: Sequence[float], folds: int, config: SvmConfig
+    x: np.ndarray, y: np.ndarray, splits: list[tuple], config: SvmConfig
 ) -> tuple[list[np.ndarray], list[tuple]]:
-    """The held-out labels and the ``_fit_fold`` job of each fold of a
-    stratified k-fold CV."""
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
-    x = np.asarray(coords, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    n_pos = int(np.sum(y == 1.0))
-    n_neg = int(np.sum(y == -1.0))
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClassLabels("both classes required")
-    if min(n_pos, n_neg) < 2:
-        raise TooFewInstances("need at least 2 instances of each class")
-    k_eff = min(folds, n_pos, n_neg)
-
-    rng = np.random.default_rng(config.seed)
-    held_out, jobs = [], []
-    for test_idx, train_mask in _fold_splits(y, k_eff, rng):
-        held_out.append(y[test_idx])
-        jobs.append((x[train_mask], y[train_mask], x[test_idx], config))
+    """The held-out labels and the ``_fit_fold`` job of each of ``cv_splits``."""
+    held_out = [y[test_idx] for test_idx, _ in splits]
+    jobs = [(x[train], y[train], x[test_idx], config) for test_idx, train in splits]
     return held_out, jobs
 
 
@@ -295,9 +284,18 @@ def cross_validate(
     config: SvmConfig = SvmConfig(),
     pool=None,
 ) -> ClassifierMetrics:
-    """Stratified k-fold CV; metrics are pooled over the held-out folds. The
-    fold fits run on ``pool`` (see ``fold_pool``), or on one opened for the call."""
-    held_out, jobs = _cv_jobs(coords, labels, folds, config)
+    """Stratified k-fold CV (``cv_splits``, seeded by ``config.seed``); metrics
+    are pooled over the held-out folds. The fold fits run on ``pool`` (see
+    ``fold_pool``), or on one opened for the call."""
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    y = np.asarray(labels, dtype=float)
+    splits = cv_splits(y, folds, config.seed)
+    if splits is None:
+        if not ((y == 1.0).any() and (y == -1.0).any()):
+            raise SingleClassLabels("both classes required")
+        raise TooFewInstances("need at least 2 instances of each class")
+    held_out, jobs = _cv_jobs(np.asarray(coords, dtype=float), y, splits, config)
     with fold_pool(pool) as pool:
         return _pooled_metrics(held_out, pool(_fit_fold, jobs))
 
@@ -367,39 +365,3 @@ def select_aprt(
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
-
-
-def model_to_dict(model: SvmModel) -> dict:
-    return {
-        "kernel": model.config.kernel,
-        "C": model.config.C,
-        "gamma": model.gamma,
-        "tolerance": model.config.tolerance,
-        "max_passes": model.config.max_passes,
-        "seed": model.config.seed,
-        "support_vectors": [[float(a), float(b)] for a, b in model.support_vectors],
-        "alphas": [float(a) for a in model.alphas],
-        "labels": [float(v) for v in model.labels],
-        "bias": model.bias,
-        "converged": model.converged,
-    }
-
-
-def model_from_dict(data: dict) -> SvmModel:
-    config = SvmConfig(
-        kernel=data["kernel"],
-        C=float(data["C"]),
-        gamma=float(data["gamma"]),
-        tolerance=float(data["tolerance"]),
-        max_passes=int(data["max_passes"]),
-        seed=int(data["seed"]),
-    )
-    return SvmModel(
-        support_vectors=np.array(data["support_vectors"], dtype=float).reshape(-1, 2),
-        alphas=np.array(data["alphas"], dtype=float),
-        labels=np.array(data["labels"], dtype=float),
-        bias=float(data["bias"]),
-        gamma=float(data["gamma"]),
-        config=config,
-        converged=bool(data["converged"]),
-    )

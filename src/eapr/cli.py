@@ -6,15 +6,16 @@ directory, so a staged run and a monolithic `pipeline` run produce identical
 bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
 
-The stage-only modules are imported inside the stages, so `eapr select`
-loads only this module, `model`, `project` and `classify`.
+How each artifact is written and read is `artifacts`' business. The
+stage-only modules are imported inside the stages, so `eapr select` loads only
+this module, `artifacts`, `model`, `project` and `classify`.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -22,31 +23,12 @@ from typing import TYPE_CHECKING
 import click
 import numpy as np
 
-from . import classify, project
-from .model import OUTCOME_CODES, FeatureSubset, InstanceTable, json_text, validate_table
+from . import artifacts, classify, project
+from .artifacts import CliFailure
+from .model import FeatureSubset, InstanceTable, validate_table
 
 if TYPE_CHECKING:
-    from . import footprint as fp, report as rpt, selection
-
-# Artifact -> the stage that writes it.
-_ARTIFACTS = {
-    "table.json": "ingest",
-    "selection.json": "select-features",
-    "pca_model.json": "project",
-    "coordinates.json": "project",
-    "footprints.json": "footprint",
-    "models.json": "classify",
-    "metrics.json": "classify",
-}
-
-
-class CliFailure(Exception):
-    """Carries a machine-parsable error code; printed as `CODE detail`."""
-
-    def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code} {detail}".strip())
-        self.code = code
-        self.detail = detail
+    from . import report as rpt, selection
 
 
 @dataclass(frozen=True)
@@ -170,106 +152,6 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Artifact helpers
-
-
-def _write_json(path: Path, data: dict) -> bytes:
-    """Write one artifact and return its bytes."""
-    raw = (json_text(data) + "\n").encode("utf-8")
-    path.write_bytes(raw)
-    return raw
-
-
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _parse_json(raw: bytes):
-    return json.loads(raw.decode("utf-8"), parse_constant=_no_constant)
-
-
-def _read_json(out_dir: Path, name: str, decode=lambda data: data, parse=_parse_json):
-    """Load one artifact: parse its bytes, then decode the result. A missing,
-    unreadable, malformed (NaN or Infinity included) or stale file fails as
-    `E_STAGE <stage that writes it>`."""
-    try:
-        return decode(parse((out_dir / name).read_bytes()))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CliFailure("E_STAGE", _ARTIFACTS[name]) from exc
-
-
-# Outcome code <-> its table.json text, "GOOD", "BAD" or "MISSING".
-_OUTCOME_TEXT = {code: outcome.value for outcome, code in OUTCOME_CODES.items()}
-_OUTCOME_CODE = {text: code for code, text in _OUTCOME_TEXT.items()}
-
-
-def _table_to_dict(table: InstanceTable, digest: str) -> dict:
-    algorithms = table.algorithm_names
-    return {
-        "input_digest": digest,
-        "feature_names": list(table.feature_names),
-        "algorithm_names": list(algorithms),
-        "rows": [
-            {
-                "id": row_id,
-                "dataset": tag,
-                "features": features,
-                "outcomes": {a: _OUTCOME_TEXT[c] for a, c in zip(algorithms, codes)},
-            }
-            for row_id, tag, features, codes in zip(
-                table.instance_ids,
-                table.dataset_tags,
-                table.features.tolist(),
-                table.outcomes.tolist(),
-            )
-        ],
-    }
-
-
-def _table_from_dict(data: dict) -> tuple[InstanceTable, str]:
-    rows = data["rows"]
-    algorithms = data["algorithm_names"]
-    table = InstanceTable(
-        data["feature_names"],
-        algorithms,
-        [r["id"] for r in rows],
-        [r["dataset"] for r in rows],
-        [r["features"] for r in rows],
-        [[_OUTCOME_CODE[r["outcomes"][a]] for a in algorithms] for r in rows],
-    )
-    return table, data["input_digest"]
-
-
-# The last table.json this process wrote or decoded: [sha256 of its bytes,
-# (table, input digest)]. Mutated in place, so no module binding ever changes.
-_TABLE_MEMO: list = [None, None]
-
-
-def _load_table(out_dir: Path) -> tuple[InstanceTable, str]:
-    """Read table.json; decode it unless its sha256 is the memo's."""
-    import hashlib
-
-    def parse(raw: bytes) -> tuple[InstanceTable, str]:
-        key = hashlib.sha256(raw).digest()
-        if _TABLE_MEMO[0] != key:
-            _TABLE_MEMO[:] = key, _table_from_dict(_parse_json(raw))
-        return _TABLE_MEMO[1]
-
-    return _read_json(out_dir, "table.json", parse=parse)
-
-
-def _load_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
-    """The projected points; coordinates of another table's rows are stale."""
-
-    def decode(data: dict) -> np.ndarray:
-        if data["ids"] != list(table.instance_ids):
-            raise ValueError("coordinates belong to another table")
-        return np.array(data["coords"], dtype=float).reshape(-1, 2)
-
-    return _read_json(out_dir, "coordinates.json", decode)
-
-
-# ---------------------------------------------------------------------------
 # Stages
 
 
@@ -309,8 +191,7 @@ def stage_ingest(cfg: PipelineConfig, pool) -> None:
         code = "E_DEGENERATE" if degenerate else "E_PARSE"
         raise CliFailure(code, f"{len(violations)} violation(s), first: {first}")
 
-    written = _write_json(cfg.output_dir / "table.json", _table_to_dict(table, digest))
-    _TABLE_MEMO[:] = hashlib.sha256(written).digest(), (table, digest)
+    artifacts.write_table(cfg.output_dir, table, digest)
 
 
 def _final_subset(
@@ -341,7 +222,7 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
     from . import selection
     from .seeds import derive_seed
 
-    table, _ = _load_table(cfg.output_dir)
+    table, _ = artifacts.read_table(cfg.output_dir)
     stage_seed = derive_seed(cfg.seed, "select-features")
 
     winners: list[tuple[FeatureSubset, selection.FitnessValue]] = []
@@ -366,8 +247,9 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
     except (selection.DegenerateLabels, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
 
-    _write_json(
-        cfg.output_dir / "selection.json",
+    artifacts.write(
+        cfg.output_dir,
+        "selection.json",
         {
             "selected": list(final),
             "fitness": asdict(fitness),
@@ -379,77 +261,41 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
 
 def stage_project(cfg: PipelineConfig, pool) -> None:
     """Fit the 2D PCA model for the selected features."""
-    table, _ = _load_table(cfg.output_dir)
-    selected = _read_json(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
+    table, _ = artifacts.read_table(cfg.output_dir)
+    selected = artifacts.read(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
     try:
         model, coords = project.fit_projection(table, FeatureSubset.of(selected))
     except (project.NonFiniteInput, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
 
-    _write_json(cfg.output_dir / "pca_model.json", project.model_to_dict(model))
-    _write_json(
-        cfg.output_dir / "coordinates.json",
-        {
-            "ids": list(table.instance_ids),
-            "coords": [[float(a), float(b)] for a, b in coords],
-        },
-    )
-
-
-# The footprints.json block fields holding hull vertices; the other fields,
-# but "algorithm", are the metrics report.json carries.
-_HULLS = ("good_hull", "bad_hull", "contradiction")
-
-
-def _poly_points(poly: fp.ConvexPolygon) -> list[list[float]]:
-    return [[float(x), float(y)] for x, y in poly.vertices]
+    artifacts.write(cfg.output_dir, "pca_model.json", artifacts.pca_to_dict(model))
+    artifacts.write_coords(cfg.output_dir, table, coords)
 
 
 def stage_footprint(cfg: PipelineConfig, pool) -> None:
     """Compute per-algorithm footprint geometry."""
     from . import footprint as fp
 
-    table, _ = _load_table(cfg.output_dir)
-    coords = _load_coords(cfg.output_dir, table)
+    table, _ = artifacts.read_table(cfg.output_dir)
+    coords = artifacts.read_coords(cfg.output_dir, table)
 
     all_hull_area = fp.polygon_area(fp.convex_hull([(p[0], p[1]) for p in coords]))
-    algorithms = sorted(table.algorithm_names)
-    prints: dict[str, fp.Footprint] = {}
-    blocks: dict[str, dict] = {}
-    for algorithm in algorithms:
-        labels = table.outcome_labels(algorithm)
-        print_ = fp.compute_footprint(coords, labels, algorithm)
-        prints[algorithm] = print_
-        norm = all_hull_area if all_hull_area > 0.0 else 1.0
-        blocks[algorithm] = {
-            "algorithm": algorithm,
-            "area_good": print_.area_good,
-            "area_net": print_.area_net,
-            "purity": print_.purity,
-            "density": print_.density,
-            "area_good_norm": print_.area_good / norm,
-            "area_net_norm": print_.area_net / norm,
-            "degenerate": print_.is_degenerate,
-            "good_hull": _poly_points(print_.good_hull),
-            "bad_hull": _poly_points(print_.bad_hull),
-            "contradiction": _poly_points(print_.contradiction),
-        }
-
-    overlap = []
-    for a in algorithms:
-        row = []
-        for b in algorithms:
-            if prints[a].is_degenerate or prints[b].is_degenerate:
-                row.append(0.0)
-            else:
-                row.append(fp.footprint_overlap(prints[a], prints[b]))
-        overlap.append(row)
-
-    _write_json(
-        cfg.output_dir / "footprints.json",
+    norm = all_hull_area if all_hull_area > 0.0 else 1.0
+    prints = {
+        algorithm: fp.compute_footprint(coords, table.outcome_labels(algorithm), algorithm)
+        for algorithm in sorted(table.algorithm_names)
+    }
+    overlap = [
+        [0.0 if a.is_degenerate or b.is_degenerate else fp.footprint_overlap(a, b)
+         for b in prints.values()]
+        for a in prints.values()
+    ]
+    artifacts.write(
+        cfg.output_dir,
+        "footprints.json",
         {
-            "algorithms": algorithms,
-            "footprints": blocks,
+            "algorithms": list(prints),
+            "footprints": {a: artifacts.footprint_block(p, norm) for a, p in prints.items()},
             "overlap": overlap,
             "total_hull_area": all_hull_area,
         },
@@ -460,8 +306,8 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
     """Train per-algorithm SVMs and selector metrics."""
     from .seeds import derive_seed
 
-    table, _ = _load_table(cfg.output_dir)
-    coords = _load_coords(cfg.output_dir, table)
+    table, _ = artifacts.read_table(cfg.output_dir)
+    coords = artifacts.read_coords(cfg.output_dir, table)
     stage_seed = derive_seed(cfg.seed, "classify")
 
     # Every algorithm's final fit and CV fold fits run as one batch of jobs.
@@ -469,13 +315,14 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
     jobs = []
     for algorithm in sorted(table.algorithm_names):
         idx, y = table.labeled_indices(algorithm)
-        if min(int(np.sum(y == 1.0)), int(np.sum(y == -1.0))) < 2:
+        cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
+        splits = classify.cv_splits(y, cfg.ga.cv_folds, cv_config.seed)
+        if splits is None:
             plan.append((algorithm, None, None))
             continue
         pts = coords[idx]
         svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
-        cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
-        held_out, cv_jobs = classify._cv_jobs(pts, y, cfg.ga.cv_folds, cv_config)
+        held_out, cv_jobs = classify._cv_jobs(pts, y, splits, cv_config)
         plan.append((algorithm, y, held_out))
         jobs += [(pts, y, pts, svm_config), *cv_jobs]
     results = iter(pool(classify._fit_fold, jobs))
@@ -493,7 +340,7 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
         if not model.converged:
             click.echo(f"warning: selector SVM for {algorithm} did not converge in "
                        f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", err=True)
-        models[algorithm] = classify.model_to_dict(model)
+        models[algorithm] = artifacts.svm_to_dict(model)
         train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
         cv_results = [next(results) for _ in held_out]
         cv_metrics[algorithm] = asdict(classify._pooled_metrics(held_out, cv_results))
@@ -510,37 +357,28 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
             "precision": float(np.mean(precs)) if precs else None,
         }
 
-    _write_json(cfg.output_dir / "models.json", {"models": models})
-    _write_json(
-        cfg.output_dir / "metrics.json",
+    artifacts.write(cfg.output_dir, "models.json", {"models": models})
+    artifacts.write(
+        cfg.output_dir,
+        "metrics.json",
         {"cv": _aggregate(cv_metrics), "training": _aggregate(train_metrics)},
     )
 
 
 def stage_plot(cfg: PipelineConfig, pool) -> None:
     """Render SVGs and assemble report.json."""
-    from . import footprint as fp, ingest, report as rpt
+    from . import ingest, report as rpt
 
     out = cfg.output_dir
-    table, digest = _load_table(out)
-    sel = _read_json(out, "selection.json")
-    pca = _read_json(out, "pca_model.json", project.model_from_dict)
-    coords = _load_coords(out, table)
-    foot = _read_json(out, "footprints.json")
-    metrics = _read_json(out, "metrics.json")
+    table, digest = artifacts.read_table(out)
+    sel = artifacts.read(out, "selection.json")
+    pca = artifacts.read(out, "pca_model.json", artifacts.pca_from_dict)
+    coords = artifacts.read_coords(out, table)
+    foot, prints, footprint_metrics = artifacts.read_footprints(out)
+    metrics = artifacts.read(out, "metrics.json")
 
-    footprint_metrics = {}
-    for algorithm in foot["algorithms"]:
-        block = foot["footprints"][algorithm]
-        args = {f.name: block[f.name] for f in fields(fp.Footprint)}
-        args.update((h, fp.ConvexPolygon(tuple(map(tuple, block[h])))) for h in _HULLS)
-        print_ = fp.Footprint(**args)
-        footprint_metrics[algorithm] = {
-            k: v for k, v in block.items() if k not in _HULLS and k != "algorithm"
-        }
-        svg = rpt.render_footprint_svg(
-            coords, table.outcome_labels(algorithm), print_, cfg.plot
-        )
+    for algorithm, print_ in prints.items():
+        svg = rpt.render_footprint_svg(coords, table.outcome_labels(algorithm), print_, cfg.plot)
         (out / f"footprint_{rpt.file_stem(algorithm)}.svg").write_text(svg, encoding="utf-8")
 
     for name in sel["selected"]:
@@ -559,25 +397,23 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
         rpt.render_dataset_svg(coords, table.dataset_tags, cfg.plot), encoding="utf-8"
     )
 
-    ratios = project.explained_variance(pca)
-    dataset_counts: dict[str, int] = {}
-    for tag in table.dataset_tags:
-        dataset_counts[tag] = dataset_counts.get(tag, 0) + 1
-    analysis = rpt.AnalysisReport(
-        provenance={"input_digest": digest, "config": _config_echo(cfg)},
-        selected_features=tuple(pca.feature_names),
-        loadings=tuple((float(a), float(b)) for a, b in pca.loadings),
-        eigenvalues=tuple(float(v) for v in pca.eigenvalues),
-        explained_variance_2d=pca.explained_variance_2d,
-        explained_variance_ratios=tuple(float(r) for r in ratios),
-        selection=sel,
-        algorithm_names=tuple(foot["algorithms"]),
-        footprints=footprint_metrics,
-        overlap=tuple(tuple(row) for row in foot["overlap"]),
-        selector=metrics,
-        instances={"count": len(table), "datasets": dataset_counts},
-    )
-    rpt.write_report(analysis, out / "report.json")
+    report = {
+        "provenance": {"input_digest": digest, "config": _config_echo(cfg)},
+        "features": {
+            "selected": pca.feature_names,
+            "loadings": pca.loadings,
+            "eigenvalues": pca.eigenvalues,
+            "explained_variance_2d": pca.explained_variance_2d,
+            "explained_variance_ratios": project.explained_variance(pca),
+        },
+        "selection": sel,
+        "algorithms": foot["algorithms"],
+        "footprints": footprint_metrics,
+        "overlap": foot["overlap"],
+        "selector": metrics,
+        "instances": {"count": len(table), "datasets": Counter(table.dataset_tags)},
+    }
+    rpt.write_report(report, out / "report.json")
 
 
 # Stage -> its function. Each takes the config and the run's pool of fold
@@ -614,11 +450,11 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
 def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str, float]]:
     """Standardize, project and score one feature vector against saved models."""
     try:
-        pca = _read_json(model_dir, "pca_model.json", project.model_from_dict)
-        models = _read_json(
+        pca = artifacts.read(model_dir, "pca_model.json", artifacts.pca_from_dict)
+        models = artifacts.read(
             model_dir,
             "models.json",
-            lambda data: {a: classify.model_from_dict(d) for a, d in data["models"].items()},
+            lambda data: {a: artifacts.svm_from_dict(d) for a, d in data["models"].items()},
         )
     except CliFailure as failure:
         raise CliFailure(
@@ -755,7 +591,10 @@ for _name, _fn in _STAGE_FNS.items():
 def select(model_dir):
     """Rank algorithms for a feature vector given as name,value lines on stdin."""
     def run():
-        text = click.get_text_stream("stdin").read()
+        try:
+            text = click.get_binary_stream("stdin").read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliFailure("E_MODEL", f"stdin is not UTF-8: {exc}") from exc
         click.echo(cmd_select(Path(model_dir), text), nl=False)
     _guarded(run)
 

@@ -216,30 +216,3 @@ def fit_projection(
         raise AllFeaturesDropped(f"only 1 of {len(subset)} columns has variance")
     model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
     return model, matrix @ model.loadings
-
-
-def model_to_dict(model: PcaModel) -> dict:
-    return {
-        "features": list(model.feature_names),
-        "means": list(model.scaling.means),
-        "stds": list(model.scaling.stds),
-        "dropped": list(model.scaling.dropped_features),
-        "loadings": [[float(a), float(b)] for a, b in model.loadings],
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "explained_variance_2d": float(model.explained_variance_2d),
-    }
-
-
-def model_from_dict(data: dict) -> PcaModel:
-    scaling = ScalingParams(
-        feature_names=tuple(data["features"]),
-        means=tuple(data["means"]),
-        stds=tuple(data["stds"]),
-        dropped_features=tuple(data["dropped"]),
-    )
-    return PcaModel(
-        scaling=scaling,
-        loadings=np.array(data["loadings"], dtype=float),
-        eigenvalues=np.array(data["eigenvalues"], dtype=float),
-        explained_variance_2d=float(data["explained_variance_2d"]),
-    )

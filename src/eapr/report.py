@@ -6,12 +6,13 @@ byte-identical output. report.json uses sorted keys and floats rounded to
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,13 +80,24 @@ def _xml(name: str) -> str:
 
 # Bytes a file name keeps as they are; file_stem percent-encodes every other.
 _PLAIN_BYTES = frozenset((string.ascii_letters + string.digits + "._-").encode("ascii"))
+# The longest stem: with a prefix and ".svg" a file name stays under 255 bytes.
+_MAX_STEM = 200
 
 
 def file_stem(name: str) -> str:
     """A name as part of a file name in the output directory: each UTF-8 byte
     outside ``[A-Za-z0-9._-]`` (``%`` and ``/`` included) becomes ``%XX``, so
-    no two names share a file and none leaves the directory."""
-    return "".join(chr(b) if b in _PLAIN_BYTES else f"%{b:02X}" for b in name.encode("utf-8"))
+    no two names share a file and none leaves the directory. A stem over 200
+    characters is cut, outside a ``%XX``, to its first 135 or fewer, then
+    ``~`` and the name's sha256 hex; ``~`` is in no uncut stem (it encodes as
+    ``%7E``), so a long name never shares a file with a short one."""
+    stem = "".join(chr(b) if b in _PLAIN_BYTES else f"%{b:02X}" for b in name.encode("utf-8"))
+    if len(stem) <= _MAX_STEM:
+        return stem
+    digest = hashlib.sha256(name.encode("utf-8")).hexdigest()
+    prefix = stem[: _MAX_STEM - 1 - len(digest)]
+    cut = prefix.rfind("%", len(prefix) - 2)  # a "%" in the last two starts a cut triple
+    return f"{prefix[:cut] if cut >= 0 else prefix}~{digest}"
 
 
 class _AxisMap:
@@ -287,58 +299,23 @@ def render_dataset_svg(
     return "\n".join(parts) + "\n"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything one pipeline run produced, in plain-JSON form."""
-
-    provenance: dict
-    selected_features: tuple[str, ...]
-    loadings: tuple[tuple[float, float], ...]
-    eigenvalues: tuple[float, ...]
-    explained_variance_2d: float
-    explained_variance_ratios: tuple[float, ...]
-    selection: dict
-    algorithm_names: tuple[str, ...]
-    footprints: Mapping[str, dict]
-    overlap: tuple[tuple[float, ...], ...]
-    selector: dict
-    instances: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "features": {
-                "selected": list(self.selected_features),
-                "loadings": [list(pair) for pair in self.loadings],
-                "eigenvalues": list(self.eigenvalues),
-                "explained_variance_2d": self.explained_variance_2d,
-                "explained_variance_ratios": list(self.explained_variance_ratios),
-            },
-            "selection": self.selection,
-            "algorithms": list(self.algorithm_names),
-            "footprints": {k: dict(v) for k, v in self.footprints.items()},
-            "overlap": [list(row) for row in self.overlap],
-            "selector": self.selector,
-            "instances": self.instances,
-        }
-
-
-def _check_report(report: AnalysisReport) -> None:
-    algos = set(report.algorithm_names)
-    if len(report.algorithm_names) != len(algos):
+def _check_report(report: dict) -> None:
+    names = report["algorithms"]
+    algos = set(names)
+    if len(names) != len(algos):
         raise ReportInvariantError("duplicate algorithm names")
-    if set(report.footprints) != algos:
+    if set(report["footprints"]) != algos:
         raise ReportInvariantError(
-            f"footprints cover {sorted(report.footprints)}, expected {sorted(algos)}"
+            f"footprints cover {sorted(report['footprints'])}, expected {sorted(algos)}"
         )
     for block in ("cv", "training"):
-        covered = set(report.selector.get(block, {}).get("per_algorithm", {}))
+        covered = set(report["selector"].get(block, {}).get("per_algorithm", {}))
         if covered != algos:
             raise ReportInvariantError(
                 f"selector.{block} covers {sorted(covered)}, expected {sorted(algos)}"
             )
-    n = len(report.algorithm_names)
-    if len(report.overlap) != n or any(len(row) != n for row in report.overlap):
+    n = len(names)
+    if len(report["overlap"]) != n or any(len(row) != n for row in report["overlap"]):
         raise ReportInvariantError("overlap matrix shape mismatch")
 
 
@@ -366,10 +343,10 @@ def canonical_json(data: dict) -> str:
     return json_text(_canonical(data)) + "\n"
 
 
-def write_report(report: AnalysisReport, path: Path) -> None:
+def write_report(report: dict, path: Path) -> None:
     """Write the canonical report; refuses reports that break invariants."""
     _check_report(report)
-    path.write_text(canonical_json(report.to_dict()), encoding="utf-8")
+    path.write_text(canonical_json(report), encoding="utf-8")
 
 
 def read_report(path: Path) -> dict:

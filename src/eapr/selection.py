@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import SvmConfig, _fold_splits, decision_values, fold_pool, train_svm
+from .classify import SvmConfig, cv_splits, decision_values, fold_pool, train_svm
 from .model import FeatureSubset, InstanceTable
 from .project import AllFeaturesDropped, fit_projection
 from .seeds import derive_seed
@@ -117,16 +117,9 @@ def evaluate_subsets(
     plan = []
     for algorithm in ordered.algorithm_names:
         idx, y = ordered.labeled_indices(algorithm)
-        n_pos = int(np.sum(y == 1.0))
-        n_neg = int(np.sum(y == -1.0))
-        if min(n_pos, n_neg) < 2:
-            continue
-        k_eff = min(config.cv_folds, n_pos, n_neg)
-        rng = np.random.default_rng(derive_seed(seed, f"folds:{algorithm}"))
-        folds = []
-        for test_idx, train_mask in _fold_splits(y, k_eff, rng):
-            folds.append((train_mask, test_idx, y[train_mask], y[test_idx]))
-        plan.append((idx, folds))
+        splits = cv_splits(y, config.cv_folds, derive_seed(seed, f"folds:{algorithm}"))
+        if splits is not None:
+            plan.append((idx, y, splits))
 
     projected = {}  # subset position -> coordinates, unless every column collapsed
     for pos, subset in enumerate(subsets):
@@ -139,18 +132,18 @@ def evaluate_subsets(
 
     jobs = []
     for coords in projected.values():
-        for idx, folds in plan:
+        for idx, y, splits in plan:
             pts = coords[idx]
-            for train_mask, test_idx, train_y, test_y in folds:
-                jobs.append((pts[train_mask], train_y, pts[test_idx], test_y, _FITNESS_SVM))
+            for test_idx, train in splits:
+                jobs.append((pts[train], y[train], pts[test_idx], y[test_idx], _FITNESS_SVM))
     with fold_pool(pool) as pool:
         correct_counts = iter(pool(_fold_correct, jobs))
 
     values = [FitnessValue(0.0, len(subset)) for subset in subsets]
     for pos in projected:
         accuracies = []
-        for idx, folds in plan:
-            correct = sum(next(correct_counts) for _ in folds)
+        for idx, _, splits in plan:
+            correct = sum(next(correct_counts) for _ in splits)
             accuracies.append(correct / len(idx))  # the folds partition the labeled rows
         values[pos] = FitnessValue(float(np.mean(accuracies)), len(subsets[pos]))
     return values
@@ -173,13 +166,8 @@ def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult
         raise ValueError(f"min_k {config.min_k} exceeds available features {n}")
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
 
-    usable = False
-    for algorithm in table.algorithm_names:
-        _, y = table.labeled_indices(algorithm)
-        if min(int(np.sum(y == 1.0)), int(np.sum(y == -1.0))) >= 2:
-            usable = True
-            break
-    if not usable:
+    if all(cv_splits(table.labeled_indices(a)[1], config.cv_folds, 0) is None
+           for a in table.algorithm_names):
         raise DegenerateLabels("no algorithm has two stratifiable label classes")
 
     names = table.feature_names

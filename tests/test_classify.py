@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eapr.classify as classify
+from eapr.artifacts import svm_from_dict as model_from_dict, svm_to_dict as model_to_dict
 from eapr.classify import (
     SingleClassLabels,
     SvmConfig,
@@ -17,8 +18,6 @@ from eapr.classify import (
     compute_metrics,
     cross_validate,
     decision_values,
-    model_from_dict,
-    model_to_dict,
     select_aprt,
     stratified_folds,
     train_svm,

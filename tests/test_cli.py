@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eapr
+import eapr.artifacts as artifacts
 import eapr.classify as classify
 import eapr.cli as cli
 import eapr.selection as selection
@@ -350,13 +351,13 @@ def module_bindings():
 class TestTableMemo:
     def test_pipeline_decodes_no_table(self, runner, tmp_path, synthetic60_path, monkeypatch):
         calls = []
-        decode = cli._table_from_dict
+        decode = artifacts.table_from_dict
 
         def spy(data):
             calls.append(data)
             return decode(data)
 
-        monkeypatch.setattr(cli, "_table_from_dict", spy)
+        monkeypatch.setattr(artifacts, "table_from_dict", spy)
         result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "memo")
         assert result.exit_code == 0, result.stderr
         assert calls == []
@@ -567,6 +568,17 @@ class TestSelect:
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
 
+    def test_non_utf8_stdin_is_model_error(self, synthetic60_models):
+        env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+        argv = [sys.executable, "-m", "eapr", "select", "--models", str(synthetic60_models["rbf"])]
+        result = subprocess.run(argv, input=b"\xff,1\n", env=env, capture_output=True)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.decode() == (
+            "E_MODEL stdin is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
+
     def test_duplicate_feature_rejected(self, runner, single_model_dir):
         result = runner.invoke(
             main, ["select", "--models", str(single_model_dir)], input="f1,0.3\nf2,0.2\nf1,9\n"
@@ -633,7 +645,7 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
     }
     # runpy runs eapr.__main__ itself, so only the package and what it imports show
     assert {m for m in loaded if m.startswith("eapr")} == {
-        "eapr", "eapr.cli", "eapr.model", "eapr.project", "eapr.classify"
+        "eapr", "eapr.cli", "eapr.artifacts", "eapr.model", "eapr.project", "eapr.classify"
     }
     stage_only = {"eapr.selection", "eapr.report", "eapr.footprint", "eapr.ingest",
                   "eapr.seeds", "hashlib", "csv", "multiprocessing"}
@@ -666,7 +678,7 @@ class TestPackageApi:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             eapr.no_such_name
-        for deleted in ("predict", "tie_break"):
+        for deleted in ("predict", "tie_break", "AnalysisReport"):
             assert not hasattr(eapr, deleted)
         with pytest.raises(ImportError):
             exec("from eapr import no_such_name", {})
@@ -755,14 +767,26 @@ def test_name_xml_cannot_hold_is_parse_error(runner, tmp_path, names, error):
     assert result.stderr.splitlines() == [f"E_PARSE {error}, which XML cannot hold"]
 
 
-def test_name_too_long_for_a_file_is_io_error(runner, tmp_path):
+def test_name_too_long_for_a_file_gets_a_hashed_stem(runner, tmp_path):
+    name = "\u00e9" * 100  # 600 characters percent-encoded
     csv = tmp_path / "named.csv"
-    renamed_csv(csv, algorithm="\u00e9" * 100)
+    renamed_csv(csv, algorithm=name)
     out = tmp_path / "out"
     result = runner.invoke(main, ["pipeline", "--config", str(write_config(tmp_path, csv, out))])
+    assert result.exit_code == 0, result.stderr
+    # 135 characters end on a whole %XX: 45 triples, the 23rd "é" cut in half
+    stem = ("%C3%A9" * 23)[:135] + "~" + hashlib.sha256(name.encode()).hexdigest()
+    svg = out / f"footprint_{stem}.svg"
+    assert minidom.parse(str(svg)).getElementsByTagName("title")[0].firstChild.data == name
+
+
+def test_unwritable_svg_is_io_error(runner, tmp_path, synthetic60_path):
+    out = tmp_path / "out"
+    (out / "datasets.svg").mkdir(parents=True)
+    cfg = write_config(tmp_path, synthetic60_path, out)
+    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
     assert result.exit_code == 1
-    svg = out / ("footprint_" + "%C3%A9" * 100 + ".svg")
-    assert result.stderr.splitlines() == [f"E_IO {svg}: File name too long"]
+    assert result.stderr.splitlines() == [f"E_IO {out / 'datasets.svg'}: Is a directory"]
 
 
 printable_names = st.text(
@@ -906,3 +930,38 @@ class TestTableJson:
         assert result.stderr == "warning: dropping 1 row(s) with non-finite features: p5\n"
         table = (out / "table.json").read_bytes()
         assert hashlib.sha256(table).hexdigest() == GOLDEN_TABLE_SHA256
+
+
+# The sha256 of every artifact of a synthetic60 pipeline with criterion 6's
+# config (tests/test_acceptance.py), so a change to how artifacts are built,
+# written or read cannot move a byte unnoticed. Like the other golden hashes,
+# they hold for numpy 2.4.6.
+GOLDEN_PIPELINE_SHA256 = {
+    "coordinates.json": "f9b72378399f97bd90f005a6fa554b0e34ee3021e2d2dbaaf90487ec73d6a2cd",
+    "datasets.svg": "a2f8529c1575376066b20d174c7dbb805e82d4b198160926d96070be7ae1fc5d",
+    "feature_f1.svg": "bb31ed2a6e8cb6c90c1eda8a0e3ea2c205dbf1f148bf1b62e3d57141333a60f0",
+    "feature_f2.svg": "ebb883af3ded9a9faf382c460ee520f575150646bbe0d7fb61547c68e89be9b4",
+    "footprint_A.svg": "e3ff21b4642b2e76b333c74498e72153b81a546d79db490a9557d0d7a21e707f",
+    "footprint_B.svg": "fe908c7ce4d76a0ab6f527f19a0c3ae22458714b2ea82a39ba78e992541bc575",
+    "footprint_C.svg": "17eb0bc0a8799ab81f2e5ab824efee9aad1867f7fbc8d811eb2b6dd856cfdd55",
+    "footprints.json": "d34f495aed219ade96cabdfb0786efd3c0987ba1fb8da4656758b80606060289",
+    "metrics.json": "cb345381db3ed20ffd8b8995e4f95d3dc354fe1755cef69d02090f2ef042653e",
+    "models.json": "23f0174faa5c3c129fb7cfc02edd6c7c6ba78a65a8e5a42cfd570a9ad035957c",
+    "pca_model.json": "753444d68e387e5e6613e1abde5f2518770c35bca285ceda3fc84b87c7a0a240",
+    "report.json": "0d8331d5da82a3c812d6710c55d5f1efa1beb96a1cffa41ca2a7883ea8f5d732",
+    "selection.json": "0735525988d366cf5a28f82cbadb7a464284690c6ad93a8ba640285dcf816b7f",
+    "table.json": "fd60d8d7fd79f782de6eabea41b5f34050e8ec61c2265a049efddb379b0d8150",
+}
+
+
+def test_golden_pipeline_bytes(runner, tmp_path, synthetic60_path):
+    out = tmp_path / "o"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        f"input={synthetic60_path}\noutput={out}\nseed=7\nrepeats=2\n"
+        "ga.population=8\nga.generations=3\nga.min_k=2\nga.max_k=3\nga.cv_folds=3\n"
+    )
+    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    assert result.exit_code == 0, result.stderr
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == GOLDEN_PIPELINE_SHA256

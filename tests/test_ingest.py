@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eapr.cli import _table_to_dict
+from eapr.artifacts import table_to_dict
 from eapr.ingest import (
     EmptyTable,
     IngestError,
@@ -273,7 +273,7 @@ def sub_program_csv(draw) -> bytes:
 def _ingested(parse, aggregate, dumps, data: bytes):
     """The table.json text of the aggregated table, or the error's type and text."""
     try:
-        return dumps(_table_to_dict(aggregate(parse(data)), ""))
+        return dumps(table_to_dict(aggregate(parse(data)), ""))
     except IngestError as exc:
         return type(exc), str(exc)
 

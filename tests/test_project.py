@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eapr.artifacts import pca_from_dict as model_from_dict, pca_to_dict as model_to_dict
 from eapr.model import FeatureSubset
 from eapr.project import (
     FeatureMismatch,
@@ -10,8 +11,6 @@ from eapr.project import (
     explained_variance,
     fit_pca,
     fit_projection,
-    model_from_dict,
-    model_to_dict,
     symmetric_eig,
     transform,
 )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from xml.dom import minidom
@@ -8,7 +9,6 @@ import pytest
 from eapr.footprint import compute_footprint
 from eapr.model import Outcome
 from eapr.report import (
-    AnalysisReport,
     EmptyInput,
     PALETTES,
     PlotSpec,
@@ -159,18 +159,20 @@ class TestDatasetSvg:
 def tiny_report(**overrides):
     fields = dict(
         provenance={"input_digest": "ab" * 32, "config": {"seed": 1}},
-        selected_features=("f1", "f2"),
-        loadings=((0.7071, 0.7071), (0.7071, -0.7071)),
-        eigenvalues=(1.5, 0.5),
-        explained_variance_2d=1.0,
-        explained_variance_ratios=(0.75, 0.25),
+        features={
+            "selected": ["f1", "f2"],
+            "loadings": [[0.7071, 0.7071], [0.7071, -0.7071]],
+            "eigenvalues": [1.5, 0.5],
+            "explained_variance_2d": 1.0,
+            "explained_variance_ratios": [0.75, 0.25],
+        },
         selection={"selected": ["f1", "f2"], "fitness": {"mean_cv_accuracy": 1.0}},
-        algorithm_names=("A", "B"),
+        algorithms=["A", "B"],
         footprints={
             "A": {"area_good": 1.0, "area_net": 0.75, "purity": 0.8, "density": 4.0},
             "B": {"area_good": 2.0, "area_net": 2.0, "purity": 1.0, "density": 1.5},
         },
-        overlap=((1.0, 0.25), (0.25, 1.0)),
+        overlap=[[1.0, 0.25], [0.25, 1.0]],
         selector={
             "cv": {
                 "per_algorithm": {
@@ -192,7 +194,7 @@ def tiny_report(**overrides):
         instances={"count": 10, "datasets": {"d": 10}},
     )
     fields.update(overrides)
-    return AnalysisReport(**fields)
+    return fields
 
 
 class TestWriteReport:
@@ -331,6 +333,14 @@ def test_file_stem_keeps_plain_names_and_encodes_every_other_byte():
     assert file_stem("é~ ") == "%C3%A9%7E%20"
     names = ["A/B", "A%2FB", "A%252FB", "a/b", "", "%", "%25", "é", "%C3%A9"]
     assert len({file_stem(n) for n in names}) == len(names)
+
+
+def test_file_stem_cuts_a_long_name_outside_a_triple_and_adds_its_digest():
+    assert file_stem("a" * 200) == "a" * 200
+    name = "a" + "/" * 100  # 301 characters; the 135th is inside the 45th "%2F"
+    assert file_stem(name) == "a" + "%2F" * 44 + "~" + hashlib.sha256(name.encode()).hexdigest()
+    assert len(file_stem("a" * 201)) == 200
+    assert len({file_stem("a" * 201), file_stem("a" * 202), file_stem("a" * 200)}) == 3
 
 
 def test_names_are_escaped_in_svg_text():
