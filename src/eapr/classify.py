@@ -263,18 +263,22 @@ def cv_splits(
     return splits
 
 
-def _cv_jobs(
-    x: np.ndarray, y: np.ndarray, splits: list[tuple], config: SvmConfig
-) -> tuple[list[np.ndarray], list[tuple]]:
-    """The held-out labels and the ``_fit_fold`` job of each of ``cv_splits``."""
-    held_out = [y[test_idx] for test_idx, _ in splits]
-    jobs = [(x[train], y[train], x[test_idx], config) for test_idx, train in splits]
-    return held_out, jobs
-
-
-def _pooled_metrics(held_out: list[np.ndarray], results: list[tuple]) -> ClassifierMetrics:
-    """Metrics over all folds of ``_cv_jobs``, from their ``_fit_fold`` results."""
-    return compute_metrics(np.concatenate(held_out), np.concatenate([p for _, p in results]))
+def cross_val_predict(tasks: list[tuple], pool) -> list[tuple[list[SvmModel], np.ndarray]]:
+    """Fit every split of every task ``(x, y, splits, config)``, splits as
+    ``cv_splits`` gives them, as one batch of jobs on ``pool`` (see
+    ``fold_pool``). Per task, return each split's model and every row's +1/-1
+    prediction from the split whose test rows hold it."""
+    jobs = [(x[train], y[train], x[test_idx], config)
+            for x, y, splits, config in tasks for test_idx, train in splits]
+    results = iter(pool(_fit_fold, jobs))
+    out = []
+    for _, y, splits, _ in tasks:
+        models, predicted = [], np.empty(len(y))
+        for (test_idx, _), (model, labels) in zip(splits, results):
+            models.append(model)
+            predicted[test_idx] = labels
+        out.append((models, predicted))
+    return out
 
 
 def cross_validate(
@@ -284,9 +288,9 @@ def cross_validate(
     config: SvmConfig = SvmConfig(),
     pool=None,
 ) -> ClassifierMetrics:
-    """Stratified k-fold CV (``cv_splits``, seeded by ``config.seed``); metrics
-    are pooled over the held-out folds. The fold fits run on ``pool`` (see
-    ``fold_pool``), or on one opened for the call."""
+    """Stratified k-fold CV (``cv_splits``, seeded by ``config.seed``): the
+    metrics of every row's held-out prediction, by ``cross_val_predict`` on
+    ``pool`` or on one opened for the call."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     y = np.asarray(labels, dtype=float)
@@ -295,9 +299,10 @@ def cross_validate(
         if not ((y == 1.0).any() and (y == -1.0).any()):
             raise SingleClassLabels("both classes required")
         raise TooFewInstances("need at least 2 instances of each class")
-    held_out, jobs = _cv_jobs(np.asarray(coords, dtype=float), y, splits, config)
+    task = (np.asarray(coords, dtype=float), y, splits, config)
     with fold_pool(pool) as pool:
-        return _pooled_metrics(held_out, pool(_fit_fold, jobs))
+        [(_, predicted)] = cross_val_predict([task], pool)
+    return compute_metrics(y, predicted)
 
 
 def _fit_fold(job: tuple) -> tuple[SvmModel, np.ndarray]:

@@ -310,40 +310,39 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
     coords = artifacts.read_coords(cfg.output_dir, table)
     stage_seed = derive_seed(cfg.seed, "classify")
 
-    # Every algorithm's final fit and CV fold fits run as one batch of jobs.
-    plan = []  # (algorithm, labels, CV held-out labels); no labels when degenerate
-    jobs = []
+    # Every algorithm's final fit, a one-split task over all its rows, and its
+    # CV run as one batch. The fold models are never written, so the CV reuses
+    # the final fit's config; its split seed is cv:<algorithm>.
+    plan = []  # (algorithm, labels); no labels when degenerate
+    tasks = []
     for algorithm in sorted(table.algorithm_names):
         idx, y = table.labeled_indices(algorithm)
-        cv_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"cv:{algorithm}"))
-        splits = classify.cv_splits(y, cfg.ga.cv_folds, cv_config.seed)
-        if splits is None:
-            plan.append((algorithm, None, None))
-            continue
-        pts = coords[idx]
-        svm_config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
-        held_out, cv_jobs = classify._cv_jobs(pts, y, splits, cv_config)
-        plan.append((algorithm, y, held_out))
-        jobs += [(pts, y, pts, svm_config), *cv_jobs]
-    results = iter(pool(classify._fit_fold, jobs))
+        splits = classify.cv_splits(
+            y, cfg.ga.cv_folds, derive_seed(stage_seed, f"cv:{algorithm}"))
+        plan.append((algorithm, None if splits is None else y))
+        if splits is not None:
+            pts = coords[idx]
+            config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
+            every_row = [(np.arange(len(y)), np.ones(len(y), dtype=bool))]
+            tasks += [(pts, y, every_row, config), (pts, y, splits, config)]
+    results = iter(classify.cross_val_predict(tasks, pool))
 
     models: dict[str, dict] = {}
     cv_metrics: dict[str, dict] = {}
     train_metrics: dict[str, dict] = {}
-    for algorithm, y, held_out in plan:
+    for algorithm, y in plan:
         if y is None:
             click.echo(f"warning: skipping degenerate labels for {algorithm}", err=True)
             empty = dict.fromkeys(f.name for f in fields(classify.ClassifierMetrics))
             cv_metrics[algorithm] = train_metrics[algorithm] = empty
             continue
-        model, predicted = next(results)
+        ([model], predicted), (_, held_out) = next(results), next(results)
         if not model.converged:
             click.echo(f"warning: selector SVM for {algorithm} did not converge in "
                        f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", err=True)
         models[algorithm] = artifacts.svm_to_dict(model)
         train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
-        cv_results = [next(results) for _ in held_out]
-        cv_metrics[algorithm] = asdict(classify._pooled_metrics(held_out, cv_results))
+        cv_metrics[algorithm] = asdict(classify.compute_metrics(y, held_out))
 
     if not models:
         raise CliFailure("E_DEGENERATE", "no algorithm has trainable labels")

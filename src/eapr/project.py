@@ -207,7 +207,8 @@ def explained_variance(model: PcaModel) -> np.ndarray:
 def fit_projection(
     table: InstanceTable, subset: FeatureSubset
 ) -> tuple[PcaModel, Coordinates2D]:
-    """Standardize the subset's columns, fit the PCA model, project the table.
+    """Standardize the subset's columns, fit the PCA model, project the table
+    by ``project_features``, as ``transform`` and ``eapr select`` do.
 
     Raises AllFeaturesDropped when fewer than 2 columns keep any variance.
     """
@@ -215,4 +216,4 @@ def fit_projection(
     if matrix.shape[1] < 2:
         raise AllFeaturesDropped(f"only 1 of {len(subset)} columns has variance")
     model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
-    return model, matrix @ model.loadings
+    return model, project_features(model, table.feature_matrix(model.feature_names))

@@ -11,7 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classify import SvmConfig, cv_splits, decision_values, fold_pool, train_svm
+# train_svm is not called here: perfbench/smoke_test.py checks that its tracer
+# rebinds this name along with classify.train_svm.
+from .classify import SvmConfig, cross_val_predict, cv_splits, fold_pool, train_svm
 from .model import FeatureSubset, InstanceTable
 from .project import AllFeaturesDropped, fit_projection
 from .seeds import derive_seed
@@ -81,14 +83,6 @@ def _order_key(names: tuple[str, ...], fitness: FitnessValue):
     return (-fitness.mean_cv_accuracy, fitness.subset_size, names)
 
 
-def _fold_correct(job: tuple) -> int:
-    """Train a fitness SVM on a fold's training rows; count its correct
-    predictions on the fold's test rows."""
-    train_x, train_y, test_x, test_y, config = job
-    values = decision_values(train_svm(train_x, train_y, config), test_x)
-    return int(np.sum(np.where(values >= 0.0, 1.0, -1.0) == test_y))
-
-
 def evaluate_subsets(
     table: InstanceTable,
     subsets: Sequence[FeatureSubset],
@@ -101,10 +95,11 @@ def evaluate_subsets(
     Rows are put in sorted-instance-id order before anything else, so the
     result is invariant to the table's row permutation. Algorithms whose
     labels cannot be stratified (single class, or a class with one member)
-    are skipped; if every algorithm is skipped, DegenerateLabels is raised.
-    Subsets whose columns collapse under standardization score 0. The fold
-    fits of all subsets run as one batch on ``pool`` (see
-    ``classify.fold_pool``), or on one opened for the call.
+    are skipped; if every algorithm is skipped, DegenerateLabels is raised
+    before any subset is projected. Subsets whose columns collapse under
+    standardization score 0. The fold fits of all subsets run as one
+    ``classify.cross_val_predict`` batch on ``pool``, or on one opened for
+    the call.
     """
     max_k = min(config.max_k, len(table.feature_names))
     for subset in subsets:
@@ -121,30 +116,24 @@ def evaluate_subsets(
         if splits is not None:
             plan.append((idx, y, splits))
 
+    if not plan:
+        raise DegenerateLabels("no algorithm has two stratifiable label classes")
+
     projected = {}  # subset position -> coordinates, unless every column collapsed
     for pos, subset in enumerate(subsets):
         try:
             _, projected[pos] = fit_projection(ordered, subset)
         except AllFeaturesDropped:
             pass
-    if projected and not plan:
-        raise DegenerateLabels("no algorithm has two stratifiable label classes")
 
-    jobs = []
-    for coords in projected.values():
-        for idx, y, splits in plan:
-            pts = coords[idx]
-            for test_idx, train in splits:
-                jobs.append((pts[train], y[train], pts[test_idx], y[test_idx], _FITNESS_SVM))
+    tasks = [(coords[idx], y, splits, _FITNESS_SVM)
+             for coords in projected.values() for idx, y, splits in plan]
     with fold_pool(pool) as pool:
-        correct_counts = iter(pool(_fold_correct, jobs))
+        predictions = iter(cross_val_predict(tasks, pool))
 
     values = [FitnessValue(0.0, len(subset)) for subset in subsets]
     for pos in projected:
-        accuracies = []
-        for idx, _, splits in plan:
-            correct = sum(next(correct_counts) for _ in splits)
-            accuracies.append(correct / len(idx))  # the folds partition the labeled rows
+        accuracies = [float(np.mean(next(predictions)[1] == y)) for _, y, _ in plan]
         values[pos] = FitnessValue(float(np.mean(accuracies)), len(subsets[pos]))
     return values
 
@@ -165,10 +154,6 @@ def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult
     if config.min_k > max_k:
         raise ValueError(f"min_k {config.min_k} exceeds available features {n}")
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / n
-
-    if all(cv_splits(table.labeled_indices(a)[1], config.cv_folds, 0) is None
-           for a in table.algorithm_names):
-        raise DegenerateLabels("no algorithm has two stratifiable label classes")
 
     names = table.feature_names
     rng = np.random.default_rng(derive_seed(config.seed, "ga"))

@@ -935,7 +935,8 @@ class TestTableJson:
 # The sha256 of every artifact of a synthetic60 pipeline with criterion 6's
 # config (tests/test_acceptance.py), so a change to how artifacts are built,
 # written or read cannot move a byte unnoticed. Like the other golden hashes,
-# they hold for numpy 2.4.6.
+# they hold for numpy 2.4.6. The selector kernel reaches only models.json,
+# metrics.json and report.json; the GA's fitness SVMs are linear either way.
 GOLDEN_PIPELINE_SHA256 = {
     "coordinates.json": "f9b72378399f97bd90f005a6fa554b0e34ee3021e2d2dbaaf90487ec73d6a2cd",
     "datasets.svg": "a2f8529c1575376066b20d174c7dbb805e82d4b198160926d96070be7ae1fc5d",
@@ -952,16 +953,28 @@ GOLDEN_PIPELINE_SHA256 = {
     "selection.json": "0735525988d366cf5a28f82cbadb7a464284690c6ad93a8ba640285dcf816b7f",
     "table.json": "fd60d8d7fd79f782de6eabea41b5f34050e8ec61c2265a049efddb379b0d8150",
 }
+GOLDEN_LINEAR_PIPELINE_SHA256 = {
+    **GOLDEN_PIPELINE_SHA256,
+    "metrics.json": "a8bfd546ad3843df1c366b9b40c7f33f18e05026785cb4ba5950dcb830d3abb8",
+    "models.json": "1950aabd5db3b0afcaa7ccf747bfd2696dd0bc1c5c4a651a16babf167d616389",
+    "report.json": "d293c2bf431ec182423efe8c062d04a2575a1bd0db6de2c57621f9c31fc0b3e7",
+}
 
 
-def test_golden_pipeline_bytes(runner, tmp_path, synthetic60_path):
+@pytest.mark.parametrize(
+    "kernel, golden",
+    [("rbf", GOLDEN_PIPELINE_SHA256), ("linear", GOLDEN_LINEAR_PIPELINE_SHA256)],
+    ids=["rbf", "linear"],
+)
+def test_golden_pipeline_bytes(runner, tmp_path, synthetic60_path, kernel, golden):
     out = tmp_path / "o"
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
         f"input={synthetic60_path}\noutput={out}\nseed=7\nrepeats=2\n"
         "ga.population=8\nga.generations=3\nga.min_k=2\nga.max_k=3\nga.cv_folds=3\n"
+        f"svm.kernel={kernel}\n"
     )
     result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
     assert result.exit_code == 0, result.stderr
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == GOLDEN_PIPELINE_SHA256
+    assert digests == golden

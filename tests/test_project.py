@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eapr.artifacts import pca_from_dict as model_from_dict, pca_to_dict as model_to_dict
+from eapr.ingest import aggregate_rows, parse_instance_table
 from eapr.model import FeatureSubset
 from eapr.project import (
     FeatureMismatch,
@@ -175,6 +176,18 @@ class TestTransform:
         table, _, model, _ = self._fitted()
         with pytest.raises(FeatureMismatch):
             transform(model, table, FeatureSubset.of(["f1", "f2"]))
+
+    def test_fit_projection_equals_transform_to_the_bit(self, synthetic60_path):
+        # one projection path: the fit's coordinates are transform's, here
+        # with a zero-variance column that the scaling drops
+        rows = [line.split(",", 2) for line in synthetic60_path.read_text().splitlines()]
+        csv = "\n".join(f"{i},{d},{'z' if n == 0 else 2.5},{rest}"
+                        for n, (i, d, rest) in enumerate(rows))
+        table = aggregate_rows(parse_instance_table(csv.encode()))
+        subset = FeatureSubset.of(["f1", "f3", "f4", "z"])
+        model, coords = fit_projection(table, subset)
+        assert model.scaling.dropped_features == ("z",)
+        assert np.array_equal(coords, transform(model, table, subset))
 
 
 class TestExplainedVariance:

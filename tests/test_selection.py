@@ -36,14 +36,15 @@ def fold_fits(monkeypatch):
     """Record (training coords, labels, model) of every fitness SVM fit, run
     in this process."""
     fits = []
+    train_svm = classify.train_svm
 
     def recording_train_svm(x, y, config):
-        model = classify.train_svm(x, y, config)
+        model = train_svm(x, y, config)
         fits.append((x, y, model))
         return model
 
     monkeypatch.setattr(classify, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(selection, "train_svm", recording_train_svm)
+    monkeypatch.setattr(classify, "train_svm", recording_train_svm)
     return fits
 
 
@@ -106,6 +107,8 @@ class TestEvaluateSubset:
         )
         with pytest.raises(DegenerateLabels):
             evaluate_subset(table, FeatureSubset.of(["f1", "f2"]), FAST, seed=0)
+        with pytest.raises(DegenerateLabels):  # before any subset is projected
+            evaluate_subsets(table, [], FAST, seed=0)
 
     def test_zero_variance_subset_scores_zero(self):
         rows = [
