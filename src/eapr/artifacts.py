@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import classify, project
-from .model import OUTCOME_CODES, InstanceTable, json_text
+from .model import InstanceTable, Outcome, json_text
 
 if TYPE_CHECKING:
     from . import footprint as fp
@@ -67,9 +67,9 @@ def read(out_dir: Path, name: str, decode=lambda data: data, parse=_parse):
         raise CliFailure("E_STAGE", WRITTEN_BY[name]) from exc
 
 
-# Outcome code <-> its table.json text, "GOOD", "BAD" or "MISSING".
-_OUTCOME_TEXT = {code: outcome.value for outcome, code in OUTCOME_CODES.items()}
-_OUTCOME_CODE = {text: code for code, text in _OUTCOME_TEXT.items()}
+# Outcome code <-> its table.json text, the name "GOOD", "BAD" or "MISSING".
+_OUTCOME_TEXT = {outcome.value: outcome.name for outcome in Outcome}
+_OUTCOME_CODE = {outcome.name: outcome.value for outcome in Outcome}
 
 
 def table_to_dict(table: InstanceTable, digest: str) -> dict:
@@ -219,11 +219,20 @@ def footprint_block(print_: fp.Footprint, norm: float) -> dict:
     return block
 
 
-def read_footprints(out_dir: Path) -> tuple[dict, dict[str, fp.Footprint], dict[str, dict]]:
-    """footprints.json, each listed algorithm's Footprint, and its metrics."""
+def _check_algorithms(listed, table: InstanceTable, artifact: str) -> None:
+    if sorted(listed) != sorted(table.algorithm_names):
+        raise ValueError(f"{artifact} belong to another table")
+
+
+def read_footprints(
+    out_dir: Path, table: InstanceTable
+) -> tuple[dict, dict[str, fp.Footprint], dict[str, dict]]:
+    """footprints.json, each listed algorithm's Footprint, and its metrics;
+    footprints of another table's algorithms are stale."""
     from .footprint import ConvexPolygon, Footprint
 
     def decode(data: dict):
+        _check_algorithms(data["algorithms"], table, "footprints")
         prints, metrics = {}, {}
         for algorithm in data["algorithms"]:
             block = data["footprints"][algorithm]
@@ -236,3 +245,14 @@ def read_footprints(out_dir: Path) -> tuple[dict, dict[str, fp.Footprint], dict[
         return data, prints, metrics
 
     return read(out_dir, "footprints.json", decode)
+
+
+def read_metrics(out_dir: Path, table: InstanceTable) -> dict:
+    """metrics.json; selector metrics of another table's algorithms are stale."""
+
+    def decode(data: dict) -> dict:
+        for block in ("cv", "training"):
+            _check_algorithms(data[block]["per_algorithm"], table, "metrics")
+        return data
+
+    return read(out_dir, "metrics.json", decode)

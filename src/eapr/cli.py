@@ -75,7 +75,6 @@ _CONFIG_KEYS = {
     "plot.height": ("plot", "height", int),
     "plot.margin": ("plot", "margin", int),
     "plot.point_radius": ("plot", "point_radius", float),
-    "plot.palette": ("plot", "palette", str),
 }
 
 
@@ -279,10 +278,10 @@ def stage_footprint(cfg: PipelineConfig, pool) -> None:
     table, _ = artifacts.read_table(cfg.output_dir)
     coords = artifacts.read_coords(cfg.output_dir, table)
 
-    all_hull_area = fp.polygon_area(fp.convex_hull([(p[0], p[1]) for p in coords]))
+    all_hull_area = fp.polygon_area(fp.convex_hull(coords.tolist()))
     norm = all_hull_area if all_hull_area > 0.0 else 1.0
     prints = {
-        algorithm: fp.compute_footprint(coords, table.outcome_labels(algorithm), algorithm)
+        algorithm: fp.compute_footprint(coords, table.outcome_codes(algorithm), algorithm)
         for algorithm in sorted(table.algorithm_names)
     }
     overlap = [
@@ -373,11 +372,11 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
     sel = artifacts.read(out, "selection.json")
     pca = artifacts.read(out, "pca_model.json", artifacts.pca_from_dict)
     coords = artifacts.read_coords(out, table)
-    foot, prints, footprint_metrics = artifacts.read_footprints(out)
-    metrics = artifacts.read(out, "metrics.json")
+    foot, prints, footprint_metrics = artifacts.read_footprints(out, table)
+    metrics = artifacts.read_metrics(out, table)
 
     for algorithm, print_ in prints.items():
-        svg = rpt.render_footprint_svg(coords, table.outcome_labels(algorithm), print_, cfg.plot)
+        svg = rpt.render_footprint_svg(coords, table.outcome_codes(algorithm), print_, cfg.plot)
         (out / f"footprint_{rpt.file_stem(algorithm)}.svg").write_text(svg, encoding="utf-8")
 
     for name in sel["selected"]:
@@ -427,19 +426,12 @@ _STAGE_FNS = {
 }
 
 
-def cmd_stage(stage: str, cfg: PipelineConfig) -> None:
+def cmd_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = tuple(_STAGE_FNS)) -> None:
+    """Run the named stages in order, on one pool of fold fits."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     with classify.fold_pool() as pool:
-        _STAGE_FNS[stage](cfg, pool)
-
-
-def cmd_pipeline(cfg: PipelineConfig) -> None:
-    if not cfg.input_path.exists():
-        raise CliFailure("E_IO", f"input not found: {cfg.input_path}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with classify.fold_pool() as pool:
-        for stage_fn in _STAGE_FNS.values():
-            stage_fn(cfg, pool)
+        for stage in stages:
+            _STAGE_FNS[stage](cfg, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +550,22 @@ def main():
     per-algorithm selector."""
 
 
-@main.command()
-@_shared_options
-def pipeline(config_path, input_path, output_dir, seed, repeats):
-    """Run every stage end to end."""
-    def run():
-        cfg = _make_config(config_path, input_path, output_dir, seed, repeats)
-        cmd_pipeline(cfg)
-        click.echo(f"report written to {cfg.output_dir / 'report.json'}")
-    _guarded(run)
-
-
-def _stage_command(stage_name: str, help_text: str):
-    @main.command(name=stage_name, help=help_text)
+def _run_command(name: str, help_text: str, stages: tuple[str, ...]) -> None:
+    """Register command ``name``, which runs ``stages`` by ``cmd_pipeline``."""
+    @main.command(name=name, help=help_text)
     @_shared_options
     def _cmd(config_path, input_path, output_dir, seed, repeats):
         def run():
             cfg = _make_config(config_path, input_path, output_dir, seed, repeats)
-            cmd_stage(stage_name, cfg)
+            cmd_pipeline(cfg, stages)
+            if "plot" in stages:
+                click.echo(f"report written to {cfg.output_dir / 'report.json'}")
         _guarded(run)
-    return _cmd
 
 
+_run_command("pipeline", "Run every stage end to end.", tuple(_STAGE_FNS))
 for _name, _fn in _STAGE_FNS.items():
-    _stage_command(_name, _fn.__doc__)
+    _run_command(_name, _fn.__doc__, (_name,))
 
 
 @main.command()

@@ -159,18 +159,20 @@ class Footprint:
 
 
 def compute_footprint(
-    coords: Coordinates2D, labels: Sequence[Outcome], algorithm: str
+    coords: Coordinates2D, labels: Sequence[Outcome] | np.ndarray, algorithm: str
 ) -> Footprint:
     """Build the footprint of one algorithm from labeled 2D coordinates.
 
-    MISSING instances are ignored. Fewer than 3 GOOD points (or collinear
-    ones) produce a degenerate footprint with zero areas rather than an error.
+    ``labels`` holds one ``Outcome``, or its int8 code, per row. MISSING
+    instances are ignored. Fewer than 3 GOOD points (or collinear ones)
+    produce a degenerate footprint with zero areas rather than an error.
     """
     pts = np.asarray(coords, dtype=float)
-    if pts.shape[0] != len(labels):
+    codes = np.asarray(labels, dtype=np.int8)
+    if pts.shape[0] != len(codes):
         raise ValueError("coords and labels must align")
-    good_pts = [(float(p[0]), float(p[1])) for p, o in zip(pts, labels) if o is Outcome.GOOD]
-    bad_pts = [(float(p[0]), float(p[1])) for p, o in zip(pts, labels) if o is Outcome.BAD]
+    good_pts = list(map(tuple, pts[codes == Outcome.GOOD].tolist()))
+    bad_pts = list(map(tuple, pts[codes == Outcome.BAD].tolist()))
 
     good_hull = convex_hull(good_pts)
     bad_hull = convex_hull(bad_pts)
@@ -203,7 +205,5 @@ def footprint_overlap(a: Footprint, b: Footprint) -> float:
     """Shared fraction of two footprints: intersection area over the smaller hull."""
     if a.is_degenerate or b.is_degenerate:
         raise DegenerateFootprint(f"{a.algorithm!r} or {b.algorithm!r} has no footprint")
-    area_a = polygon_area(a.good_hull)
-    area_b = polygon_area(b.good_hull)
     shared = polygon_area(convex_intersection(a.good_hull, b.good_hull))
-    return shared / min(area_a, area_b)
+    return shared / min(a.area_good, b.area_good)

@@ -17,7 +17,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .model import OUTCOME_CODES, InstanceTable, Outcome
+from .model import InstanceTable, Outcome
 
 
 class IngestError(Exception):
@@ -48,12 +48,9 @@ ID_COLUMN = "instance_id"
 DATASET_COLUMN = "dataset"
 OUTCOME_PREFIX = "aprt:"
 
-# Outcome cell text -> its code in InstanceTable.outcomes.
-_OUTCOME_CELLS = {
-    "1": OUTCOME_CODES[Outcome.GOOD],
-    "0": OUTCOME_CODES[Outcome.BAD],
-    "": OUTCOME_CODES[Outcome.MISSING],
-}
+# Outcome cell text -> its code in InstanceTable.outcomes, as a plain int
+# (numpy stores a list of ints faster than a list of enum members).
+_OUTCOME_CELLS = {"1": Outcome.GOOD.value, "0": Outcome.BAD.value, "": Outcome.MISSING.value}
 
 
 # Characters XML 1.0 forbids even as character references: no SVG can hold a

@@ -14,12 +14,13 @@ import numpy as np
 MIN_GEOMETRY_ROWS = 3
 
 
-class Outcome(enum.Enum):
-    """Per-algorithm label: patched (GOOD), not patched (BAD), never attempted (MISSING)."""
+class Outcome(enum.IntEnum):
+    """Per-algorithm label: patched (GOOD), not patched (BAD), never attempted
+    (MISSING). The value is the label's int8 code in ``InstanceTable.outcomes``."""
 
-    GOOD = "GOOD"
-    BAD = "BAD"
-    MISSING = "MISSING"
+    GOOD = 1
+    BAD = -1
+    MISSING = 0
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,6 @@ class FeatureSubset:
 Coordinates2D = np.ndarray
 
 
-# The int8 code of each outcome in ``InstanceTable.outcomes``.
-OUTCOME_CODES = {Outcome.GOOD: 1, Outcome.BAD: -1, Outcome.MISSING: 0}
-_OUTCOME_OF_CODE = {code: outcome for outcome, code in OUTCOME_CODES.items()}
-
-
 def _frozen_array(values, dtype, shape: tuple[int, int]) -> np.ndarray:
     """A read-only C-contiguous copy of ``values`` with the given shape."""
     array = np.array(values, dtype=dtype)
@@ -84,8 +80,8 @@ class InstanceTable:
 
     Row i is instance ``instance_ids[i]``. ``features`` is an (n, m) float64
     array, columns ordered like ``feature_names``; ``outcomes`` is an (n, a)
-    int8 array, columns ordered like ``algorithm_names``, holding
-    ``OUTCOME_CODES`` (+1 GOOD, -1 BAD, 0 MISSING). Both arrays are read-only
+    int8 array, columns ordered like ``algorithm_names``, holding ``Outcome``
+    codes (+1 GOOD, -1 BAD, 0 MISSING). Both arrays are read-only
     copies of what the constructor was given.
     """
 
@@ -105,7 +101,7 @@ class InstanceTable:
             raise ValueError(f"{len(self.dataset_tags)} dataset tags for {n} rows")
         fix("features", _frozen_array(self.features, np.float64, (n, len(self.feature_names))))
         outcomes = _frozen_array(self.outcomes, np.int8, (n, len(self.algorithm_names)))
-        if not np.isin(outcomes, tuple(_OUTCOME_OF_CODE)).all():
+        if not np.isin(outcomes, tuple(Outcome)).all():
             raise ValueError("outcome codes must be +1, -1 or 0")
         fix("outcomes", outcomes)
 
@@ -143,19 +139,20 @@ class InstanceTable:
             names = self.feature_names
         return self.features[:, [self.feature_index(n) for n in names]]
 
-    def _outcome_column(self, algorithm: str) -> np.ndarray:
+    def outcome_codes(self, algorithm: str) -> np.ndarray:
+        """The algorithm's column of ``outcomes``: each row's ``Outcome`` code."""
         try:
             return self.outcomes[:, self.algorithm_names.index(algorithm)]
         except ValueError:
             raise KeyError(f"unknown algorithm: {algorithm}") from None
 
     def outcome_labels(self, algorithm: str) -> tuple[Outcome, ...]:
-        return tuple(_OUTCOME_OF_CODE[c] for c in self._outcome_column(algorithm).tolist())
+        return tuple(map(Outcome, self.outcome_codes(algorithm).tolist()))
 
     def labeled_indices(self, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
         """Row indices with a non-MISSING label for ``algorithm`` and their
         +/-1 encoding (GOOD=+1, BAD=-1)."""
-        column = self._outcome_column(algorithm)
+        column = self.outcome_codes(algorithm)
         idx = np.flatnonzero(column)
         return idx, column[idx].astype(float)
 
@@ -205,18 +202,6 @@ def _json_float(value: float) -> str:
     return float.__repr__(value)
 
 
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _json_float(key)
-    if key is True or key is False or key is None:
-        return "true" if key else "false" if key is False else "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _json_value(value, indent: str) -> str:
     if isinstance(value, str):
         return _json_string(value)
@@ -250,8 +235,7 @@ def _json_value(value, indent: str) -> str:
         inner = indent + "  "
         body = (",\n" + inner).join(
             [
-                f"{_json_string(key if type(key) is str else _json_key(key))}: "
-                f"{_json_value(item, inner)}"
+                f"{_json_string(key)}: {_json_value(item, inner)}"  # TypeError unless a str
                 for key, item in sorted(value.items())
             ]
         )
@@ -261,6 +245,7 @@ def _json_value(value, indent: str) -> str:
 
 def json_text(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, character for character.
+    Every dict key must be a string: any other key raises ``TypeError``.
 
     With ``indent``, Python's ``json`` encodes in pure Python, one generator
     step per value. This writer joins each container's items once, and a

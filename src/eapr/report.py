@@ -22,22 +22,20 @@ from .model import Coordinates2D, Outcome, json_text
 GOOD_COLOR = "#0072B2"
 BAD_COLOR = "#D55E00"
 
-# 11-entry colorblind-aware cycle for discrete categories.
-PALETTES = {
-    "default": (
-        "#332288",
-        "#88CCEE",
-        "#44AA99",
-        "#117733",
-        "#999933",
-        "#DDCC77",
-        "#CC6677",
-        "#882255",
-        "#AA4499",
-        "#BBBBBB",
-        "#EE7733",
-    ),
-}
+# 11-entry colorblind-aware cycle for the dataset tags.
+PALETTE = (
+    "#332288",
+    "#88CCEE",
+    "#44AA99",
+    "#117733",
+    "#999933",
+    "#DDCC77",
+    "#CC6677",
+    "#882255",
+    "#AA4499",
+    "#BBBBBB",
+    "#EE7733",
+)
 
 
 class EmptyInput(Exception):
@@ -54,15 +52,10 @@ class PlotSpec:
     height: int = 480
     margin: int = 48
     point_radius: float = 3.0
-    palette: str = "default"
-    x_label: str = "z1"
-    y_label: str = "z2"
 
     def __post_init__(self) -> None:
         if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
             raise ValueError("width and height must exceed twice the margin")
-        if self.palette not in PALETTES:
-            raise ValueError(f"unknown palette {self.palette!r}")
         if not 0.0 < self.point_radius < math.inf:
             raise ValueError("point_radius must be positive and finite")
 
@@ -145,23 +138,18 @@ def _circles(axis: _AxisMap, points, fills: Sequence[str], radius: float) -> lis
     return [template % (px, py, fill) for (px, py), fill in zip(axis.pixels(points), fills)]
 
 
-def _svg_open(spec: PlotSpec) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
-    ]
-
-
-def _axes(axis: _AxisMap, spec: PlotSpec) -> list[str]:
+def _svg_head(spec: PlotSpec, title: str) -> list[str]:
+    """The opening tag, background, title and the z1/z2 axes of a plot."""
     m = spec.margin
     w, h = spec.width, spec.height
-    x_label, y_label = _xml(spec.x_label), _xml(spec.y_label)
     return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="#ffffff"/>',
+        f"<title>{_xml(title)}</title>",
         f'<line x1="{m}" y1="{h - m}" x2="{w - m}" y2="{h - m}" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h - m}" stroke="#333333" stroke-width="1"/>',
-        f'<text x="{w - m}" y="{h - m + 28}" font-size="12" text-anchor="end">{x_label}</text>',
-        f'<text x="{m - 28}" y="{m}" font-size="12" text-anchor="start">{y_label}</text>',
+        f'<text x="{w - m}" y="{h - m + 28}" font-size="12" text-anchor="end">z1</text>',
+        f'<text x="{m - 28}" y="{m}" font-size="12" text-anchor="start">z2</text>',
     ]
 
 
@@ -181,22 +169,22 @@ def _legend_entry(x: float, y: float, color: str, label: str) -> list[str]:
 
 def render_footprint_svg(
     coords: Coordinates2D,
-    labels: Sequence[Outcome],
+    labels: Sequence[Outcome] | np.ndarray,
     footprint: Footprint,
     spec: PlotSpec = PlotSpec(),
 ) -> str:
     """One algorithm's instance space: labeled points, its GOOD hull, and the
-    contradicted region. MISSING instances are not drawn."""
+    contradicted region. ``labels`` holds one ``Outcome``, or its int8 code,
+    per row; MISSING instances are not drawn."""
     pts = np.asarray(coords, dtype=float)
+    codes = np.asarray(labels, dtype=np.int8)
     if pts.size == 0:
         raise EmptyInput("no coordinates")
-    if pts.shape[0] != len(labels):
+    if pts.shape[0] != len(codes):
         raise ValueError("coords and labels must align")
 
     axis = _AxisMap(pts, spec)
-    parts = _svg_open(spec)
-    parts.append(f"<title>{_xml(footprint.algorithm)}</title>")
-    parts.extend(_axes(axis, spec))
+    parts = _svg_head(spec, footprint.algorithm)
 
     if not footprint.good_hull.is_degenerate:
         parts.append(
@@ -215,8 +203,8 @@ def render_footprint_svg(
             )
         )
 
-    drawn = [i for i, outcome in enumerate(labels) if outcome is not Outcome.MISSING]
-    colors = [GOOD_COLOR if labels[i] is Outcome.GOOD else BAD_COLOR for i in drawn]
+    drawn = codes != Outcome.MISSING
+    colors = [GOOD_COLOR if c == Outcome.GOOD else BAD_COLOR for c in codes[drawn].tolist()]
     parts.extend(_circles(axis, pts[drawn], colors, spec.point_radius))
 
     lx = spec.width - spec.margin - 90
@@ -245,9 +233,7 @@ def render_feature_svg(
         raise ValueError("coords and values must align")
 
     axis = _AxisMap(pts, spec)
-    parts = _svg_open(spec)
-    parts.append(f"<title>{_xml(name)}</title>")
-    parts.extend(_axes(axis, spec))
+    parts = _svg_head(spec, name)
 
     parts.extend(_circles(axis, pts, _gradient_colors(vals), spec.point_radius))
 
@@ -283,14 +269,11 @@ def render_dataset_svg(
     if pts.shape[0] != len(tags):
         raise ValueError("coords and tags must align")
 
-    palette = PALETTES[spec.palette]
     unique = sorted(set(tags))
-    color_of = {tag: palette[i % len(palette)] for i, tag in enumerate(unique)}
+    color_of = {tag: PALETTE[i % len(PALETTE)] for i, tag in enumerate(unique)}
 
     axis = _AxisMap(pts, spec)
-    parts = _svg_open(spec)
-    parts.append("<title>datasets</title>")
-    parts.extend(_axes(axis, spec))
+    parts = _svg_head(spec, "datasets")
     parts.extend(_circles(axis, pts, [color_of[tag] for tag in tags], spec.point_radius))
     lx = spec.width - spec.margin - 110
     for i, tag in enumerate(unique):

@@ -6,13 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from eapr.model import OUTCOME_CODES, InstanceTable, Outcome
+from eapr.model import InstanceTable, Outcome
 
 DATA_DIR = Path(__file__).parent / "data"
 
 GOOD = Outcome.GOOD
 BAD = Outcome.BAD
 MISSING = Outcome.MISSING
+
+# The two forms labels come in: Outcome members, or their codes as the table's
+# int8 outcome column.
+LABEL_FORMS = {"outcomes": tuple, "codes": lambda labels: np.array(labels, dtype=np.int8)}
 
 
 def make_table(feature_names, algorithm_names, rows):
@@ -23,7 +27,7 @@ def make_table(feature_names, algorithm_names, rows):
         [rid for rid, _, _, _ in rows],
         [tag for _, tag, _, _ in rows],
         [[float(v) for v in feats] for _, _, feats, _ in rows],
-        [[OUTCOME_CODES[o] for o in outs] for _, _, _, outs in rows],
+        [list(outs) for _, _, _, outs in rows],
     )
 
 

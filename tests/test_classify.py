@@ -251,9 +251,9 @@ def two_class_sets(draw):
 
 class TestLinearSolver:
     # SMO converges linearly. Most of these sets need far fewer than the
-    # cap's 10^4 n pair updates, but not all: the second set of
-    # test_cap_binds_on_slow_convergence needs 12,868 n, so a draw like it
-    # fails here as not converged. Raising the cap hides such a set; making
+    # cap's 10^4 n pair updates, but not all: the second and third sets of
+    # test_cap_binds_on_slow_convergence need 12,868 n and 10,758 n, so a
+    # draw like them fails here as not converged. Raising the cap hides such a set; making
     # it converge sooner is a solver change, which moves the artifacts.
     @settings(max_examples=200, deadline=None)
     @given(data=two_class_sets(), c=st.sampled_from([0.1, 1.0, 10.0]))
@@ -268,16 +268,22 @@ class TestLinearSolver:
     def test_cap_binds_on_slow_convergence(self):
         # sets the property test drew, each not converged under the lower cap
         # and converged under the higher: the first needs more than 200 n but
-        # fewer than 1,000 n pair updates, the second 12,868 n
+        # fewer than 1,000 n pair updates, the second 12,868 n, the third 10,758 n
         first = np.array(
             [[0.0, -2.25], [0.0, 0.0], [-3.375, 0.0], [0.0, -3.0], [0.0, 0.0], [0.0, 0.0],
              [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.25, -4.5], [0.0, -2.25], [0.0, -3.0],
              [0.0, -3.0]]
         )
         second = np.array([[0.0, -3.71875], [1.0, 0.0], [-2.0, 0.0], [-1.5, 0.0], [-3.53125, 5.0]])
+        third = np.array(
+            [[1.697265625, 4.951171875], [0.470703125, 2.982421875], [-3.65625, -3.65625],
+             [0.0, 0.0], [0.0, 0.0], [-4.0, 0.0], [0.470703125, 2.982421875],
+             [0.470703125, 2.982421875]]
+        )
         cases = [
             (first, np.array([1.0] + [-1.0] * 10 + [1.0, 1.0]), 200, 1000),
             (second, np.array([1.0, -1.0, -1.0, 1.0, 1.0]), 10**4, 2 * 10**4),
+            (third, np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0]), 10**4, 2 * 10**4),
         ]
         for pts, y, low, high in cases:
             capped = train_svm(pts, y, SvmConfig(kernel="linear", C=10.0, max_passes=low))

@@ -1,9 +1,11 @@
 import concurrent.futures
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -327,6 +329,26 @@ class TestStages:
             assert result.exit_code == 1, stage
             assert result.stderr.strip() == "E_STAGE project", stage
 
+    @pytest.mark.parametrize("rerun, stale", [("footprint", "classify"), ("classify", "footprint")])
+    def test_dropped_algorithm_makes_plot_name_the_stale_stage(
+        self, tmp_path, synthetic60_path, rerun, stale
+    ):
+        # after a re-ingest without aprt:C, plot reads one artifact that still
+        # covers A, B and C: the one of the stage not run again
+        out = tmp_path / "dropped"
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        rows = [line.split(",") for line in Path(synthetic60_path).read_text().splitlines()]
+        drop = rows[0].index("aprt:C")
+        dropped = tmp_path / "dropped.csv"
+        dropped.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+        runs = [("pipeline",), ("ingest", "--input", str(dropped)), ("select-features",),
+                ("project",), (rerun,)]
+        for stage, *args in runs:
+            result = eapr_in_a_process(stage, "--config", str(cfg), *args)
+            assert result.returncode == 0, f"{stage}: {result.stderr}"
+        result = eapr_in_a_process("plot", "--config", str(cfg))
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stale}\n")
+
     def test_project_after_selection_writes_model(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "upto"
         cfg = write_config(tmp_path, synthetic60_path, out)
@@ -445,8 +467,7 @@ class TestConfigFile:
         assert result.stderr.split()[0] == "E_PARSE"
 
     def test_every_key_reaches_its_field_and_the_report(self, runner, tmp_path, synthetic60_path):
-        # Every value differs from its default, but the palette: "default" is
-        # the only one there is.
+        # Every value differs from its default.
         fields = {
             "seed": (None, "seed", 11),
             "repeats": (None, "repeats", 2),
@@ -467,7 +488,6 @@ class TestConfigFile:
             "plot.height": ("plot", "height", 400),
             "plot.margin": ("plot", "margin", 40),
             "plot.point_radius": ("plot", "point_radius", 2.5),
-            "plot.palette": ("plot", "palette", "default"),
         }
         out = tmp_path / "every"
         path = tmp_path / "every.cfg"
@@ -487,6 +507,13 @@ class TestConfigFile:
             key: value for key, (section, _, value) in fields.items() if section != "plot"
         }
         assert 'width="500" height="400"' in (out / "datasets.svg").read_text()
+
+    def test_readme_table_lists_every_key(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+        start = lines.index("| key | default | meaning |") + 2
+        rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+        keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert sorted(keys) == sorted(cli._CONFIG_KEYS)
 
     def test_non_utf8_config_rejected(self, runner, tmp_path, synthetic60_path):
         cfg = tmp_path / "latin1.cfg"

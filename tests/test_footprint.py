@@ -15,6 +15,7 @@ from eapr.footprint import (
 )
 from eapr.model import Outcome
 
+from conftest import LABEL_FORMS
 from oracles import brute_force_hull, mc_intersection_area, mc_polygon_area, raycast_contains
 
 GOOD = Outcome.GOOD
@@ -233,11 +234,14 @@ class TestFootprint:
         assert fp.purity == 0.0
         assert fp.density == 0.0
 
-    def test_missing_excluded(self):
-        coords = np.array(UNIT_SQUARE + [(5.0, 5.0)])
-        labels = [GOOD] * 4 + [Outcome.MISSING]
-        fp = compute_footprint(coords, labels, "A")
+    @pytest.mark.parametrize("form", list(LABEL_FORMS.values()), ids=list(LABEL_FORMS))
+    def test_missing_excluded(self, form):
+        coords = np.array(UNIT_SQUARE + [(5.0, 5.0), (0.5, 0.5), (2.0, 0.5)])
+        labels = [GOOD] * 4 + [Outcome.MISSING, BAD, BAD]
+        fp = compute_footprint(coords, form(labels), "A")
         assert fp.area_good == 1.0
+        assert fp.purity == 0.8
+        assert fp == compute_footprint(coords, labels, "A")
 
     def test_density_times_area_counts_good(self):
         rng = np.random.default_rng(8)

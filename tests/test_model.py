@@ -123,8 +123,6 @@ json_values = st.recursive(
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children)
-    | st.dictionaries(st.integers() | st.booleans(), children)
-    | st.dictionaries(floats, children)
     | st.lists(floats)
     | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
     max_leaves=40,
@@ -140,7 +138,8 @@ def test_json_text_is_json_dumps_sorted_and_indented(value):
 @pytest.mark.parametrize(
     "value",
     [[], {}, [[]], {"": {}}, [1.5, 2, 3.0], [0.5, float("nan")], ("é", "\u2028", "\x00"),
-     {"b": [-0.0, float("inf")], "a": -(10**30)}, {1.5: None, True: 1, 2: 2}, {None: 0}],
+     {"b": [-0.0, float("inf")], "a": -(10**30)}, {"b": 0, "B": 1, "é": 2, "": 3},
+     {'"\u2028\\': {"\x00": [None]}}],
 )
 def test_json_text_edge_values(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
@@ -150,5 +149,12 @@ def test_json_text_edge_values(value):
 def test_json_text_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
+@pytest.mark.parametrize("value", [{1.5: None, True: 1, 2: 2}, {None: 0}, {"a": {1: 0}}])
+def test_json_text_rejects_keys_that_are_not_strings(value):
+    # json.dumps writes these keys as strings; no artifact has one
     with pytest.raises(TypeError):
         json_text(value)

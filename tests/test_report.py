@@ -10,7 +10,7 @@ from eapr.footprint import compute_footprint
 from eapr.model import Outcome
 from eapr.report import (
     EmptyInput,
-    PALETTES,
+    PALETTE,
     PlotSpec,
     ReportInvariantError,
     _gradient_colors,
@@ -22,6 +22,8 @@ from eapr.report import (
     render_footprint_svg,
     write_report,
 )
+
+from conftest import LABEL_FORMS
 
 GOOD = Outcome.GOOD
 BAD = Outcome.BAD
@@ -151,9 +153,8 @@ class TestDatasetSvg:
         assert svg.index(">alpha<") < svg.index(">mid<") < svg.index(">zeta<")
 
     def test_palette_has_eleven_distinct_entries(self):
-        palette = PALETTES["default"]
-        assert len(palette) == 11
-        assert len(set(palette)) == 11
+        assert len(PALETTE) == 11
+        assert len(set(PALETTE)) == 11
 
 
 def tiny_report(**overrides):
@@ -243,8 +244,6 @@ class TestPlotSpec:
     def test_margin_bound(self):
         with pytest.raises(ValueError):
             PlotSpec(width=90, height=480, margin=48)
-        with pytest.raises(ValueError):
-            PlotSpec(palette="nope")
 
 
 # Fixed inputs whose SVG bytes are pinned: duplicated points, -0.0 and values
@@ -270,14 +269,15 @@ PINNED_SVG_SHA256 = {
 }
 
 
-def pinned_svgs():
-    fp = compute_footprint(PINNED_COORDS, PINNED_LABELS, "A")
-    flat = compute_footprint(FLAT_COORDS, FLAT_LABELS, "B")
+def pinned_svgs(form=tuple):
+    labels, flat_labels = form(PINNED_LABELS), form(FLAT_LABELS)
+    fp = compute_footprint(PINNED_COORDS, labels, "A")
+    flat = compute_footprint(FLAT_COORDS, flat_labels, "B")
     assert not fp.good_hull.is_degenerate and not fp.contradiction.is_degenerate
     assert flat.good_hull.is_degenerate
     return {
-        "footprint": render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, SPEC),
-        "flat_footprint": render_footprint_svg(FLAT_COORDS, FLAT_LABELS, flat, SPEC),
+        "footprint": render_footprint_svg(PINNED_COORDS, labels, fp, SPEC),
+        "flat_footprint": render_footprint_svg(FLAT_COORDS, flat_labels, flat, SPEC),
         "feature": render_feature_svg(
             PINNED_COORDS, PINNED_VALUES, SPEC, name="wmc", vmin=-2.5, vmax=7.125
         ),
@@ -288,12 +288,11 @@ def pinned_svgs():
     }
 
 
-def test_pinned_svg_bytes():
-    import hashlib
-
+@pytest.mark.parametrize("form", list(LABEL_FORMS.values()), ids=list(LABEL_FORMS))
+def test_pinned_svg_bytes(form):
     digests = {
         name: hashlib.sha256(svg.encode("utf-8")).hexdigest()
-        for name, svg in pinned_svgs().items()
+        for name, svg in pinned_svgs(form).items()
     }
     assert digests == PINNED_SVG_SHA256
 
@@ -346,11 +345,10 @@ def test_file_stem_cuts_a_long_name_outside_a_triple_and_adds_its_digest():
 def test_names_are_escaped_in_svg_text():
     name = 'C&D<x> "q"'
     fp = compute_footprint(PINNED_COORDS, PINNED_LABELS, name)
-    spec = PlotSpec(x_label="z<1>", y_label="&")
     svgs = [
-        render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, spec),
-        render_feature_svg(PINNED_COORDS, PINNED_VALUES, spec, name=name),
-        render_dataset_svg(PINNED_COORDS, [name] * len(PINNED_COORDS), spec),
+        render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, SPEC),
+        render_feature_svg(PINNED_COORDS, PINNED_VALUES, SPEC, name=name),
+        render_dataset_svg(PINNED_COORDS, [name] * len(PINNED_COORDS), SPEC),
     ]
     for svg in svgs:
         texts = {
@@ -358,5 +356,4 @@ def test_names_are_escaped_in_svg_text():
             for tag in ("title", "text")
             for node in minidom.parseString(svg).getElementsByTagName(tag)
         }
-        assert {"z<1>", "&"} <= texts
         assert name in texts
