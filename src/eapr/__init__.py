@@ -25,8 +25,9 @@ _EXPORTS = {
         ["ConvexPolygon", "Footprint", "compute_footprint", "convex_hull",
          "convex_intersection", "footprint_overlap", "polygon_area"], "footprint"),
     **dict.fromkeys(
-        ["ClassifierMetrics", "SvmConfig", "SvmModel", "cross_validate", "select_aprt",
-         "train_svm"], "classify"),
+        ["ClassifierMetrics", "SvmModel", "cross_validate", "select_aprt", "train_svm"],
+        "classify"),
+    "SvmConfig": "ranker",
     **dict.fromkeys(
         ["FitnessValue", "GaConfig", "SelectionResult", "evaluate_subset", "run_ga"],
         "selection"),

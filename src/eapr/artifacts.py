@@ -6,6 +6,10 @@ fails in any way (a missing, unreadable or malformed file, ``NaN`` and
 ``Infinity`` included, or a stale one) gives ``E_STAGE <stage that writes
 it>``. ``report.json`` is written by ``report.write_report``, and the SVGs,
 which no stage reads, by the ``plot`` stage.
+
+``eapr select`` reads the model files through this module into the float
+forms of ``ranker``, so the module imports numpy and the numpy-backed modules
+only inside the codecs that build their objects.
 """
 from __future__ import annotations
 
@@ -14,13 +18,13 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import classify, project
-from .model import InstanceTable, Outcome, json_text
+from . import ranker
 
 if TYPE_CHECKING:
-    from . import footprint as fp
+    import numpy as np
+
+    from . import classify, footprint as fp, project
+    from .model import InstanceTable
 
 # Artifact -> the stage that writes it.
 WRITTEN_BY = {
@@ -45,6 +49,8 @@ class CliFailure(Exception):
 
 def write(out_dir: Path, name: str, data) -> bytes:
     """Write one artifact and return its bytes."""
+    from .model import json_text
+
     raw = (json_text(data) + "\n").encode("utf-8")
     (out_dir / name).write_bytes(raw)
     return raw
@@ -63,16 +69,14 @@ def read(out_dir: Path, name: str, decode=lambda data: data, parse=_parse):
     of either gives `E_STAGE <stage that writes it>`."""
     try:
         return decode(parse((out_dir / name).read_bytes()))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliFailure("E_STAGE", WRITTEN_BY[name]) from exc
 
 
-# Outcome code <-> its table.json text, the name "GOOD", "BAD" or "MISSING".
-_OUTCOME_TEXT = {outcome.value: outcome.name for outcome in Outcome}
-_OUTCOME_CODE = {outcome.name: outcome.value for outcome in Outcome}
-
-
 def table_to_dict(table: InstanceTable, digest: str) -> dict:
+    from .model import Outcome
+
+    text = {outcome.value: outcome.name for outcome in Outcome}  # "GOOD", "BAD", "MISSING"
     algorithms = table.algorithm_names
     return {
         "input_digest": digest,
@@ -83,7 +87,7 @@ def table_to_dict(table: InstanceTable, digest: str) -> dict:
                 "id": row_id,
                 "dataset": tag,
                 "features": features,
-                "outcomes": {a: _OUTCOME_TEXT[c] for a, c in zip(algorithms, codes)},
+                "outcomes": {a: text[c] for a, c in zip(algorithms, codes)},
             }
             for row_id, tag, features, codes in zip(
                 table.instance_ids,
@@ -96,6 +100,9 @@ def table_to_dict(table: InstanceTable, digest: str) -> dict:
 
 
 def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
+    from .model import InstanceTable, Outcome
+
+    code = {outcome.name: outcome.value for outcome in Outcome}
     rows = data["rows"]
     algorithms = data["algorithm_names"]
     table = InstanceTable(
@@ -104,7 +111,7 @@ def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
         [r["id"] for r in rows],
         [r["dataset"] for r in rows],
         [r["features"] for r in rows],
-        [[_OUTCOME_CODE[r["outcomes"][a]] for a in algorithms] for r in rows],
+        [[code[r["outcomes"][a]] for a in algorithms] for r in rows],
     )
     return table, data["input_digest"]
 
@@ -140,6 +147,7 @@ def write_coords(out_dir: Path, table: InstanceTable, coords: np.ndarray) -> Non
 
 def read_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
     """The projected points; coordinates of another table's rows are stale."""
+    import numpy as np
 
     def decode(data: dict) -> np.ndarray:
         if data["ids"] != list(table.instance_ids):
@@ -147,6 +155,17 @@ def read_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
         return np.array(data["coords"], dtype=float).reshape(-1, 2)
 
     return read(out_dir, "coordinates.json", decode)
+
+
+def read_selection(out_dir: Path, table: InstanceTable) -> dict:
+    """selection.json; a selection of features the table lacks is stale."""
+
+    def decode(data: dict) -> dict:
+        if not set(data["selected"]) <= set(table.feature_names):
+            raise ValueError("the selection names features the table lacks")
+        return data
+
+    return read(out_dir, "selection.json", decode)
 
 
 def pca_to_dict(model: project.PcaModel) -> dict:
@@ -161,19 +180,62 @@ def pca_to_dict(model: project.PcaModel) -> dict:
     }
 
 
-def pca_from_dict(data: dict) -> project.PcaModel:
-    scaling = project.ScalingParams(
-        feature_names=tuple(data["features"]),
-        means=tuple(data["means"]),
-        stds=tuple(data["stds"]),
-        dropped_features=tuple(data["dropped"]),
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    return float(value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected a list of numbers")
+    return tuple(map(float, values))
+
+
+def _names(values) -> tuple[str, ...]:
+    if type(values) is not list or any(type(v) is not str for v in values):
+        raise TypeError("expected a list of names")
+    return tuple(values)
+
+
+def projection_from_dict(data: dict) -> ranker.Projection:
+    """pca_model.json as floats, every list checked against the features; the
+    eigenvalues, which a projection does not use, are checked too."""
+    _floats(data["eigenvalues"])
+    _number(data["explained_variance_2d"])
+    return ranker.Projection(
+        features=_names(data["features"]),
+        dropped=_names(data["dropped"]),
+        means=_floats(data["means"]),
+        stds=_floats(data["stds"]),
+        loadings=tuple(map(_floats, data["loadings"])),
     )
-    return project.PcaModel(
-        scaling=scaling,
-        loadings=np.array(data["loadings"], dtype=float),
+
+
+def pca_from_dict(data: dict) -> project.PcaModel:
+    import numpy as np
+
+    from .project import PcaModel, ScalingParams
+
+    p = projection_from_dict(data)
+    return PcaModel(
+        scaling=ScalingParams(p.features, p.means, p.stds, p.dropped),
+        loadings=np.array(p.loadings, dtype=float),
         eigenvalues=np.array(data["eigenvalues"], dtype=float),
         explained_variance_2d=float(data["explained_variance_2d"]),
     )
+
+
+def read_pca(out_dir: Path, selected: list[str]) -> project.PcaModel:
+    """pca_model.json; a model of other features than ``selected`` is stale."""
+
+    def decode(data: dict) -> project.PcaModel:
+        model = pca_from_dict(data)
+        if {*model.feature_names, *model.scaling.dropped_features} != set(selected):
+            raise ValueError("the projection is not of the selected features")
+        return model
+
+    return read(out_dir, "pca_model.json", decode)
 
 
 def svm_to_dict(model: classify.SvmModel) -> dict:
@@ -189,16 +251,25 @@ def svm_to_dict(model: classify.SvmModel) -> dict:
     }
 
 
-def svm_from_dict(data: dict) -> classify.SvmModel:
-    return classify.SvmModel(
-        support_vectors=np.array(data["support_vectors"], dtype=float).reshape(-1, 2),
-        alphas=np.array(data["alphas"], dtype=float),
-        labels=np.array(data["labels"], dtype=float),
-        bias=float(data["bias"]),
-        gamma=float(data["gamma"]),
-        config=classify.SvmConfig(**{f.name: data[f.name] for f in fields(classify.SvmConfig)}),
-        converged=bool(data["converged"]),
+def scorer_from_dict(data: dict) -> ranker.Scorer:
+    """One models.json block as floats: its settings checked as an
+    ``SvmConfig``, its alphas and labels against its support vectors."""
+    config = ranker.SvmConfig(**{f.name: data[f.name] for f in fields(ranker.SvmConfig)})
+    return ranker.Scorer(
+        kernel=config.kernel,
+        gamma=float(config.gamma),
+        support_vectors=tuple(map(_floats, data["support_vectors"])),
+        alphas=_floats(data["alphas"]),
+        labels=_floats(data["labels"]),
+        bias=_number(data["bias"]),
     )
+
+
+def scorers_from_dict(data: dict) -> dict[str, ranker.Scorer]:
+    """models.json as each algorithm's float decision function."""
+    if type(data["models"]) is not dict:
+        raise TypeError("expected an object of models")
+    return {algorithm: scorer_from_dict(block) for algorithm, block in data["models"].items()}
 
 
 # The footprints.json block fields holding hull vertices; the other fields,

@@ -5,7 +5,6 @@ decision values on a query point yields the recommended algorithm order.
 """
 from __future__ import annotations
 
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -13,7 +12,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import ranker
 from .model import Coordinates2D
+from .ranker import SvmConfig
 
 # Minimum multiplier kept when extracting support vectors.
 _SV_EPS = 1e-12
@@ -28,40 +29,6 @@ class SingleClassLabels(Exception):
 
 class TooFewInstances(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    """Kernel and optimizer settings.
-
-    ``gamma`` is a positive float or "median-heuristic", which resolves to
-    1 / (2 * median(pairwise distances)^2) on the training coordinates.
-    Training stops at ``tolerance`` or after ``max_passes * n`` pair updates
-    (n training rows). The solver draws no random numbers: ``seed`` seeds only
-    the fold split of ``cross_validate`` and labels the model in models.json.
-    """
-
-    kernel: str = "rbf"
-    C: float = 1.0
-    gamma: float | str = "median-heuristic"
-    tolerance: float = 1e-3
-    max_passes: int = 200
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kernel not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not 0.0 < self.C < math.inf:
-            raise ValueError("C must be positive and finite")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be positive")
-        if isinstance(self.gamma, str):
-            if self.gamma != "median-heuristic":
-                raise ValueError("gamma must be a float or 'median-heuristic'")
-        elif not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -361,12 +328,19 @@ def fold_pool(shared=None):
 def select_aprt(
     models: Mapping[str, SvmModel], point: Sequence[float]
 ) -> list[tuple[str, float]]:
-    """Rank algorithms for a point by descending decision value, ties by name."""
+    """Rank algorithms for a point by descending decision value, ties by name:
+    ``ranker.rank`` on the models' float form, as ``eapr select`` ranks."""
     if not models:
         raise ValueError("at least one model required")
-    scored = [
-        (name, float(decision_values(models[name], np.asarray(point).reshape(1, 2))[0]))
-        for name in models
-    ]
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return scored
+    scorers = {
+        name: ranker.Scorer(
+            kernel=model.config.kernel,
+            gamma=model.gamma,
+            support_vectors=tuple(map(tuple, model.support_vectors.tolist())),
+            alphas=tuple(model.alphas.tolist()),
+            labels=tuple(model.labels.tolist()),
+            bias=model.bias,
+        )
+        for name, model in models.items()
+    }
+    return ranker.rank(scorers, tuple(np.asarray(point, dtype=float).reshape(2).tolist()))

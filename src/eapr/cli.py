@@ -6,9 +6,9 @@ directory, so a staged run and a monolithic `pipeline` run produce identical
 bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
 
-How each artifact is written and read is `artifacts`' business. The
-stage-only modules are imported inside the stages, so `eapr select` loads only
-this module, `artifacts`, `model`, `project` and `classify`.
+How each artifact is written and read is `artifacts`' business. Every
+module that imports numpy is imported inside the stages that run it, so
+`eapr select` loads only this module, `artifacts` and `ranker`, and no numpy.
 """
 from __future__ import annotations
 
@@ -21,14 +21,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import artifacts, classify, project
+from . import artifacts, ranker
 from .artifacts import CliFailure
-from .model import FeatureSubset, InstanceTable, validate_table
 
 if TYPE_CHECKING:
-    from . import report as rpt, selection
+    from . import classify, report as rpt, selection
+    from .model import FeatureSubset, InstanceTable
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ def build_config(
     env_seed: str | None = None,
 ) -> PipelineConfig:
     """Merge config sources: CLI flag > EAPR_SEED env > config file > default."""
-    from . import report as rpt, selection
+    from . import classify, report as rpt, selection
 
     texts = [(key, text, f"config key {key}") for key, text in file_values.items()]
     if env_seed is not None:
@@ -159,6 +158,7 @@ def stage_ingest(cfg: PipelineConfig, pool) -> None:
     import hashlib
 
     from . import ingest
+    from .model import validate_table
 
     try:
         raw = cfg.input_path.read_bytes()
@@ -219,6 +219,7 @@ def _final_subset(
 def stage_select_features(cfg: PipelineConfig, pool) -> None:
     """Run the GA feature search over table.json."""
     from . import selection
+    from .model import FeatureSubset
     from .seeds import derive_seed
 
     table, _ = artifacts.read_table(cfg.output_dir)
@@ -260,8 +261,11 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
 
 def stage_project(cfg: PipelineConfig, pool) -> None:
     """Fit the 2D PCA model for the selected features."""
+    from . import project
+    from .model import FeatureSubset
+
     table, _ = artifacts.read_table(cfg.output_dir)
-    selected = artifacts.read(cfg.output_dir, "selection.json", lambda sel: sel["selected"])
+    selected = artifacts.read_selection(cfg.output_dir, table)["selected"]
     try:
         model, coords = project.fit_projection(table, FeatureSubset.of(selected))
     except (project.NonFiniteInput, ValueError) as exc:
@@ -303,6 +307,9 @@ def stage_footprint(cfg: PipelineConfig, pool) -> None:
 
 def stage_classify(cfg: PipelineConfig, pool) -> None:
     """Train per-algorithm SVMs and selector metrics."""
+    import numpy as np
+
+    from . import classify
     from .seeds import derive_seed
 
     table, _ = artifacts.read_table(cfg.output_dir)
@@ -365,12 +372,12 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
 
 def stage_plot(cfg: PipelineConfig, pool) -> None:
     """Render SVGs and assemble report.json."""
-    from . import ingest, report as rpt
+    from . import ingest, project, report as rpt
 
     out = cfg.output_dir
     table, digest = artifacts.read_table(out)
-    sel = artifacts.read(out, "selection.json")
-    pca = artifacts.read(out, "pca_model.json", artifacts.pca_from_dict)
+    sel = artifacts.read_selection(out, table)
+    pca = artifacts.read_pca(out, sel["selected"])
     coords = artifacts.read_coords(out, table)
     foot, prints, footprint_metrics = artifacts.read_footprints(out, table)
     metrics = artifacts.read_metrics(out, table)
@@ -428,6 +435,8 @@ _STAGE_FNS = {
 
 def cmd_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = tuple(_STAGE_FNS)) -> None:
     """Run the named stages in order, on one pool of fold fits."""
+    from . import classify
+
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     with classify.fold_pool() as pool:
         for stage in stages:
@@ -441,12 +450,8 @@ def cmd_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = tuple(_STAGE_FNS
 def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str, float]]:
     """Standardize, project and score one feature vector against saved models."""
     try:
-        pca = artifacts.read(model_dir, "pca_model.json", artifacts.pca_from_dict)
-        models = artifacts.read(
-            model_dir,
-            "models.json",
-            lambda data: {a: artifacts.svm_from_dict(d) for a, d in data["models"].items()},
-        )
+        pca = artifacts.read(model_dir, "pca_model.json", artifacts.projection_from_dict)
+        models = artifacts.read(model_dir, "models.json", artifacts.scorers_from_dict)
     except CliFailure as failure:
         raise CliFailure(
             "E_MODEL", f"missing or corrupt model files in {model_dir}: {failure.__cause__}"
@@ -454,19 +459,21 @@ def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str
     if not models:
         raise CliFailure("E_MODEL", "no algorithm models present")
 
-    known = set(pca.feature_names) | set(pca.scaling.dropped_features)
+    known = set(pca.features) | set(pca.dropped)
     unknown = set(vector) - known
     if unknown:
         raise CliFailure("E_MODEL", f"unknown features: {sorted(unknown)}")
-    missing = set(pca.feature_names) - set(vector)
+    missing = set(pca.features) - set(vector)
     if missing:
         raise CliFailure("E_MODEL", f"missing features: {sorted(missing)}")
 
-    raw = np.array([vector[n] for n in pca.feature_names], dtype=float)
-    with np.errstate(all="ignore"):  # a huge value may overflow; rejected below
-        point = project.project_features(pca, raw)
-        ranked = classify.select_aprt(models, point)
-    if not (np.isfinite(point).all() and all(math.isfinite(v) for _, v in ranked)):
+    try:
+        point = ranker.project(pca, [vector[n] for n in pca.features])
+        ranked = ranker.rank(models, point)
+        finite = all(map(math.isfinite, point)) and all(math.isfinite(v) for _, v in ranked)
+    except ArithmeticError:  # a zero std, or an overflow that floats raise on
+        finite = False
+    if not finite:
         raise CliFailure("E_MODEL", "feature vector gives a non-finite projection or score")
     return ranked
 

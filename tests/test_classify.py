@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eapr.classify as classify
-from eapr.artifacts import svm_from_dict as model_from_dict, svm_to_dict as model_to_dict
+from eapr import ranker
+from eapr.artifacts import scorer_from_dict, svm_to_dict as model_to_dict
 from eapr.classify import (
     SingleClassLabels,
     SvmConfig,
@@ -495,10 +496,12 @@ class TestMisc:
     def test_serialization_round_trip(self):
         pts, y = blobs(seed=17)
         model = train_svm(pts, y, SvmConfig(kernel="rbf", seed=17))
-        restored = model_from_dict(model_to_dict(model))
+        restored = scorer_from_dict(json.loads(json.dumps(model_to_dict(model))))
         grid = np.random.default_rng(18).uniform(-3, 3, (50, 2))
         assert np.allclose(
-            decision_values(model, grid), decision_values(restored, grid), atol=1e-12
+            decision_values(model, grid),
+            [ranker.decision_value(restored, tuple(p)) for p in grid.tolist()],
+            atol=1e-12,
         )
 
     def test_config_validation(self):

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -84,6 +85,14 @@ def synthetic60_models(tmp_path_factory):
         result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
     return dirs
+
+
+def without_column(csv_path, column, dest):
+    """Write ``csv_path`` without ``column`` to ``dest``; return ``dest``."""
+    rows = [line.split(",") for line in Path(csv_path).read_text().splitlines()]
+    drop = rows[0].index(column)
+    dest.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+    return dest
 
 
 def run_pipeline(runner, tmp_path, synthetic60_path, name, seed=7, args=(), env=None):
@@ -337,10 +346,7 @@ class TestStages:
         # covers A, B and C: the one of the stage not run again
         out = tmp_path / "dropped"
         cfg = write_config(tmp_path, synthetic60_path, out)
-        rows = [line.split(",") for line in Path(synthetic60_path).read_text().splitlines()]
-        drop = rows[0].index("aprt:C")
-        dropped = tmp_path / "dropped.csv"
-        dropped.write_text("".join(",".join(r[:drop] + r[drop + 1:]) + "\n" for r in rows))
+        dropped = without_column(synthetic60_path, "aprt:C", tmp_path / "dropped.csv")
         runs = [("pipeline",), ("ingest", "--input", str(dropped)), ("select-features",),
                 ("project",), (rerun,)]
         for stage, *args in runs:
@@ -348,6 +354,27 @@ class TestStages:
             assert result.returncode == 0, f"{stage}: {result.stderr}"
         result = eapr_in_a_process("plot", "--config", str(cfg))
         assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stale}\n")
+
+    # seed 7 selects f1; after a re-ingest without it, the selection is stale,
+    # and once select-features runs again, so is the projection
+    @pytest.mark.parametrize("rerun, stages, stale", [
+        ((), ("project", "plot"), "select-features"),
+        (("select-features",), ("plot",), "project"),
+    ])
+    def test_dropped_feature_makes_a_stage_name_the_stale_stage(
+        self, tmp_path, synthetic60_path, rerun, stages, stale
+    ):
+        out = tmp_path / "nof1"
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        dropped = without_column(synthetic60_path, "f1", tmp_path / "nof1.csv")
+        assert eapr_in_a_process("pipeline", "--config", str(cfg)).returncode == 0
+        assert "f1" in json.loads((out / "selection.json").read_text())["selected"]
+        for stage, *args in [("ingest", "--input", str(dropped)), *((s,) for s in rerun)]:
+            result = eapr_in_a_process(stage, "--config", str(cfg), *args)
+            assert result.returncode == 0, f"{stage}: {result.stderr}"
+        for stage in stages:
+            result = eapr_in_a_process(stage, "--config", str(cfg))
+            assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stale}\n")
 
     def test_project_after_selection_writes_model(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "upto"
@@ -636,6 +663,25 @@ class TestSelect:
             scores = [float(line.split(",")[2]) for line in result.stdout.splitlines()]
             assert len(scores) == 3 and all(math.isfinite(v) for v in scores)
 
+    # numpy's broadcast and matmul raised on these: a ValueError traceback
+    @pytest.mark.parametrize("artifact", ["models.json", "pca_model.json"])
+    def test_inconsistent_model_file_is_model_error(self, tmp_path, synthetic60_models, artifact):
+        model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
+        data = json.loads((model_dir / artifact).read_text())
+        if artifact == "models.json":
+            block = data["models"]["A"]
+            block["alphas"].pop()
+            k = len(block["support_vectors"])
+            detail = f"{k - 1} alphas and {k} labels for {k} support vectors"
+        else:
+            data["loadings"].pop()
+            detail = f"{len(data['loadings'])} loadings for {len(data['features'])} features"
+        (model_dir / artifact).write_text(json.dumps(data))
+        selected = json.loads((model_dir / "selection.json").read_text())["selected"]
+        result = select_in_a_process(model_dir, "".join(f"{n},0.1\n" for n in selected))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
+
     def test_name_equals_value_form(self, runner, single_model_dir):
         result = runner.invoke(
             main, ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
@@ -672,10 +718,12 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
     }
     # runpy runs eapr.__main__ itself, so only the package and what it imports show
     assert {m for m in loaded if m.startswith("eapr")} == {
-        "eapr", "eapr.cli", "eapr.artifacts", "eapr.model", "eapr.project", "eapr.classify"
+        "eapr", "eapr.cli", "eapr.artifacts", "eapr.ranker"
     }
-    stage_only = {"eapr.selection", "eapr.report", "eapr.footprint", "eapr.ingest",
-                  "eapr.seeds", "hashlib", "csv", "multiprocessing"}
+    assert "numpy" not in loaded
+    stage_only = {"eapr.model", "eapr.project", "eapr.classify", "eapr.selection",
+                  "eapr.report", "eapr.footprint", "eapr.ingest", "eapr.seeds", "hashlib",
+                  "csv", "multiprocessing"}
     assert not loaded & stage_only
 
 
