@@ -20,6 +20,7 @@ from .ranker import SvmConfig
 _SV_EPS = 1e-12
 # Floor of the pair curvature in second-order working-set selection, as in
 # LIBSVM: it keeps the choice and the step finite where two points coincide.
+# Times |d|^2, the curvature below which a line search along d is skipped.
 _TAU = 1e-12
 
 
@@ -47,12 +48,23 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
+def _median(v: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, NaN if it holds a NaN,
+    from one partition; ``np.median`` itself imports ``numpy.ma``, which
+    would cost each pool worker its import."""
+    h = len(v) // 2
+    part = np.partition(v, (h - 1, h, -1))  # a NaN sorts last
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(part[h] if len(v) % 2 else (part[h - 1] + part[h]) / 2.0)
+
+
 def _median_gamma(sq: np.ndarray) -> float:
     """1 / (2 * median^2) of the pairwise Euclidean distances, from the
     points' squared distance matrix; 1.0 if degenerate."""
     if len(sq) < 2:
         return 1.0
-    med = float(np.median(np.sqrt(sq[np.triu_indices(len(sq), k=1)])))
+    med = _median(np.sqrt(sq[np.triu_indices(len(sq), k=1)]))
     if med <= 0.0:
         return 1.0
     return 1.0 / (2.0 * med * med)
@@ -73,11 +85,12 @@ def train_svm(
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("coords and labels must align")
-    classes = set(np.unique(y))
-    if classes != {-1.0, 1.0}:
-        if classes <= {-1.0, 1.0}:
-            raise SingleClassLabels("both classes required for training")
+    # comparisons, not np.unique, which imports numpy.ma in each pool worker
+    pos, neg = y == 1.0, y == -1.0
+    if not (pos | neg).all():
         raise ValueError("labels must be +1/-1")
+    if not (pos.any() and neg.any()):
+        raise SingleClassLabels("both classes required for training")
 
     # the squared distances serve both the median heuristic and the rbf kernel
     median = config.gamma == "median-heuristic"
@@ -108,9 +121,20 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
     Each step takes i = argmax F over I_up (m = F_i) and j = argmax
     ``(m - F_t)^2 / a_it`` over the t in I_low with F_t < m, where
     ``a_it = K_ii + K_tt - 2 K_it`` is the curvature along the pair, and
-    moves the pair to the optimum on its clipped segment. Training stops when
-    ``m - M < config.tolerance``, M = min F over I_low (Keerthi et al. 2001),
-    or after ``config.max_passes * n`` pair updates.
+    moves the pair to the optimum on its clipped segment.
+
+    WSS2 converges only linearly (Chen, Fan & Lin 2006), and on flat valleys
+    it zig-zags between two pairs that share an index. So a step whose pair
+    is that of two steps back, and not that of the last step, is followed by
+    one exact line search along d, the sum of the last two steps in
+    beta = y alpha space: ``s = F.d / d'Kd``, clipped to the box. The search
+    is skipped where ``F.d <= 0`` or ``d'Kd <= _TAU |d|^2``, a floor relative
+    to d's scale because these steps can be 1e-7 long. Either way the cycle
+    is forgotten. A fit that meets no such cycle takes the WSS2 steps alone.
+
+    Training stops when ``m - M < config.tolerance``, M = min F over I_low
+    (Keerthi et al. 2001), or after ``config.max_passes * n`` updates, each
+    pair step and each line search counting as one.
     """
     n = len(y)
     c = config.C
@@ -118,6 +142,7 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
     diag = k.diagonal()
     curv = diag[:, None] + diag[None, :] - 2.0 * k
     np.maximum(curv, _TAU, out=curv)
+    k_rows, curv_rows = list(k), list(curv)
     alphas = [0.0] * n
     # F on I_up (I_low), -inf (+inf) off it: fu peaks on I_up only and fl
     # bottoms out on I_low only. As C > 0, every t is in I_up or I_low, so at
@@ -126,35 +151,88 @@ def _smo_wss2(k: np.ndarray, y: np.ndarray, config: SvmConfig) -> tuple[list, fl
     fl = np.where(y > 0.0, np.inf, y)
     gain, row = np.empty(n), np.empty(n)
 
+    def refresh(s: int, f_s: float) -> None:
+        """Store F_s in fu/fl according to alpha_s's place in the box."""
+        a_s, pos = alphas[s], ys[s] > 0.0
+        fu[s] = f_s if (a_s < c if pos else a_s > 0.0) else -np.inf
+        fl[s] = f_s if (a_s > 0.0 if pos else a_s < c) else np.inf
+
+    def line_search(*steps: tuple) -> bool:
+        """Move beta = y alpha by s d to the optimum of the ray the box leaves,
+        d = the sum of the pair ``steps`` (i, j, t); False, with no move,
+        where d does not ascend, curves less than _TAU |d|^2 or leaves the
+        box at once."""
+        d: dict[int, float] = {}
+        for i, j, t in steps:
+            d[i] = d.get(i, 0.0) + t
+            d[j] = d.get(j, 0.0) - t
+        # (s, d_s, F_s) of every index d moves
+        moved = [(s, d_s, fu.item(s) if fu.item(s) > -np.inf else fl.item(s))
+                 for s, d_s in d.items() if d_s != 0.0]
+        slope = sum(d_s * f_s for _, d_s, f_s in moved)  # F.d
+        if slope <= 0.0:
+            return False
+        kd = sum(d_s * k_rows[s] for s, d_s, _ in moved)
+        curve = sum(d_s * kd.item(s) for s, d_s, _ in moved)  # d'Kd
+        if curve <= _TAU * sum(d_s * d_s for _, d_s, _ in moved):
+            return False
+        size, limit = slope / curve, None
+        for s, d_s, _ in moved:  # alpha_s moves by size * y_s d_s
+            room = (c - alphas[s] if ys[s] * d_s > 0.0 else -alphas[s]) / (ys[s] * d_s)
+            if room <= size:
+                size, limit = room, s
+        if size <= 0.0:
+            return False
+        for s, d_s, _ in moved:
+            a_s = alphas[s] + size * ys[s] * d_s
+            if s == limit:
+                a_s = c if ys[s] * d_s > 0.0 else 0.0
+            alphas[s] = 0.0 if a_s <= 0.0 else c if a_s >= c else a_s
+        np.multiply(kd, size, out=kd)
+        np.subtract(fu, kd, out=fu)
+        np.subtract(fl, kd, out=fl)
+        for s, _, f_s in moved:
+            refresh(s, f_s - kd.item(s))
+        return True
+
     converged = False
-    for _ in range(config.max_passes * n):
+    before = last = None  # (i, j, t) of the pair steps two back and one back
+    updates, cap = 0, config.max_passes * n
+    while updates < cap:
         i = int(fu.argmax())
         m = fu.item(i)
         np.subtract(m, fl, out=gain)  # m - F_t on I_low, -inf off it
         if gain.item(gain.argmax()) < config.tolerance:  # m - M
             converged = True
             break
+        curv_i = curv_rows[i]
         np.maximum(gain, 0.0, out=gain)
         np.multiply(gain, gain, out=gain)
-        np.divide(gain, curv[i], out=gain)
+        np.divide(gain, curv_i, out=gain)
         j = int(gain.argmax())
 
         # move y_i alpha_i up and y_j alpha_j down by t, keeping sum(alpha y)
-        ai, aj, yi, yj = alphas[i], alphas[j], ys[i], ys[j]
+        ai, aj, yi, yj, f_j = alphas[i], alphas[j], ys[i], ys[j], fl.item(j)
         room_i = c - ai if yi > 0.0 else ai
         room_j = aj if yj > 0.0 else c - aj
-        t = min((m - fl.item(j)) / curv.item(i, j), room_i, room_j)
+        t = min((m - f_j) / curv_i.item(j), room_i, room_j)
         alphas[i] = (c if yi > 0.0 else 0.0) if t == room_i else ai + yi * t
         alphas[j] = (0.0 if yj > 0.0 else c) if t == room_j else aj - yj * t
-        np.subtract(k[i], k[j], out=row)
+        np.subtract(k_rows[i], k_rows[j], out=row)
         np.multiply(row, t, out=row)
         np.subtract(fu, row, out=fu)
         np.subtract(fl, row, out=fl)
-        for s in (i, j):
-            a_s, pos = alphas[s], ys[s] > 0.0
-            f_s = fu.item(s) if fu.item(s) > -np.inf else fl.item(s)
-            fu[s] = f_s if (a_s < c if pos else a_s > 0.0) else -np.inf
-            fl[s] = f_s if (a_s > 0.0 if pos else a_s < c) else np.inf
+        refresh(i, m - row.item(i))
+        refresh(j, f_j - row.item(j))
+        updates += 1
+
+        step = (i, j, t)
+        if before is None or before[:2] != (i, j) or last[:2] == (i, j) or updates == cap:
+            before, last = last, step
+            continue
+        if line_search(last, step):
+            updates += 1
+        before = last = None
 
     a = np.array(alphas)
     free = (a > 0.0) & (a < c)

@@ -1022,7 +1022,7 @@ GOLDEN_PIPELINE_SHA256 = {
     "footprint_C.svg": "17eb0bc0a8799ab81f2e5ab824efee9aad1867f7fbc8d811eb2b6dd856cfdd55",
     "footprints.json": "d34f495aed219ade96cabdfb0786efd3c0987ba1fb8da4656758b80606060289",
     "metrics.json": "cb345381db3ed20ffd8b8995e4f95d3dc354fe1755cef69d02090f2ef042653e",
-    "models.json": "23f0174faa5c3c129fb7cfc02edd6c7c6ba78a65a8e5a42cfd570a9ad035957c",
+    "models.json": "8091601fb29ab6988e6c142c306c211a46f763dbce72cc1e12233e3ce1d05c3c",
     "pca_model.json": "753444d68e387e5e6613e1abde5f2518770c35bca285ceda3fc84b87c7a0a240",
     "report.json": "0d8331d5da82a3c812d6710c55d5f1efa1beb96a1cffa41ca2a7883ea8f5d732",
     "selection.json": "0735525988d366cf5a28f82cbadb7a464284690c6ad93a8ba640285dcf816b7f",
@@ -1031,7 +1031,7 @@ GOLDEN_PIPELINE_SHA256 = {
 GOLDEN_LINEAR_PIPELINE_SHA256 = {
     **GOLDEN_PIPELINE_SHA256,
     "metrics.json": "a8bfd546ad3843df1c366b9b40c7f33f18e05026785cb4ba5950dcb830d3abb8",
-    "models.json": "1950aabd5db3b0afcaa7ccf747bfd2696dd0bc1c5c4a651a16babf167d616389",
+    "models.json": "0da87c130ebca36143ed413ce3dc613f1805920bf19e3e82f0cb23813ad0883d",
     "report.json": "d293c2bf431ec182423efe8c062d04a2575a1bd0db6de2c57621f9c31fc0b3e7",
 }
 
