@@ -6,7 +6,7 @@ decision values on a query point yields the recommended algorithm order.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import pickle
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,7 +51,7 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _median(v: np.ndarray) -> float:
     """``np.median`` of a non-empty 1-D float array, NaN if it holds a NaN,
     from one partition; ``np.median`` itself imports ``numpy.ma``, which
-    would cost each pool worker its import."""
+    would cost each forked job process its import."""
     h = len(v) // 2
     part = np.partition(v, (h - 1, h, -1))  # a NaN sorts last
     if np.isnan(part[-1]):
@@ -85,7 +85,7 @@ def train_svm(
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError("coords and labels must align")
-    # comparisons, not np.unique, which imports numpy.ma in each pool worker
+    # comparisons, not np.unique, which imports numpy.ma in each job process
     pos, neg = y == 1.0, y == -1.0
     if not (pos | neg).all():
         raise ValueError("labels must be +1/-1")
@@ -308,14 +308,14 @@ def cv_splits(
     return splits
 
 
-def cross_val_predict(tasks: list[tuple], pool) -> list[tuple[list[SvmModel], np.ndarray]]:
+def cross_val_predict(tasks: list[tuple]) -> list[tuple[list[SvmModel], np.ndarray]]:
     """Fit every split of every task ``(x, y, splits, config)``, splits as
-    ``cv_splits`` gives them, as one batch of jobs on ``pool`` (see
-    ``fold_pool``). Per task, return each split's model and every row's +1/-1
-    prediction from the split whose test rows hold it."""
+    ``cv_splits`` gives them, as one ``map_jobs`` batch. Per task, return
+    each split's model and every row's +1/-1 prediction from the split whose
+    test rows hold it."""
     jobs = [(x[train], y[train], x[test_idx], config)
             for x, y, splits, config in tasks for test_idx, train in splits]
-    results = iter(pool(_fit_fold, jobs))
+    results = iter(map_jobs(_fit_fold, jobs))
     out = []
     for _, y, splits, _ in tasks:
         models, predicted = [], np.empty(len(y))
@@ -331,11 +331,9 @@ def cross_validate(
     labels: Sequence[float],
     folds: int,
     config: SvmConfig = SvmConfig(),
-    pool=None,
 ) -> ClassifierMetrics:
     """Stratified k-fold CV (``cv_splits``, seeded by ``config.seed``): the
-    metrics of every row's held-out prediction, by ``cross_val_predict`` on
-    ``pool`` or on one opened for the call."""
+    metrics of every row's held-out prediction, by ``cross_val_predict``."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
     y = np.asarray(labels, dtype=float)
@@ -344,9 +342,7 @@ def cross_validate(
         if not ((y == 1.0).any() and (y == -1.0).any()):
             raise SingleClassLabels("both classes required")
         raise TooFewInstances("need at least 2 instances of each class")
-    task = (np.asarray(coords, dtype=float), y, splits, config)
-    with fold_pool(pool) as pool:
-        [(_, predicted)] = cross_val_predict([task], pool)
+    [(_, predicted)] = cross_val_predict([(np.asarray(coords, dtype=float), y, splits, config)])
     return compute_metrics(y, predicted)
 
 
@@ -363,44 +359,92 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-@contextmanager
-def fold_pool(shared=None):
-    """Yield ``pool(fn, jobs) -> [fn(job) for job in jobs]`` for every batch
-    of fold fits in a run; a ``shared`` pool already open is yielded as is.
+def map_jobs(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, spread over the CPUs this process may use.
 
-    With two or more usable CPUs and ``fork``, every batch runs on one
-    process pool with a worker per usable CPU, sent in chunks of about a
-    quarter of a worker's share; otherwise the batches run in this process.
-    Results come back in job order and each job depends on its own inputs
-    alone, so the results do not depend on the number of workers."""
-    if shared is not None:
-        yield shared
-        return
-    workers = _usable_cpus() if hasattr(os, "fork") else 1
-    executor = None
-
-    def pool(fn, jobs: list) -> list:
-        nonlocal executor
-        if workers < 2 or not jobs:
-            return [fn(job) for job in jobs]
-        if executor is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # fork, not spawn: a spawned worker imports numpy and eapr again,
-            # which costs more than a generation's fits. The workers fork at
-            # this first batch, before the executor starts its thread; the
-            # program starts no threads and OpenBLAS stops its own around a fork.
-            context = multiprocessing.get_context("fork")
-            executor = ProcessPoolExecutor(workers, mp_context=context)
-        chunk = -(-len(jobs) // (4 * workers))
-        return list(executor.map(fn, jobs, chunksize=chunk))
-
+    With W = min(usable CPUs, len(jobs)) >= 2 and ``fork``, the batch forks
+    W - 1 children: job k runs in process k mod W, this process running every
+    k = 0 mod W itself. The deal is static, so which process runs a job
+    depends on k and W alone. The children inherit ``fn`` and the jobs, and
+    each sends back one pickled pair: its results, and the exception of its
+    lowest failing job or None. Every child is reaped before the lowest-index
+    job's exception is raised, as the in-process loop would raise it. With
+    one usable CPU, one job, or no ``fork``, the jobs run in this process.
+    Each job depends on its own inputs alone, so the results do not depend
+    on W."""
+    workers = min(_usable_cpus(), len(jobs)) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     try:
-        yield pool
+        for r in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            # fork, not spawn: a spawned child imports numpy and eapr again,
+            # which costs more than a generation's fits. The program starts no
+            # threads, and OpenBLAS stops its own around a fork.
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(fn, jobs[r::workers], read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        shares = [_run_share(fn, jobs[0::workers])]
     finally:
-        if executor is not None:
-            executor.shutdown()
+        payloads = [(pid, *_reap(pid, read_fd)) for pid, read_fd in children]
+
+    for pid, data, status in payloads:
+        if not data:
+            raise RuntimeError(f"job process {pid} ended with exit status "
+                               f"{os.waitstatus_to_exitcode(status)} and sent no results")
+        shares.append(pickle.loads(data))
+    failed = [(r + workers * len(results), exc)
+              for r, (results, exc) in enumerate(shares) if exc is not None]
+    if failed:
+        raise min(failed, key=lambda failure: failure[0])[1]
+    out = [None] * len(jobs)
+    for r, (results, _) in enumerate(shares):
+        out[r::workers] = results
+    return out
+
+
+def _run_share(fn, share: list) -> tuple[list, Exception | None]:
+    """The results of ``fn`` on ``share`` up to its first failing job, and
+    that job's exception or None."""
+    results = []
+    try:
+        for job in share:
+            results.append(fn(job))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _child(fn, share: list, read_fd: int, write_fd: int) -> None:
+    """Run a forked child's share, write its pickled ``_run_share`` pair to
+    ``write_fd`` and leave by ``os._exit``: with status 0 once the pair is
+    written, else with 1 and no pair. ``read_fd``, the parent's end, is
+    closed first, so a write to a parent that is gone fails."""
+    status = 1
+    try:
+        os.close(read_fd)
+        data = pickle.dumps(_run_share(fn, share))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int, read_fd: int) -> tuple[bytes, int]:
+    """Everything child ``pid`` wrote to ``read_fd``, read to EOF, and then its
+    wait status."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    return data, os.waitpid(pid, 0)[1]
 
 
 def select_aprt(

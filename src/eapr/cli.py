@@ -17,6 +17,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -107,11 +108,12 @@ def build_config(
     repeats: int | None = None,
     env_seed: str | None = None,
 ) -> PipelineConfig:
-    """Merge config sources: CLI flag > EAPR_SEED env > config file > default."""
+    """Merge config sources: CLI flag > EAPR_SEED env > config file > default.
+    The EAPR_SEED text is parsed only when no seed flag is given."""
     from . import classify, report as rpt, selection
 
     texts = [(key, text, f"config key {key}") for key, text in file_values.items()]
-    if env_seed is not None:
+    if env_seed is not None and seed is None:
         texts.append(("seed", env_seed, "EAPR_SEED"))
     sections: dict[str | None, dict] = {None: {}, "ga": {}, "svm": {}, "plot": {}}
     for key, text, origin in texts:
@@ -153,7 +155,7 @@ def _config_echo(cfg: PipelineConfig) -> dict:
 # Stages
 
 
-def stage_ingest(cfg: PipelineConfig, pool) -> None:
+def stage_ingest(cfg: PipelineConfig) -> None:
     """Parse and aggregate the input CSV into table.json."""
     import hashlib
 
@@ -216,7 +218,7 @@ def _final_subset(
     return tuple(sorted(chosen)), frequencies
 
 
-def stage_select_features(cfg: PipelineConfig, pool) -> None:
+def stage_select_features(cfg: PipelineConfig) -> None:
     """Run the GA feature search over table.json."""
     from . import selection
     from .model import FeatureSubset
@@ -230,7 +232,7 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
     try:
         for r in range(cfg.repeats):
             ga = replace(cfg.ga, seed=derive_seed(stage_seed, f"repeat:{r}"))
-            result = selection.run_ga(table, ga, pool)
+            result = selection.run_ga(table, ga)
             winners.append((result.best, result.best_fitness))
             repeats_out.append(
                 {
@@ -242,7 +244,7 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
             )
         final, frequencies = _final_subset(winners, table, cfg.ga)
         fitness = selection.evaluate_subset(
-            table, FeatureSubset.of(final), cfg.ga, derive_seed(stage_seed, "final"), pool
+            table, FeatureSubset.of(final), cfg.ga, derive_seed(stage_seed, "final")
         )
     except (selection.DegenerateLabels, ValueError) as exc:
         raise CliFailure("E_DEGENERATE", str(exc)) from exc
@@ -259,7 +261,7 @@ def stage_select_features(cfg: PipelineConfig, pool) -> None:
     )
 
 
-def stage_project(cfg: PipelineConfig, pool) -> None:
+def stage_project(cfg: PipelineConfig) -> None:
     """Fit the 2D PCA model for the selected features."""
     from . import project
     from .model import FeatureSubset
@@ -275,7 +277,7 @@ def stage_project(cfg: PipelineConfig, pool) -> None:
     artifacts.write_coords(cfg.output_dir, table, coords)
 
 
-def stage_footprint(cfg: PipelineConfig, pool) -> None:
+def stage_footprint(cfg: PipelineConfig) -> None:
     """Compute per-algorithm footprint geometry."""
     from . import footprint as fp
 
@@ -305,7 +307,7 @@ def stage_footprint(cfg: PipelineConfig, pool) -> None:
     )
 
 
-def stage_classify(cfg: PipelineConfig, pool) -> None:
+def stage_classify(cfg: PipelineConfig) -> None:
     """Train per-algorithm SVMs and selector metrics."""
     import numpy as np
 
@@ -331,7 +333,7 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
             config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
             every_row = [(np.arange(len(y)), np.ones(len(y), dtype=bool))]
             tasks += [(pts, y, every_row, config), (pts, y, splits, config)]
-    results = iter(classify.cross_val_predict(tasks, pool))
+    results = iter(classify.cross_val_predict(tasks))
 
     models: dict[str, dict] = {}
     cv_metrics: dict[str, dict] = {}
@@ -370,9 +372,9 @@ def stage_classify(cfg: PipelineConfig, pool) -> None:
     )
 
 
-def stage_plot(cfg: PipelineConfig, pool) -> None:
+def stage_plot(cfg: PipelineConfig) -> None:
     """Render SVGs and assemble report.json."""
-    from . import ingest, project, report as rpt
+    from . import classify, ingest, project, report as rpt
 
     out = cfg.output_dir
     table, digest = artifacts.read_table(out)
@@ -382,13 +384,9 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
     foot, prints, footprint_metrics = artifacts.read_footprints(out, table)
     metrics = artifacts.read_metrics(out, table)
 
-    for algorithm, print_ in prints.items():
-        svg = rpt.render_footprint_svg(coords, table.outcome_codes(algorithm), print_, cfg.plot)
-        (out / f"footprint_{rpt.file_stem(algorithm)}.svg").write_text(svg, encoding="utf-8")
-
-    for name in sel["selected"]:
+    def feature_svg(name: str) -> str:
         raw = table.feature_matrix([name])[:, 0]
-        svg = rpt.render_feature_svg(
+        return rpt.render_feature_svg(
             coords,
             ingest.minmax_normalize(raw),
             cfg.plot,
@@ -396,11 +394,22 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
             vmin=float(raw.min()),
             vmax=float(raw.max()),
         )
-        (out / f"feature_{rpt.file_stem(name)}.svg").write_text(svg, encoding="utf-8")
 
-    (out / "datasets.svg").write_text(
-        rpt.render_dataset_svg(coords, table.dataset_tags, cfg.plot), encoding="utf-8"
-    )
+    # (file name, its render) of every SVG; they render as one batch and are
+    # written in this order.
+    renders = [
+        (f"footprint_{rpt.file_stem(algorithm)}.svg",
+         partial(rpt.render_footprint_svg,
+                 coords, table.outcome_codes(algorithm), print_, cfg.plot))
+        for algorithm, print_ in prints.items()
+    ]
+    renders += [(f"feature_{rpt.file_stem(name)}.svg", partial(feature_svg, name))
+                for name in sel["selected"]]
+    renders.append(("datasets.svg",
+                    partial(rpt.render_dataset_svg, coords, table.dataset_tags, cfg.plot)))
+    svgs = classify.map_jobs(lambda render: render[1](), renders)
+    for (file_name, _), svg in zip(renders, svgs):
+        (out / file_name).write_text(svg, encoding="utf-8")
 
     report = {
         "provenance": {"input_digest": digest, "config": _config_echo(cfg)},
@@ -421,8 +430,7 @@ def stage_plot(cfg: PipelineConfig, pool) -> None:
     rpt.write_report(report, out / "report.json")
 
 
-# Stage -> its function. Each takes the config and the run's pool of fold
-# fits (``classify.fold_pool``); only select-features and classify fit SVMs.
+# Stage -> its function, which takes the run's config.
 _STAGE_FNS = {
     "ingest": stage_ingest,
     "select-features": stage_select_features,
@@ -434,13 +442,10 @@ _STAGE_FNS = {
 
 
 def cmd_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = tuple(_STAGE_FNS)) -> None:
-    """Run the named stages in order, on one pool of fold fits."""
-    from . import classify
-
+    """Run the named stages in order."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    with classify.fold_pool() as pool:
-        for stage in stages:
-            _STAGE_FNS[stage](cfg, pool)
+    for stage in stages:
+        _STAGE_FNS[stage](cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """CSV ingestion, sub-program aggregation, and min-max normalization.
 
-Input format is a comma-separated UTF-8 table:
+Input format is a comma-separated UTF-8 table, with or without a byte-order
+mark:
 
     instance_id,dataset,<feature columns...>,<outcome columns prefixed "aprt:">
 
-Outcome cells are "1" (GOOD), "0" (BAD) or empty (MISSING). The dataset
-column is optional. Empty feature cells parse as NaN and are surfaced later
-by validate_table rather than rejected here.
+Outcome cells are "1" (GOOD), "0" (BAD) or empty (MISSING). Every row needs
+a non-empty instance id. The dataset column is optional. Empty feature cells
+parse as NaN and are surfaced later by validate_table rather than rejected
+here.
 """
 from __future__ import annotations
 
@@ -70,16 +72,17 @@ def _first_unparseable(cells: list[str]) -> int:
 def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     """Parse a CSV byte stream into an InstanceTable.
 
-    Raises MalformedCsv on structural problems, UnparseableCell on bad cells
-    and EmptyTable when no data rows are present. The error raised is the
-    first one met reading the data rows in order, and a row's cells in
-    order after its length. Then a column name or dataset tag holding a
-    character XML 1.0 forbids raises MalformedCsv.
+    Raises MalformedCsv on structural problems (an empty id among them),
+    UnparseableCell on bad cells and EmptyTable when no data rows are
+    present. The error raised is the first one met reading the data rows in
+    order, and a row's cells after its length: its id, its features, then its
+    outcomes. Then a column name or dataset tag holding a character XML 1.0
+    forbids raises MalformedCsv.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     try:
-        records = list(csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline="")))
+        records = list(csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline="")))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedCsv(f"unreadable CSV: {exc}") from None
 
@@ -120,8 +123,12 @@ def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     # The rows before the first one of the wrong length, as columns of stripped cells.
     columns = [list(map(str.strip, column)) for column in zip(*rows[:n])] or [[]] * width
 
-    # (row, column order, error) of the first bad cell of each column.
+    # (row, column order, error) of the first bad cell of each column; the id
+    # cell counts as a row's first.
     errors: list[tuple[int, int, IngestError]] = []
+    if "" in columns[id_pos]:
+        i = columns[id_pos].index("")
+        errors.append((i, -1, MalformedCsv(f"row {line_nos[i]}, column {ID_COLUMN!r}: empty id")))
     features = np.empty((n, len(feature_pos)))
     for j, (pos, name) in enumerate(zip(feature_pos, feature_names)):
         cells = [cell or "nan" for cell in columns[pos]]

@@ -13,7 +13,7 @@ import numpy as np
 
 # train_svm is not called here: perfbench/smoke_test.py checks that its tracer
 # rebinds this name along with classify.train_svm.
-from .classify import SvmConfig, cross_val_predict, cv_splits, fold_pool, train_svm
+from .classify import SvmConfig, cross_val_predict, cv_splits, train_svm
 from .model import FeatureSubset, InstanceTable
 from .project import AllFeaturesDropped, fit_projection
 from .seeds import derive_seed
@@ -88,7 +88,6 @@ def evaluate_subsets(
     subsets: Sequence[FeatureSubset],
     config: GaConfig,
     seed: int,
-    pool=None,
 ) -> list[FitnessValue]:
     """Mean k-fold CV accuracy over algorithms, on each subset's 2D projection.
 
@@ -98,8 +97,7 @@ def evaluate_subsets(
     are skipped; if every algorithm is skipped, DegenerateLabels is raised
     before any subset is projected. Subsets whose columns collapse under
     standardization score 0. The fold fits of all subsets run as one
-    ``classify.cross_val_predict`` batch on ``pool``, or on one opened for
-    the call.
+    ``classify.cross_val_predict`` batch.
     """
     max_k = min(config.max_k, len(table.feature_names))
     for subset in subsets:
@@ -128,8 +126,7 @@ def evaluate_subsets(
 
     tasks = [(coords[idx], y, splits, _FITNESS_SVM)
              for coords in projected.values() for idx, y, splits in plan]
-    with fold_pool(pool) as pool:
-        predictions = iter(cross_val_predict(tasks, pool))
+    predictions = iter(cross_val_predict(tasks))
 
     values = [FitnessValue(0.0, len(subset)) for subset in subsets]
     for pos in projected:
@@ -139,16 +136,16 @@ def evaluate_subsets(
 
 
 def evaluate_subset(
-    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int, pool=None
+    table: InstanceTable, subset: FeatureSubset, config: GaConfig, seed: int
 ) -> FitnessValue:
     """``evaluate_subsets`` for one subset."""
-    return evaluate_subsets(table, [subset], config, seed, pool)[0]
+    return evaluate_subsets(table, [subset], config, seed)[0]
 
 
-def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult:
+def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
     """Evolve bitmask-encoded subsets: tournament selection, uniform crossover,
     per-bit mutation, cardinality repair, 1-elitism. Fully seed-deterministic.
-    Every generation's fold fits run on ``pool``, or on one opened for the run."""
+    Each generation's fold fits run as one batch."""
     n = len(table.feature_names)
     max_k = min(config.max_k, n)
     if config.min_k > max_k:
@@ -165,7 +162,7 @@ def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult
         keys = [tuple(np.flatnonzero(mask)) for mask in masks]
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
         subsets = [FeatureSubset.of(names[i] for i in key) for key in fresh]
-        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed, pool)))
+        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed)))
         return [cache[key] for key in keys]
 
     def subset_names(mask: np.ndarray) -> tuple[str, ...]:
@@ -202,36 +199,35 @@ def run_ga(table: InstanceTable, config: GaConfig, pool=None) -> SelectionResult
         )
         return population[winner]
 
-    with fold_pool(pool) as pool:
-        population = [random_individual() for _ in range(config.population_size)]
+    population = [random_individual() for _ in range(config.population_size)]
+    fitnesses = evaluate(population)
+
+    elite_idx = best_index()
+    best_mask = population[elite_idx].copy()
+    best_fitness = fitnesses[elite_idx]
+    history = [best_fitness]
+
+    for _ in range(config.generations):
+        children = [best_mask.copy()]  # 1-elitism
+        while len(children) < config.population_size:
+            parent_a = tournament()
+            parent_b = tournament()
+            if rng.random() < config.crossover_rate:
+                take_a = rng.random(n) < 0.5
+                child = np.where(take_a, parent_a, parent_b)
+            else:
+                child = parent_a.copy()
+            flips = rng.random(n) < mutation_rate
+            child = repair(child ^ flips)
+            children.append(child)
+        population = children
         fitnesses = evaluate(population)
-
-        elite_idx = best_index()
-        best_mask = population[elite_idx].copy()
-        best_fitness = fitnesses[elite_idx]
-        history = [best_fitness]
-
-        for _ in range(config.generations):
-            children = [best_mask.copy()]  # 1-elitism
-            while len(children) < config.population_size:
-                parent_a = tournament()
-                parent_b = tournament()
-                if rng.random() < config.crossover_rate:
-                    take_a = rng.random(n) < 0.5
-                    child = np.where(take_a, parent_a, parent_b)
-                else:
-                    child = parent_a.copy()
-                flips = rng.random(n) < mutation_rate
-                child = repair(child ^ flips)
-                children.append(child)
-            population = children
-            fitnesses = evaluate(population)
-            gen_best = best_index()
-            gen_key = _order_key(subset_names(population[gen_best]), fitnesses[gen_best])
-            if gen_key < _order_key(subset_names(best_mask), best_fitness):
-                best_mask = population[gen_best].copy()
-                best_fitness = fitnesses[gen_best]
-            history.append(best_fitness)
+        gen_best = best_index()
+        gen_key = _order_key(subset_names(population[gen_best]), fitnesses[gen_best])
+        if gen_key < _order_key(subset_names(best_mask), best_fitness):
+            best_mask = population[gen_best].copy()
+            best_fitness = fitnesses[gen_best]
+        history.append(best_fitness)
 
     return SelectionResult(
         best=FeatureSubset.of(subset_names(best_mask)),

@@ -157,7 +157,7 @@ def rowwise_parse(source: bytes) -> InstanceTable:
     """``ingest.parse_instance_table`` one row and one cell at a time: the
     first bad row or cell in reading order raises."""
     try:
-        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8", newline="")
+        text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
         records = list(csv.reader(text))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedCsv(f"unreadable CSV: {exc}") from None
@@ -194,6 +194,8 @@ def rowwise_parse(source: bytes) -> InstanceTable:
         if len(cells) != len(header):
             raise MalformedCsv(f"row {line_no}: expected {len(header)} cells, got {len(cells)}")
         cells = [c.strip() for c in cells]
+        if not cells[id_pos]:
+            raise MalformedCsv(f"row {line_no}, column 'instance_id': empty id")
         row = []
         for pos, name in zip(feature_pos, feature_names):
             try:

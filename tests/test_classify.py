@@ -423,8 +423,7 @@ class TestMetricsAndCv:
         pts, y = overlapping(5, 40)
         splits = cv_splits(y, 4, 9)
         config = SvmConfig(seed=9)
-        with classify.fold_pool() as pool:
-            [(models, predicted)] = cross_val_predict([(pts, y, splits, config)], pool)
+        [(models, predicted)] = cross_val_predict([(pts, y, splits, config)])
         assert len(models) == len(splits)
         for model, (test_idx, train) in zip(models, splits):
             fold_model, labels = classify._fit_fold((pts[train], y[train], pts[test_idx], config))
@@ -437,8 +436,7 @@ class TestMetricsAndCv:
         pts, y = overlapping(6, 30)
         every_row = [(np.arange(len(y)), np.ones(len(y), dtype=bool))]
         config = SvmConfig(kernel=kernel, seed=3)
-        with classify.fold_pool() as pool:
-            [([model], predicted)] = cross_val_predict([(pts, y, every_row, config)], pool)
+        [([model], predicted)] = cross_val_predict([(pts, y, every_row, config)])
         assert model_digest(model) == model_digest(train_svm(pts, y, config))
         assert np.array_equal(predicted, np.where(decision_values(model, pts) >= 0.0, 1.0, -1.0))
 
@@ -514,7 +512,7 @@ class TestMisc:
         assert np.array_equal(classify._median(v), np.median(v), equal_nan=True)
 
     def test_fits_import_no_numpy_ma(self):
-        # np.unique and np.median import numpy.ma, ~12 ms in each pool worker
+        # np.unique and np.median import numpy.ma, ~12 ms in each forked job process
         code = (
             "import sys, numpy as np; from eapr.classify import SvmConfig, train_svm; "
             "x = np.random.default_rng(0).normal(size=(30, 2)); y = np.sign(x[:, 0]); "
@@ -565,26 +563,84 @@ def _job_and_square(job):
     return job, job * job
 
 
+def _fail_at(job):
+    """Job ``(k, bad)``: k squared, or an error naming k when k is in ``bad``."""
+    k, bad = job
+    if k in bad:
+        raise (SingleClassLabels if k % 2 else ValueError)(f"job {k} failed")
+    return k * k
+
+
+def _exit_in_job_1(k):
+    if k == 1:
+        os._exit(7)
+    return k
+
+
+def _mb(k):
+    return bytes([k]) * 2**20
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkers:
-    @pytest.mark.skipif(classify._usable_cpus() < 2, reason="one usable CPU: no pool")
-    def test_jobs_run_in_other_processes(self):
-        with classify.fold_pool() as pool:
-            pids = pool(_pid, list(range(8)))
-        assert len(pids) == 8
-        assert os.getpid() not in pids
+    def test_jobs_run_in_other_processes(self, monkeypatch):
+        # job k runs in process k mod W, process 0 being this one
+        for cpus in sorted({classify._usable_cpus(), 3}):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            pids = classify.map_jobs(_pid, list(range(8)))
+            workers = min(cpus, 8)
+            assert pids == [pids[k % workers] for k in range(8)]
+            assert pids[0] == os.getpid()
+            assert len(set(pids)) == workers
+        assert_no_child_left()
 
     def test_one_cpu_runs_in_process(self, monkeypatch):
         monkeypatch.setattr(classify, "_usable_cpus", lambda: 1)
-        with classify.fold_pool() as pool:
-            assert pool(_pid, [0, 1, 2]) == [os.getpid()] * 3
+        assert classify.map_jobs(_pid, [0, 1, 2]) == [os.getpid()] * 3
 
     def test_one_pool_serves_empty_and_small_batches(self, monkeypatch):
         # a GA generation whose masks are all cached is a batch of 0 jobs
         monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
         batches = [list(range(size)) for size in (0, 1, 7, 75)]
-        with classify.fold_pool() as pool:
-            results = [pool(_job_and_square, jobs) for jobs in batches]
+        results = [classify.map_jobs(_job_and_square, jobs) for jobs in batches]
         assert results == [[_job_and_square(job) for job in jobs] for jobs in batches]
+
+    @pytest.mark.parametrize("size", [2, 3, 7])
+    def test_three_cpus_equal_the_in_process_loop(self, monkeypatch, size):
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 3)
+        jobs = list(range(size))
+        assert classify.map_jobs(_job_and_square, jobs) == [_job_and_square(k) for k in jobs]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad", [{1}, {0}, {4, 5}, {3, 4}, {2, 7}],
+                             ids=["child", "parent", "two-children", "parent-first", "later"])
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_lowest_failing_job_raises_as_on_one_cpu(self, monkeypatch, bad, cpus):
+        jobs = [(k, bad) for k in range(8)]
+        raised = []
+        for n in (1, cpus):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: n)
+            with pytest.raises(Exception) as err:
+                classify.map_jobs(_fail_at, jobs)
+            raised.append((type(err.value), str(err.value)))
+            assert_no_child_left()
+        assert raised[0] == raised[1] == (raised[0][0], f"job {min(bad)} failed")
+
+    def test_a_child_without_results_names_its_exit_status(self, monkeypatch):
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="exit status 7"):
+            classify.map_jobs(_exit_in_job_1, [0, 1, 2, 3])
+        assert_no_child_left()
+
+    def test_results_larger_than_a_pipe_buffer_come_back_whole(self, monkeypatch):
+        # each child's share, 2 x 1 MB, is many pipe buffers long
+        monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
+        assert classify.map_jobs(_mb, list(range(4))) == [_mb(k) for k in range(4)]
+        assert_no_child_left()
 
     def test_cross_validate_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
         pts, y = overlapping(3, 60)
@@ -594,8 +650,7 @@ class TestWorkers:
         for cpus in (1, 2):
             monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
             metrics.append(cross_validate(pts, y, 5, SvmConfig(seed=4)))
-            with classify.fold_pool() as pool:
-                predictions.append([([model_digest(m) for m in models], predicted.tolist())
-                                    for models, predicted in cross_val_predict(tasks, pool)])
+            predictions.append([([model_digest(m) for m in models], predicted.tolist())
+                                for models, predicted in cross_val_predict(tasks)])
         assert metrics[0] == metrics[1]
         assert predictions[0] == predictions[1]

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import importlib
 import itertools
@@ -22,7 +21,6 @@ import eapr
 import eapr.artifacts as artifacts
 import eapr.classify as classify
 import eapr.cli as cli
-import eapr.selection as selection
 from eapr.cli import build_config, main, parse_config_file
 
 from conftest import DATA_DIR
@@ -215,40 +213,82 @@ class TestStages:
             runs.append((files, result.stderr))
         assert runs[0] == runs[1]
 
-    def test_one_executor_per_pipeline(self, runner, tmp_path, synthetic60_path, monkeypatch):
-        made = []
+    def test_one_executor_per_pipeline(self, tmp_path, synthetic60_path):
+        # a pipeline forks its job processes at each batch, without an executor,
+        # and leaves none of them behind
+        cfg = write_config(tmp_path, synthetic60_path, tmp_path / "out")
+        code = (
+            "import os, sys\n"
+            "import eapr.classify, eapr.cli\n"
+            "eapr.classify._usable_cpus = lambda: 2\n"
+            "try:\n"
+            f"    eapr.cli.main(['pipeline', '--config', {str(cfg)!r}])\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == ["[]", "no child left"]
 
-        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingExecutor)
-        monkeypatch.setattr(classify, "_usable_cpus", lambda: 2)
-        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "counted")
-        assert result.exit_code == 0, result.stderr
-        assert len(made) == 1
-
-    @pytest.mark.skipif(classify._usable_cpus() < 2, reason="one usable CPU: no pool")
     def test_fits_run_in_one_worker_per_cpu(
         self, runner, tmp_path, synthetic60_path, monkeypatch
     ):
-        # each fit leaves a file named after the pid of the process it ran in
-        pids = tmp_path / "fit_pids"
-        pids.mkdir()
-        train_svm = classify.train_svm
+        # each job leaves a file named after its batch, its index in the batch
+        # and the pid of the process it ran in
+        ran = tmp_path / "ran"
+        ran.mkdir()
+        map_jobs, sizes = classify.map_jobs, []
 
-        def recording_train_svm(x, y, config):
-            (pids / str(os.getpid())).touch()
-            return train_svm(x, y, config)
+        def recording_map_jobs(fn, jobs):
+            batch = len(sizes)
+            sizes.append(len(jobs))
 
-        monkeypatch.setattr(classify, "train_svm", recording_train_svm)
-        monkeypatch.setattr(selection, "train_svm", recording_train_svm)
+            def run(indexed):
+                (ran / f"{batch}-{indexed[0]}-{os.getpid()}").touch()
+                return fn(indexed[1])
+
+            return map_jobs(run, list(enumerate(jobs)))
+
+        monkeypatch.setattr(classify, "map_jobs", recording_map_jobs)
         result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "pids")
         assert result.exit_code == 0, result.stderr
-        workers = {int(p.name) for p in pids.iterdir()}
-        assert workers and os.getpid() not in workers
-        assert len(workers) <= classify._usable_cpus()
+        runs = [tuple(map(int, p.name.split("-"))) for p in ran.iterdir()]
+        assert sorted(run[:2] for run in runs) == [
+            (batch, k) for batch, size in enumerate(sizes) for k in range(size)
+        ]
+        assert len(sizes) >= 3  # GA generations, the final fitness, classify, plot
+        for batch, size in enumerate(sizes):
+            pid_of = {k: pid for b, k, pid in runs if b == batch}
+            workers = min(classify._usable_cpus(), size)
+            # job k runs in process k mod W, and process 0 is the parent
+            assert all(pid_of[k] == pid_of[k % workers] for k in pid_of)
+            assert pid_of.get(0, os.getpid()) == os.getpid()
+            assert len(set(pid_of.values())) == workers
+
+    def test_plot_same_on_one_two_and_three_cpus(
+        self, runner, tmp_path, synthetic60_path, monkeypatch
+    ):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "plotted")
+        assert result.exit_code == 0, result.stderr
+        cfg = tmp_path / "pipeline.cfg"
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
+            for svg in out.glob("*.svg"):
+                svg.unlink()
+            result = runner.invoke(main, ["plot", "--config", str(cfg)])
+            assert result.exit_code == 0, result.stderr
+            runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, result.output))
+        assert len([name for name in runs[0][0] if name.endswith(".svg")]) >= 5
+        assert runs[0] == runs[1] == runs[2]
 
     def test_footprint_before_project(self, runner, tmp_path, synthetic60_path):
         out = tmp_path / "partial"
@@ -448,12 +488,15 @@ class TestSeeds:
         assert (out_flag / "report.json").read_bytes() == (out_env / "report.json").read_bytes()
 
     def test_flag_overrides_env(self, runner, tmp_path, synthetic60_path):
-        _, out = run_pipeline(
-            runner, tmp_path, synthetic60_path, "both",
-            args=["--seed", "3"], env={"EAPR_SEED": "4"},
-        )
-        report = json.loads((out / "report.json").read_text())
-        assert report["provenance"]["config"]["seed"] == 3
+        # the flag wins over a valid EAPR_SEED and over one that does not parse
+        for env_seed in ("4", "pi"):
+            result, out = run_pipeline(
+                runner, tmp_path, synthetic60_path, f"both-{env_seed}",
+                args=["--seed", "3"], env={"EAPR_SEED": env_seed},
+            )
+            assert result.exit_code == 0, result.stderr
+            report = json.loads((out / "report.json").read_text())
+            assert report["provenance"]["config"]["seed"] == 3
 
     def test_bad_env_seed(self, runner, tmp_path, synthetic60_path):
         result, _ = run_pipeline(
@@ -691,7 +734,7 @@ class TestSelect:
 
 
 def test_cli_import_loads_no_process_pool():
-    # `eapr select` imports eapr.cli; the pool modules load only when fits run
+    # `eapr select` imports eapr.cli, and no module of the program loads these
     code = (
         "import sys, eapr.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
@@ -962,6 +1005,31 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE duplicate column 'instance_id'"]
+
+    def test_empty_id_names_its_row(self, runner, tmp_path):
+        csv = tmp_path / "blank_ids.csv"
+        rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
+        rows[3] = rows[5] = ",0.5,1,1"
+        csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["E_PARSE row 5, column 'instance_id': empty id"]
+        assert not (out / "table.json").exists()
+
+    def test_byte_order_mark_ingests_as_without_it(self, runner, tmp_path, synthetic60_path):
+        raw = synthetic60_path.read_bytes()
+        tables = []
+        for name, data in (("plain", raw), ("bom", b"\xef\xbb\xbf" + raw)):
+            csv = tmp_path / f"{name}.csv"
+            csv.write_bytes(data)
+            out = tmp_path / name
+            result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+            assert result.exit_code == 0, result.stderr
+            table = json.loads((out / "table.json").read_text())
+            assert table.pop("input_digest") == hashlib.sha256(data).hexdigest()
+            tables.append(table)
+        assert tables[0] == tables[1]
 
     def test_single_feature_table_is_degenerate(self, runner, tmp_path):
         csv = tmp_path / "narrow.csv"

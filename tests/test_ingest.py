@@ -105,12 +105,29 @@ class TestParse:
             # Blank records count in the row number.
             (b"instance_id,f1,aprt:A\n\nx,1.0,1\n\ny, 1x ,1\n",
              "row 5, column 'f1': cannot parse '1x'"),
+            # An empty id is its row's first error, wherever the id column is.
+            (b"instance_id,f1,aprt:A\nx,1.0,1\n ,abc,2\n",
+             "row 3, column 'instance_id': empty id"),
+            (b"f1,aprt:A,instance_id\nabc,1,x\n1.0,2,\n",
+             "row 2, column 'f1': cannot parse 'abc'"),
+            (b"f1,aprt:A,instance_id\n1.0,2,\n",
+             "row 2, column 'instance_id': empty id"),
         ],
     )
     def test_first_error_in_reading_order(self, csv, error):
         with pytest.raises(IngestError) as err:
             parse_instance_table(csv)
         assert str(err.value) == error
+
+    def test_empty_ids_do_not_merge_into_one_group(self):
+        csv = b"instance_id,f1,aprt:A\nx,1.0,1\n,2.0,0\n,3.0,0\n"
+        with pytest.raises(MalformedCsv, match="^row 3, column 'instance_id': empty id$"):
+            parse_instance_table(csv)
+
+    def test_byte_order_mark_is_not_part_of_the_header(self):
+        plain = parse_instance_table(SNAPSHOT_CSV)
+        marked = parse_instance_table(b"\xef\xbb\xbf" + SNAPSHOT_CSV)
+        assert table_to_dict(marked, "") == table_to_dict(plain, "")
 
     def test_cells_parse_like_python_float(self):
         table = parse_instance_table(b"instance_id,f1,f2,aprt:A\nx, 1_000 ,  ,1\n")
@@ -244,7 +261,7 @@ def sub_program_csv(draw) -> bytes:
         row = []
         for name in header:
             if name == "instance_id":
-                cell = rid
+                cell = " " if rare(300) else rid  # strips to an empty id
             elif name == "dataset":
                 cell = draw(st.sampled_from(["Defects4J", "Bears", ""]))
                 if rare(500):
@@ -267,7 +284,8 @@ def sub_program_csv(draw) -> bytes:
         lines.append(",".join(row))
         if rare(60):
             lines.append("")
-    return ("\n".join(lines) + "\n").encode()
+    bom = b"\xef\xbb\xbf" if rare(20) else b""  # as Excel's "CSV UTF-8" writes
+    return bom + ("\n".join(lines) + "\n").encode()
 
 
 def _ingested(parse, aggregate, dumps, data: bytes):

@@ -190,9 +190,9 @@ class TestRunGa:
         seen = []
         original = selection.evaluate_subsets
 
-        def spy(tbl, subsets, cfg, seed, pool):
+        def spy(tbl, subsets, cfg, seed):
             seen.extend(len(subset) for subset in subsets)
-            return original(tbl, subsets, cfg, seed, pool)
+            return original(tbl, subsets, cfg, seed)
 
         monkeypatch.setattr(selection, "evaluate_subsets", spy)
         run_ga(table, config)
@@ -259,8 +259,8 @@ class TestGaConfig:
 
 
 class TestWorkers:
-    """Fold fits run on a pool of one worker per usable CPU; the results must
-    be those of the in-process, one-worker run to the bit."""
+    """Each batch of fold fits is spread over one process per usable CPU; the
+    results must be those of the in-process, one-CPU run to the bit."""
 
     def test_run_ga_same_on_one_cpu_and_on_a_pool(self, monkeypatch):
         table = planted_table(60, n_noise=6, seed=14)
