@@ -2,10 +2,11 @@
 how each is written and read back.
 
 Every artifact is the text of ``model.json_text`` plus a newline. A read that
-fails in any way (a missing, unreadable or malformed file, ``NaN`` and
-``Infinity`` included, or a stale one) gives ``E_STAGE <stage that writes
-it>``. ``report.json`` is written by ``report.write_report``, and the SVGs,
-which no stage reads, by the ``plot`` stage.
+fails in any way (a missing, unreadable or malformed file, ``NaN``,
+``Infinity`` and nesting too deep to parse included, or a stale one) gives
+``E_STAGE <stage that writes it>``. ``report.json`` is written by
+``report.write_report``, and the SVGs, which no stage reads, by the ``plot``
+stage.
 
 ``eapr select`` reads the model files through this module into the float
 forms of ``ranker``, so the module imports numpy and the numpy-backed modules
@@ -69,7 +70,7 @@ def read(out_dir: Path, name: str, decode=lambda data: data, parse=_parse):
     of either gives `E_STAGE <stage that writes it>`."""
     try:
         return decode(parse((out_dir / name).read_bytes()))
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CliFailure("E_STAGE", WRITTEN_BY[name]) from exc
 
 

@@ -174,10 +174,11 @@ def aggregate_rows(table: InstanceTable) -> InstanceTable:
     """Collapse sub-program rows to one row per instance id.
 
     Groups keep the order of their first row. Feature values become the
-    arithmetic mean over the group; outcome labels must be identical within a
-    group and are carried through (InconsistentOutcomes otherwise). A mean that
-    overflows float64 raises MalformedCsv. The error is the first failing
-    group's, and a group with conflicting labels fails on those.
+    arithmetic mean over the group; the dataset tag and the outcome labels
+    must be identical within a group and are carried through. The error is
+    the first failing group's, and a group fails on the first of: conflicting
+    dataset tags (MalformedCsv), conflicting labels (InconsistentOutcomes), a
+    mean that overflows float64 (MalformedCsv).
 
     Groups of one size k are averaged together, as one ``(groups, k, m)``
     stack: its mean over axis 1 sums each group's rows in the same sequence
@@ -192,9 +193,12 @@ def aggregate_rows(table: InstanceTable) -> InstanceTable:
     starts = np.cumsum(sizes) - sizes
     firsts = order[starts]
 
+    lead = firsts[group_of]  # each row's group's first row
+    tags = np.array(table.dataset_tags, dtype=object)
+    mixed_tags = set(group_of[tags != tags[lead]].tolist())
     labels = table.outcomes
-    failed = set(group_of[(labels != labels[firsts[group_of]]).any(axis=1)].tolist())
-    conflicted = min(failed, default=len(index))
+    mixed_labels = set(group_of[(labels != labels[lead]).any(axis=1)].tolist())
+    failed = mixed_tags | mixed_labels
     means = np.empty((len(index), len(table.feature_names)))
     for k in sorted(set(sizes.tolist())):
         groups = np.flatnonzero(sizes == k)
@@ -209,8 +213,15 @@ def aggregate_rows(table: InstanceTable) -> InstanceTable:
     if failed:
         g = min(failed)
         key = list(index)[g]
-        if g == conflicted:
-            rows = labels[order[starts[g]:starts[g] + sizes[g]]]
+        rows = order[starts[g]:starts[g] + sizes[g]]
+        if g in mixed_tags:
+            first, *rest = (table.dataset_tags[i] for i in rows.tolist())
+            other = next(tag for tag in rest if tag != first)
+            raise MalformedCsv(
+                f"group {key!r}: conflicting dataset tags {first!r} and {other!r}"
+            )
+        if g in mixed_labels:
+            rows = labels[rows]
             conflict = np.flatnonzero((rows != rows[0]).any(axis=0))[0]
             raise InconsistentOutcomes(
                 f"group {key!r}: algorithm {table.algorithm_names[conflict]!r} "

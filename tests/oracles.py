@@ -224,7 +224,8 @@ def rowwise_parse(source: bytes) -> InstanceTable:
 
 def per_group_aggregate(table: InstanceTable) -> InstanceTable:
     """``ingest.aggregate_rows`` one group at a time, in first-row order: each
-    group's labels are checked, then its mean taken over axis 0."""
+    group's dataset tags are checked, then its labels, then its mean taken over
+    axis 0."""
     groups = {}
     for i, key in enumerate(table.instance_ids):
         groups.setdefault(key, []).append(i)
@@ -232,6 +233,12 @@ def per_group_aggregate(table: InstanceTable) -> InstanceTable:
     means = []
     with np.errstate(over="raise", invalid="ignore"):
         for value, rows in groups.items():
+            tags = [table.dataset_tags[i] for i in rows]
+            for tag in tags:
+                if tag != tags[0]:
+                    raise MalformedCsv(
+                        f"group {value!r}: conflicting dataset tags {tags[0]!r} and {tag!r}"
+                    )
             labels = table.outcomes[rows]
             conflicts = np.flatnonzero((labels != labels[0]).any(axis=0))
             if conflicts.size:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import itertools
@@ -68,6 +69,12 @@ def eapr_in_a_process(*args, text=None, flags=()):
 def select_in_a_process(model_dir, text, *flags):
     """`python FLAGS -m eapr select --models MODEL_DIR` with ``text`` on stdin."""
     return eapr_in_a_process("select", "--models", str(model_dir), text=text, flags=flags)
+
+
+def selected_vector(model_dir, value=0.1):
+    """``name,value`` lines on stdin for every feature ``model_dir``'s run selected."""
+    selected = json.loads((model_dir / "selection.json").read_text())["selected"]
+    return "".join(f"{n},{value}\n" for n in selected)
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +330,20 @@ class TestStages:
         result = runner.invoke(main, ["select-features", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
+
+    # json.loads raises RecursionError, not ValueError, on deep nesting
+    @pytest.mark.parametrize("artifact, writer", [
+        ("table.json", "ingest"), ("coordinates.json", "project"),
+    ])
+    def test_deeply_nested_artifact_names_its_writer(
+        self, runner, tmp_path, synthetic60_path, artifact, writer
+    ):
+        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "nested")
+        assert result.exit_code == 0, result.stderr
+        (out / artifact).write_text("[" * 200_000)
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = runner.invoke(main, ["footprint", "--config", str(cfg)])
+        assert (result.exit_code, result.stderr) == (1, f"E_STAGE {writer}\n")
 
     def test_nan_feature_in_table_names_ingest(self, runner, tmp_path, synthetic60_path):
         # ingest leaves its table in the memo; the edited file is decoded anew
@@ -725,6 +746,14 @@ class TestSelect:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
 
+    def test_deeply_nested_model_file_is_model_error(self, tmp_path, synthetic60_models):
+        model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
+        (model_dir / "models.json").write_text("[" * 200_000)
+        result = select_in_a_process(model_dir, selected_vector(model_dir))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith(f"E_MODEL missing or corrupt model files in {model_dir}: ")
+        assert len(result.stderr.splitlines()) == 1
+
     def test_name_equals_value_form(self, runner, single_model_dir):
         result = runner.invoke(
             main, ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
@@ -777,6 +806,104 @@ def test_package_import_loads_no_submodule():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "['eapr']\n"
+
+
+def python_in_a_process(code, *args, text=None):
+    """`python -c CODE ARGS` in a fresh process, ``text`` on stdin."""
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, input=text, env=env, capture_output=True, text=True)
+
+
+# A fresh process runs a warm-up pipeline, which imports every module the
+# stages use, then collects and turns the collector off. Neither kernel's
+# pipeline, a stage command nor a select may then leave garbage that only the
+# cyclic collector could free.
+NO_CYCLES = """
+import gc, json, sys
+from pathlib import Path
+from eapr import cli
+
+csv, root = sys.argv[1:]
+def config(name, kernel):
+    path = Path(root) / f"{name}.cfg"
+    path.write_text(f"input={csv}\\noutput={Path(root) / name}\\nseed=7\\nrepeats=2\\n"
+                    f"ga.generations=4\\nga.population=8\\nga.min_k=2\\nga.max_k=3\\n"
+                    f"ga.cv_folds=3\\nsvm.kernel={kernel}\\n")
+    return str(path)
+
+cli.main(["pipeline", "--config", config("warm", "rbf")], standalone_mode=False)
+gc.collect()
+gc.disable()
+for kernel in ("rbf", "linear"):
+    cli.cmd_pipeline(cli.build_config(cli.parse_config_file(Path(config(kernel, kernel)))))
+cli.main(["classify", "--config", config("linear", "linear")], standalone_mode=False)
+selected = json.loads((Path(root) / "rbf" / "selection.json").read_text())["selected"]
+ranked = cli.cmd_select(Path(root) / "rbf", "".join(f"{n},0.1\\n" for n in selected))
+print(len(ranked.splitlines()), gc.collect())
+"""
+
+
+def test_a_run_makes_no_reference_cycles(tmp_path):
+    # `python -m eapr` runs without the cyclic collector (eapr.__main__): a
+    # change that makes cycles fails here rather than leak in the CLI
+    result = python_in_a_process(NO_CYCLES, str(DATA_DIR / "synthetic60.csv"), str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "3 0"
+
+
+# The entry function, run as the `eapr` script and as `python -m eapr` run
+# it, on a select: whether the collector was on when click, eapr.cli and
+# models.json were first met, and its state after the run.
+ENTRY = """
+import gc, json, runpy, sys
+seen = {}
+def hook(event, args):
+    if event == "import" and args[0] in ("click", "eapr.cli"):
+        seen.setdefault(args[0], gc.isenabled())
+    elif event == "open" and str(args[0]).endswith("models.json"):
+        seen.setdefault("models.json", gc.isenabled())
+sys.addaudithook(hook)
+from eapr.__main__ import main
+seen["imported"] = gc.isenabled()
+entry = sys.argv.pop(1)
+try:
+    main() if entry == "script" else runpy.run_module("eapr", run_name="__main__")
+except SystemExit as exit:
+    seen["exit"] = exit.code
+print(json.dumps({**seen, "after": gc.isenabled(), "frozen": gc.get_freeze_count() > 0}))
+"""
+
+
+@pytest.mark.parametrize("entry", ["script", "module"])
+def test_the_entry_runs_without_the_collector_and_freezes_at_exit(synthetic60_models, entry):
+    model_dir = synthetic60_models["rbf"]
+    vector = selected_vector(model_dir)
+    result = python_in_a_process(ENTRY, entry, "select", "--models", str(model_dir), text=vector)
+    assert result.returncode == 0, result.stderr
+    *ranked, state = result.stdout.splitlines()
+    assert ranked == select_in_a_process(model_dir, vector).stdout.splitlines()
+    assert json.loads(state) == {
+        "imported": True, "click": False, "eapr.cli": False, "models.json": False, "exit": 0,
+        "after": False, "frozen": True,
+    }
+
+
+def test_the_script_enters_through_the_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(eapr.__file__).parents[2] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"eapr": "eapr.__main__:main"}
+
+
+def test_library_use_keeps_the_collector(runner, synthetic60_models):
+    code = "import gc, eapr, eapr.__main__, eapr.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    assert python_in_a_process(code).stdout == "True 0\n"
+    model_dir = synthetic60_models["rbf"]
+    result = runner.invoke(main, ["select", "--models", str(model_dir)],
+                           input=selected_vector(model_dir))
+    assert result.exit_code == 0, result.stderr
+    assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
 
 
 class TestPackageApi:
@@ -986,6 +1113,20 @@ class TestIngestErrors:
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE group 'big': feature mean overflows"]
+
+    def test_conflicting_dataset_tags_in_a_group_are_parse_error(self, runner, tmp_path):
+        # p1's tag would depend on the row order
+        csv = tmp_path / "tags.csv"
+        rows = [f"p{i},d1,{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
+        rows.append("p1,d2,0.5,1,1")
+        csv.write_text("instance_id,dataset,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "E_PARSE group 'p1': conflicting dataset tags 'd1' and 'd2'"
+        ]
+        assert not (out / "table.json").exists()
 
     def test_inf_and_minus_inf_in_a_group_only_drop_it(self, tmp_path):
         csv = tmp_path / "infs.csv"

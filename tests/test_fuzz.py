@@ -23,8 +23,9 @@ raw_bytes = st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\x00", b'"', b"\r", b"
 @st.composite
 def csv_bytes(draw) -> bytes:
     """A well-formed table of sub-program rows with a few rare defects: odd
-    column names, odd cells, a header/cell-count mismatch, outcomes that
-    disagree within an id, and bytes spliced into the encoded text."""
+    column names, odd cells, a header/cell-count mismatch, dataset tags or
+    outcomes that disagree within an id, and bytes spliced into the encoded
+    text."""
     rare = lambda n: draw(st.sampled_from([False] * n + [True]))  # p = 1 / (n + 1)
     algorithms = [f"aprt:{a}" for a in "ABC"[: draw(st.integers(0, 3))]]
     features = [f"f{i}" for i in range(draw(st.integers(1, 4)))]
@@ -38,6 +39,8 @@ def csv_bytes(draw) -> bytes:
     labels = {
         (rid, name): draw(st.sampled_from(["", "0", "1"])) for rid in ids for name in algorithms
     }
+    tag = st.sampled_from(["Defects4J", "Bugs.jar", ""])
+    tags = {rid: draw(tag) for rid in ids}
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 14))):
         rid = draw(st.sampled_from(ids))
@@ -46,7 +49,7 @@ def csv_bytes(draw) -> bytes:
             if name == "instance_id":
                 cell = rid
             elif name == "dataset":
-                cell = draw(st.sampled_from(["Defects4J", "Bugs.jar", ""]))
+                cell = draw(tag) if rare(100) else tags[rid]
             elif name.startswith("aprt:"):
                 cell = draw(odd_outcomes) if rare(150) else labels.get((rid, name), "")
                 cell = draw(st.sampled_from(["", "0", "1"])) if rare(100) else cell

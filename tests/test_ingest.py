@@ -204,6 +204,34 @@ class TestAggregate:
         with pytest.raises(InconsistentOutcomes, match="'c'"):
             aggregate_rows(make_table(["f1"], ["A"], rows))
 
+    def test_conflicting_dataset_tags_rejected(self):
+        # p1's tag would depend on the row order
+        rows = [
+            ("p1", "d1", (1.0,), (GOOD,)),
+            ("p2", "d1", (1.0,), (GOOD,)),
+            ("p1", "d2", (2.0,), (GOOD,)),
+        ]
+        message = "^group 'p1': conflicting dataset tags 'd1' and 'd2'$"
+        with pytest.raises(MalformedCsv, match=message):
+            aggregate_rows(make_table(["f1"], ["A"], rows))
+        with pytest.raises(MalformedCsv, match=message):
+            per_group_aggregate(make_table(["f1"], ["A"], rows))
+
+    def test_a_groups_tags_are_checked_before_its_labels(self):
+        # a (labels) comes before b (tags and labels) in first-row order;
+        # within b, its tags come before its labels
+        rows = [
+            ("a", "d", (1.0,), (GOOD,)),
+            ("b", "d1", (1.0,), (GOOD,)),
+            ("b", "d2", (1.0,), (BAD,)),
+            ("a", "d", (1.0,), (BAD,)),
+        ]
+        for aggregate in (aggregate_rows, per_group_aggregate):
+            with pytest.raises(InconsistentOutcomes, match="^group 'a'"):
+                aggregate(make_table(["f1"], ["A"], rows))
+            with pytest.raises(MalformedCsv, match="^group 'b': conflicting dataset tags"):
+                aggregate(make_table(["f1"], ["A"], rows[1:3]))
+
     def test_conflicting_outcomes_rejected(self):
         table = make_table(
             ["f1"],
@@ -245,7 +273,7 @@ ODD_CELLS = ["", "  ", " 2.5 ", "nan", "1_000", "x", "0x1p3", "1e-320", "infinit
 def sub_program_csv(draw) -> bytes:
     """Interleaved sub-program rows of up to 6 ids with 1-20 rows each, and
     rare defects: odd or bad cells, a dataset tag XML cannot hold, conflicting
-    labels, ragged rows and blank records."""
+    tags or labels, ragged rows and blank records."""
     rare = lambda n: draw(st.sampled_from([False] * n + [True]))  # p = 1 / (n + 1)
     features = [f"f{j}" for j in range(draw(st.integers(1, 4)))]
     huge = {name: draw(st.booleans()) for name in features}
@@ -256,6 +284,8 @@ def sub_program_csv(draw) -> bytes:
     ids = draw(st.permutations([f"p{g}" for g, k in enumerate(sizes) for _ in range(k)]))
     label = st.sampled_from(["", "0", "1"])
     labels = {(rid, a): draw(label) for rid in sorted(set(ids)) for a in algorithms}
+    tag = st.sampled_from(["Defects4J", "Bears", ""])
+    tags = {rid: draw(tag) for rid in sorted(set(ids))}
     lines = [",".join(header)]
     for rid in ids:
         row = []
@@ -263,8 +293,10 @@ def sub_program_csv(draw) -> bytes:
             if name == "instance_id":
                 cell = " " if rare(300) else rid  # strips to an empty id
             elif name == "dataset":
-                cell = draw(st.sampled_from(["Defects4J", "Bears", ""]))
-                if rare(500):
+                cell = tags[rid]
+                if rare(60):
+                    cell = draw(tag)
+                elif rare(500):
                     cell = "Be\x1fars"  # XML cannot hold it
             elif name.startswith("aprt:"):
                 cell = labels[rid, name]
