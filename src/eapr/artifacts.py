@@ -267,10 +267,16 @@ def scorer_from_dict(data: dict) -> ranker.Scorer:
 
 
 def scorers_from_dict(data: dict) -> dict[str, ranker.Scorer]:
-    """models.json as each algorithm's float decision function."""
+    """models.json as each algorithm's float decision function. A name that
+    UTF-8 cannot encode (a lone surrogate, which a JSON escape can hold)
+    raises UnicodeEncodeError, a ValueError, here rather than when printed."""
     if type(data["models"]) is not dict:
         raise TypeError("expected an object of models")
-    return {algorithm: scorer_from_dict(block) for algorithm, block in data["models"].items()}
+    scorers = {}
+    for algorithm, block in data["models"].items():
+        algorithm.encode("utf-8")
+        scorers[algorithm] = scorer_from_dict(block)
+    return scorers
 
 
 # The footprints.json block fields holding hull vertices; the other fields,

@@ -8,11 +8,10 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import ranker
 from .model import Coordinates2D
 from .ranker import SvmConfig
 
@@ -446,23 +445,3 @@ def _reap(pid: int, read_fd: int) -> tuple[bytes, int]:
         data = pipe.read()
     return data, os.waitpid(pid, 0)[1]
 
-
-def select_aprt(
-    models: Mapping[str, SvmModel], point: Sequence[float]
-) -> list[tuple[str, float]]:
-    """Rank algorithms for a point by descending decision value, ties by name:
-    ``ranker.rank`` on the models' float form, as ``eapr select`` ranks."""
-    if not models:
-        raise ValueError("at least one model required")
-    scorers = {
-        name: ranker.Scorer(
-            kernel=model.config.kernel,
-            gamma=model.gamma,
-            support_vectors=tuple(map(tuple, model.support_vectors.tolist())),
-            alphas=tuple(model.alphas.tolist()),
-            labels=tuple(model.labels.tolist()),
-            bias=model.bias,
-        )
-        for name, model in models.items()
-    }
-    return ranker.rank(scorers, tuple(np.asarray(point, dtype=float).reshape(2).tolist()))

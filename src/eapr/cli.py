@@ -12,6 +12,7 @@ module that imports numpy is imported inside the stages that run it, so
 """
 from __future__ import annotations
 
+import argparse
 import math
 import os
 import sys
@@ -20,8 +21,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from . import artifacts, ranker
 from .artifacts import CliFailure
@@ -177,10 +176,10 @@ def stage_ingest(cfg: PipelineConfig) -> None:
     violations = validate_table(table)
     bad_rows = {v.row for v in violations if v.rule == "non-finite feature"}
     if bad_rows:
-        click.echo(
+        print(
             f"warning: dropping {len(bad_rows)} row(s) with non-finite features: "
             + ", ".join(sorted(bad_rows)),
-            err=True,
+            file=sys.stderr,
         )
         table = table.take(
             i for i, row_id in enumerate(table.instance_ids) if row_id not in bad_rows
@@ -340,14 +339,14 @@ def stage_classify(cfg: PipelineConfig) -> None:
     train_metrics: dict[str, dict] = {}
     for algorithm, y in plan:
         if y is None:
-            click.echo(f"warning: skipping degenerate labels for {algorithm}", err=True)
+            print(f"warning: skipping degenerate labels for {algorithm}", file=sys.stderr)
             empty = dict.fromkeys(f.name for f in fields(classify.ClassifierMetrics))
             cv_metrics[algorithm] = train_metrics[algorithm] = empty
             continue
         ([model], predicted), (_, held_out) = next(results), next(results)
         if not model.converged:
-            click.echo(f"warning: selector SVM for {algorithm} did not converge in "
-                       f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", err=True)
+            print(f"warning: selector SVM for {algorithm} did not converge in "
+                  f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", file=sys.stderr)
         models[algorithm] = artifacts.svm_to_dict(model)
         train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
         cv_metrics[algorithm] = asdict(classify.compute_metrics(y, held_out))
@@ -516,83 +515,71 @@ def cmd_select(model_dir: Path, stdin_text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Click wiring
+# Command line
 
 
-def _shared_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="Flat key=value config file.")(fn)
-    fn = click.option("--input", "input_path", type=click.Path(), default=None,
-                      help="Input CSV (overrides config).")(fn)
-    fn = click.option("--output", "output_dir", type=click.Path(), default=None,
-                      help="Output directory (overrides config).")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Global seed (overrides EAPR_SEED and config).")(fn)
-    fn = click.option("--repeats", type=int, default=None,
-                      help="Feature-learning repetitions (overrides config).")(fn)
-    return fn
+def _parser() -> argparse.ArgumentParser:
+    """`eapr COMMAND [options]`: `pipeline`, one command per stage, and `select`."""
+    parser = argparse.ArgumentParser(
+        prog="eapr", allow_abbrev=False,
+        description="Map algorithm effectiveness across a 2D instance space and train a "
+                    "per-algorithm selector.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        return commands.add_parser(name, help=help_text, description=help_text,
+                                   allow_abbrev=False)
+
+    runs = {"pipeline": "Run every stage end to end."}
+    runs.update((name, fn.__doc__) for name, fn in _STAGE_FNS.items())
+    for name, help_text in runs.items():
+        run = command(name, help_text)
+        run.add_argument("--config", help="Flat key=value config file.")
+        run.add_argument("--input", help="Input CSV (overrides config).")
+        run.add_argument("--output", help="Output directory (overrides config).")
+        run.add_argument("--seed", type=int, help="Global seed (overrides EAPR_SEED and config).")
+        run.add_argument("--repeats", type=int,
+                         help="Feature-learning repetitions (overrides config).")
+    select = command(
+        "select", "Rank algorithms for a feature vector given as name,value lines on stdin.")
+    select.add_argument("--models", required=True,
+                        help="Directory holding pca_model.json and models.json.")
+    return parser
 
 
-def _make_config(config_path, input_path, output_dir, seed, repeats) -> PipelineConfig:
-    file_values = parse_config_file(Path(config_path)) if config_path else {}
-    return build_config(
-        file_values,
-        input_path=input_path,
-        output_dir=output_dir,
-        seed=seed,
-        repeats=repeats,
-        env_seed=os.environ.get("EAPR_SEED"),
-    )
+# Built once: a parser is a web of reference cycles, and `eapr` runs without
+# the cyclic collector (eapr.__main__).
+_PARSER = _parser()
 
 
-def _guarded(fn):
+def main(argv: list[str] | None = None) -> int:
+    """Run the command ``argv`` (default: the process's arguments) names and
+    return its exit code: 0, or 1 after one `E_*` line on stderr. A usage
+    error exits 2 from the parser."""
+    args = _PARSER.parse_args(argv)
     try:
-        fn()
+        if args.command == "select":
+            try:
+                text = sys.stdin.buffer.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CliFailure("E_MODEL", f"stdin is not UTF-8: {exc}") from exc
+            sys.stdout.write(cmd_select(Path(args.models), text))
+            return 0
+        cfg = build_config(parse_config_file(Path(args.config)) if args.config else {},
+                           args.input, args.output, args.seed, args.repeats,
+                           os.environ.get("EAPR_SEED"))
+        stages = tuple(_STAGE_FNS) if args.command == "pipeline" else (args.command,)
+        cmd_pipeline(cfg, stages)
+        if "plot" in stages:
+            print(f"report written to {cfg.output_dir / 'report.json'}")
     except OSError as exc:  # reads map their own OSError: this is a failed mkdir or write
-        click.echo(f"E_IO {exc.filename}: {exc.strerror}", err=True)
-        sys.exit(1)
+        print(f"E_IO {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
     except CliFailure as failure:
-        click.echo(str(failure), err=True)
-        sys.exit(1)
-
-
-@click.group()
-def main():
-    """Map algorithm effectiveness across a 2D instance space and train a
-    per-algorithm selector."""
-
-
-def _run_command(name: str, help_text: str, stages: tuple[str, ...]) -> None:
-    """Register command ``name``, which runs ``stages`` by ``cmd_pipeline``."""
-    @main.command(name=name, help=help_text)
-    @_shared_options
-    def _cmd(config_path, input_path, output_dir, seed, repeats):
-        def run():
-            cfg = _make_config(config_path, input_path, output_dir, seed, repeats)
-            cmd_pipeline(cfg, stages)
-            if "plot" in stages:
-                click.echo(f"report written to {cfg.output_dir / 'report.json'}")
-        _guarded(run)
-
-
-_run_command("pipeline", "Run every stage end to end.", tuple(_STAGE_FNS))
-for _name, _fn in _STAGE_FNS.items():
-    _run_command(_name, _fn.__doc__, (_name,))
-
-
-@main.command()
-@click.option("--models", "model_dir", type=click.Path(), required=True,
-              help="Directory holding pca_model.json and models.json.")
-def select(model_dir):
-    """Rank algorithms for a feature vector given as name,value lines on stdin."""
-    def run():
-        try:
-            text = click.get_binary_stream("stdin").read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CliFailure("E_MODEL", f"stdin is not UTF-8: {exc}") from exc
-        click.echo(cmd_select(Path(model_dir), text), nl=False)
-    _guarded(run)
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

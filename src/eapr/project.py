@@ -18,10 +18,6 @@ class NonFiniteInput(Exception):
     pass
 
 
-class FeatureMismatch(Exception):
-    pass
-
-
 class AllFeaturesDropped(ValueError):
     """Too few of a subset's columns keep any variance to project."""
 
@@ -163,7 +159,7 @@ def fit_pca(
             dropped_features=(),
         )
     if len(scaling.feature_names) != m:
-        raise FeatureMismatch("scaling does not match matrix width")
+        raise ValueError("scaling does not match matrix width")
 
     return PcaModel(
         scaling=scaling,
@@ -171,22 +167,6 @@ def fit_pca(
         eigenvalues=values,
         explained_variance_2d=explained,
     )
-
-
-def transform(
-    model: PcaModel, table: InstanceTable, subset: FeatureSubset
-) -> Coordinates2D:
-    """Project a table's rows into the model's 2D space, one (z1, z2) per row."""
-    expected = set(model.feature_names) | set(model.scaling.dropped_features)
-    if set(subset.selected) != expected:
-        raise FeatureMismatch(
-            f"subset {sorted(subset.selected)} does not match model features "
-            f"{sorted(expected)}"
-        )
-    missing = set(model.feature_names) - set(table.feature_names)
-    if missing:
-        raise FeatureMismatch(f"table lacks features: {sorted(missing)}")
-    return project_features(model, table.feature_matrix(model.feature_names))
 
 
 def project_features(model: PcaModel, raw: np.ndarray) -> np.ndarray:
@@ -208,7 +188,8 @@ def fit_projection(
     table: InstanceTable, subset: FeatureSubset
 ) -> tuple[PcaModel, Coordinates2D]:
     """Standardize the subset's columns, fit the PCA model, project the table
-    by ``project_features``, as ``transform`` and ``eapr select`` do.
+    by ``project_features``, whose formulas ``ranker.project`` applies to the
+    one vector of ``eapr select``.
 
     Raises AllFeaturesDropped when fewer than 2 columns keep any variance.
     """

@@ -3,9 +3,9 @@
 ``eapr select`` answers one query per process with a dozen standardized
 values, two dot products and one kernel sum per algorithm, so it imports no
 numpy: ``project`` and ``decision_value`` apply the formulas of
-``project.project_features`` and ``classify.decision_values`` to floats, and
-``classify.select_aprt`` ranks by ``rank`` too. ``SvmConfig`` lives here
-because models.json stores it with every fit and reading it checks it.
+``project.project_features`` and ``classify.decision_values`` to floats.
+``SvmConfig`` lives here because models.json stores it with every fit and
+reading it checks it.
 
 Where numpy gives ``inf`` or ``nan``, a float operation may raise an
 ``ArithmeticError``: ``ZeroDivisionError`` on a zero std, ``OverflowError``

@@ -1,11 +1,16 @@
+import io
+import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from eapr import cli
 from eapr.model import InstanceTable, Outcome
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -88,3 +93,56 @@ def two_region_table(n_instances=240, seed=11):
 @pytest.fixture(scope="session")
 def synthetic60_path():
     return DATA_DIR / "synthetic60.csv"
+
+
+@dataclass(frozen=True)
+class CliResult:
+    """What one ``eapr.cli.main`` call did. ``output`` is stdout and stderr
+    interleaved as written; ``exception`` is what ``main`` raised, if anything
+    (a usage error's SystemExit among them)."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str
+    exception: BaseException | None
+
+
+class _Tee(io.BytesIO):
+    """One stream's bytes, each write also appended to the shared ``both``."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, data):
+        self.both.write(data)
+        return super().write(data)
+
+
+def invoke(argv, input=b"", env=None):
+    """Run ``eapr.cli.main(argv)`` in this process, ``input`` (bytes, or text
+    encoded as UTF-8) on stdin, ``env`` set over os.environ, and stdout and
+    stderr captured as UTF-8 text."""
+    if isinstance(input, str):
+        input = input.encode("utf-8")
+    both = io.BytesIO()
+    out, err = _Tee(both), _Tee(both)
+    streams = (
+        io.TextIOWrapper(io.BytesIO(input), encoding="utf-8"),
+        io.TextIOWrapper(out, encoding="utf-8", write_through=True),
+        io.TextIOWrapper(err, encoding="utf-8", write_through=True),
+    )
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = streams
+    try:
+        with mock.patch.dict(os.environ, env or {}):
+            exit_code, exception = cli.main(argv), None
+    except SystemExit as exc:
+        exit_code, exception = exc.code, exc
+    except Exception as exc:
+        exit_code, exception = 1, exc
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    texts = (stream.getvalue().decode("utf-8") for stream in (out, err, both))
+    return CliResult(exit_code, *texts, exception)

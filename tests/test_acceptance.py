@@ -11,17 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from eapr.classify import SvmConfig, cross_validate, decision_values, train_svm
-from eapr.cli import PipelineConfig, cmd_pipeline, main, rank_for_vector
+from eapr.cli import PipelineConfig, cmd_pipeline, rank_for_vector
 from eapr.footprint import convex_hull, convex_intersection, polygon_area
 from eapr.model import FeatureSubset, Outcome
 from eapr.project import symmetric_eig
 from eapr.report import PlotSpec
 from eapr.selection import GaConfig, evaluate_subset, run_ga
 
-from conftest import planted_table, two_region_table
+from conftest import invoke, planted_table, two_region_table
 from oracles import (
     brute_force_hull,
     charpoly_roots,
@@ -213,17 +212,13 @@ def test_criterion_5_selector_end_to_end(two_region_run):
     assert rate >= 0.9
 
     # same answer through the CLI surface
-    runner = CliRunner()
-    result = runner.invoke(
-        main, ["select", "--models", str(two_region_run)], input="f1,-0.8\nf2,0.2\n"
-    )
+    result = invoke(["select", "--models", str(two_region_run)], input="f1,-0.8\nf2,0.2\n")
     assert result.exit_code == 0
     assert result.stdout.splitlines()[0].startswith("1,A,")
     announce(5, f"(grid accuracy {rate:.3f})")
 
 
 def test_criterion_6_determinism(tmp_path, synthetic60_path):
-    runner = CliRunner()
     outputs = []
     for name in ("first", "second"):
         out = tmp_path / name
@@ -232,7 +227,7 @@ def test_criterion_6_determinism(tmp_path, synthetic60_path):
             f"input={synthetic60_path}\noutput={out}\nseed=7\nrepeats=2\n"
             "ga.population=8\nga.generations=3\nga.min_k=2\nga.max_k=3\nga.cv_folds=3\n"
         )
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         outputs.append(out)
 

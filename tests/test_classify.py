@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import eapr.classify as classify
-from eapr import ranker
+from eapr import artifacts, cli, ranker
 from eapr.artifacts import scorer_from_dict, svm_to_dict as model_to_dict
 from eapr.classify import (
     SingleClassLabels,
@@ -24,10 +24,10 @@ from eapr.classify import (
     cross_validate,
     cv_splits,
     decision_values,
-    select_aprt,
     stratified_folds,
     train_svm,
 )
+from eapr.project import PcaModel, ScalingParams
 
 from oracles import kernel_sum_decision
 
@@ -451,30 +451,26 @@ class TestMetricsAndCv:
 
 
 class TestSelect:
+    """Ranking, as `eapr select` ranks, on models whose decision value is
+    their bias."""
+
     def _fixed_model(self, bias):
-        return SvmModel(
-            support_vectors=np.zeros((0, 2)),
-            alphas=np.zeros(0),
-            labels=np.zeros(0),
-            bias=bias,
-            gamma=1.0,
-            config=SvmConfig(),
-            converged=True,
-        )
+        return ranker.Scorer(kernel="rbf", gamma=1.0, support_vectors=(), alphas=(), labels=(),
+                             bias=bias)
 
     def test_singleton(self):
-        ranked = select_aprt({"only": self._fixed_model(0.4)}, (0.0, 0.0))
+        ranked = ranker.rank({"only": self._fixed_model(0.4)}, (0.0, 0.0))
         assert ranked == [("only", 0.4)]
 
     def test_ordering(self):
-        ranked = select_aprt(
+        ranked = ranker.rank(
             {"first": self._fixed_model(0.7), "second": self._fixed_model(-0.2)},
             (0.0, 0.0),
         )
         assert [name for name, _ in ranked] == ["first", "second"]
 
     def test_tie_breaks_lexicographically(self):
-        ranked = select_aprt(
+        ranked = ranker.rank(
             {"zeta": self._fixed_model(0.5), "alpha": self._fixed_model(0.5)},
             (0.0, 0.0),
         )
@@ -482,15 +478,20 @@ class TestSelect:
 
     def test_appending_worse_model_keeps_ranking(self):
         models = {"a": self._fixed_model(0.7), "b": self._fixed_model(-0.2)}
-        before = select_aprt(models, (1.0, 1.0))
+        before = ranker.rank(models, (1.0, 1.0))
         models["z"] = self._fixed_model(-100.0)
-        after = select_aprt(models, (1.0, 1.0))
+        after = ranker.rank(models, (1.0, 1.0))
         assert after[:2] == before
         assert after[-1][0] == "z"
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            select_aprt({}, (0.0, 0.0))
+    def test_empty_rejected(self, tmp_path):
+        # `eapr select` refuses a models.json that holds no model
+        pca = PcaModel(ScalingParams(("f1", "f2"), (0.0, 0.0), (1.0, 1.0), ()), np.eye(2),
+                       np.ones(2), 1.0)
+        artifacts.write(tmp_path, "pca_model.json", artifacts.pca_to_dict(pca))
+        artifacts.write(tmp_path, "models.json", {"models": {}})
+        with pytest.raises(artifacts.CliFailure, match="^E_MODEL no algorithm models present$"):
+            cli.rank_for_vector(tmp_path, {"f1": 0.0, "f2": 0.0})
 
 
 class TestMisc:

@@ -14,7 +14,6 @@ from pathlib import Path
 from xml.dom import minidom
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +21,9 @@ import eapr
 import eapr.artifacts as artifacts
 import eapr.classify as classify
 import eapr.cli as cli
-from eapr.cli import build_config, main, parse_config_file
+from eapr.cli import build_config, parse_config_file
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, invoke
 
 FAST_GA = """\
 repeats=1
@@ -44,11 +43,6 @@ SINGLE_ALG_CSV = "\n".join(
         )
     ]
 ) + "\n"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def write_config(tmp_path, input_path, output_dir, seed=7, extra=""):
@@ -87,7 +81,7 @@ def synthetic60_models(tmp_path_factory):
         dirs[kernel] = root / kernel
         cfg = write_config(root, DATA_DIR / "synthetic60.csv", dirs[kernel],
                            extra=f"svm.kernel={kernel}\n")
-        result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
     return dirs
 
@@ -100,16 +94,16 @@ def without_column(csv_path, column, dest):
     return dest
 
 
-def run_pipeline(runner, tmp_path, synthetic60_path, name, seed=7, args=(), env=None):
+def run_pipeline(tmp_path, synthetic60_path, name, seed=7, args=(), env=None):
     out = tmp_path / name
     cfg = write_config(tmp_path, synthetic60_path, out, seed=seed)
-    result = runner.invoke(main, ["pipeline", "--config", str(cfg), *args], env=env)
+    result = invoke(["pipeline", "--config", str(cfg), *args], env=env)
     return result, out
 
 
 class TestPipeline:
-    def test_smoke_artifacts(self, runner, tmp_path, synthetic60_path):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "out")
+    def test_smoke_artifacts(self, tmp_path, synthetic60_path):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "out")
         assert result.exit_code == 0, result.stderr
         assert (out / "report.json").exists()
         for alg in ("A", "B", "C"):
@@ -120,9 +114,9 @@ class TestPipeline:
         for name in report["selection"]["selected"]:
             assert (out / f"feature_{name}.svg").exists()
 
-    def test_missing_input_is_io_error(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["pipeline", "--input", "/no/such/file.csv", "--output", str(tmp_path / "o")]
+    def test_missing_input_is_io_error(self, tmp_path):
+        result = invoke(
+            ["pipeline", "--input", "/no/such/file.csv", "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_IO"
@@ -132,26 +126,26 @@ class TestPipeline:
         [("file/out", "Not a directory"), ("file", "File exists")],
         ids=["under-a-file", "a-file"],
     )
-    def test_unmakeable_output_dir_is_io_error(self, runner, tmp_path, output, reason):
+    def test_unmakeable_output_dir_is_io_error(self, tmp_path, output, reason):
         (tmp_path / "file").write_text("")
         out = tmp_path / output
-        result = runner.invoke(
-            main, ["pipeline", "--input", str(DATA_DIR / "synthetic60.csv"), "--output", str(out)]
+        result = invoke(
+            ["pipeline", "--input", str(DATA_DIR / "synthetic60.csv"), "--output", str(out)]
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == [f"E_IO {out}: {reason}"]
 
-    def test_byte_determinism(self, runner, tmp_path, synthetic60_path):
-        r1, out1 = run_pipeline(runner, tmp_path, synthetic60_path, "d1")
-        r2, out2 = run_pipeline(runner, tmp_path, synthetic60_path, "d2")
+    def test_byte_determinism(self, tmp_path, synthetic60_path):
+        r1, out1 = run_pipeline(tmp_path, synthetic60_path, "d1")
+        r2, out2 = run_pipeline(tmp_path, synthetic60_path, "d2")
         assert r1.exit_code == 0 and r2.exit_code == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         for svg in sorted(p.name for p in out1.glob("*.svg")):
             assert (out1 / svg).read_bytes() == (out2 / svg).read_bytes()
 
-    def test_different_seed_changes_provenance(self, runner, tmp_path, synthetic60_path):
-        _, out1 = run_pipeline(runner, tmp_path, synthetic60_path, "s1", seed=7)
-        _, out2 = run_pipeline(runner, tmp_path, synthetic60_path, "s2", seed=8)
+    def test_different_seed_changes_provenance(self, tmp_path, synthetic60_path):
+        _, out1 = run_pipeline(tmp_path, synthetic60_path, "s1", seed=7)
+        _, out2 = run_pipeline(tmp_path, synthetic60_path, "s2", seed=8)
         r1 = json.loads((out1 / "report.json").read_text())
         r2 = json.loads((out2 / "report.json").read_text())
         assert r1["provenance"]["config"]["seed"] == 7
@@ -159,9 +153,9 @@ class TestPipeline:
 
 
 class TestStages:
-    def test_staged_equals_pipeline(self, runner, tmp_path, synthetic60_path):
+    def test_staged_equals_pipeline(self, tmp_path, synthetic60_path):
         # each stage in its own process, so each one decodes table.json
-        _, mono = run_pipeline(runner, tmp_path, synthetic60_path, "mono")
+        _, mono = run_pipeline(tmp_path, synthetic60_path, "mono")
         staged = tmp_path / "staged"
         cfg = write_config(tmp_path, synthetic60_path, staged)
         for stage in cli._STAGE_FNS:
@@ -173,13 +167,13 @@ class TestStages:
         for name in files:
             assert (mono / name).read_bytes() == (staged / name).read_bytes(), name
 
-    def test_unconverged_selector_warns(self, runner, tmp_path, synthetic60_path):
+    def test_unconverged_selector_warns(self, tmp_path, synthetic60_path):
         out = tmp_path / "unconverged"
         # at gamma = 100 every training row becomes a support vector, and the
         # solve needs more than one pair update per row
         extra = "svm.max_passes=1\nsvm.c=100\nsvm.gamma=100\n"
         cfg = write_config(tmp_path, synthetic60_path, out, extra=extra)
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         models = json.loads((out / "models.json").read_text())["models"]
         labeled = {"A": 60, "B": 60, "C": 57}
@@ -193,28 +187,28 @@ class TestStages:
             )
 
     def test_classify_same_on_one_cpu_and_on_a_pool(
-        self, runner, tmp_path, synthetic60_path, monkeypatch
+        self, tmp_path, synthetic60_path, monkeypatch
     ):
         out = tmp_path / "staged"
         cfg = write_config(tmp_path, synthetic60_path, out)
         for stage in ("ingest", "select-features", "project"):
-            assert runner.invoke(main, [stage, "--config", str(cfg)]).exit_code == 0
+            assert invoke([stage, "--config", str(cfg)]).exit_code == 0
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
-            result = runner.invoke(main, ["classify", "--config", str(cfg)])
+            result = invoke(["classify", "--config", str(cfg)])
             assert result.exit_code == 0, result.stderr
             artifacts = [(out / name).read_bytes() for name in ("models.json", "metrics.json")]
             runs.append((artifacts, result.stderr))
         assert runs[0] == runs[1]
 
     def test_pipeline_same_on_one_cpu_and_on_a_pool(
-        self, runner, tmp_path, synthetic60_path, monkeypatch
+        self, tmp_path, synthetic60_path, monkeypatch
     ):
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
-            result, out = run_pipeline(runner, tmp_path, synthetic60_path, f"cpus{cpus}")
+            result, out = run_pipeline(tmp_path, synthetic60_path, f"cpus{cpus}")
             assert result.exit_code == 0, result.stderr
             files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
             runs.append((files, result.stderr))
@@ -229,7 +223,7 @@ class TestStages:
             "import eapr.classify, eapr.cli\n"
             "eapr.classify._usable_cpus = lambda: 2\n"
             "try:\n"
-            f"    eapr.cli.main(['pipeline', '--config', {str(cfg)!r}])\n"
+            f"    sys.exit(eapr.cli.main(['pipeline', '--config', {str(cfg)!r}]))\n"
             "except SystemExit as done:\n"
             "    assert done.code == 0, done.code\n"
             "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))\n"
@@ -246,7 +240,7 @@ class TestStages:
         assert result.stdout.splitlines()[-2:] == ["[]", "no child left"]
 
     def test_fits_run_in_one_worker_per_cpu(
-        self, runner, tmp_path, synthetic60_path, monkeypatch
+        self, tmp_path, synthetic60_path, monkeypatch
     ):
         # each job leaves a file named after its batch, its index in the batch
         # and the pid of the process it ran in
@@ -265,7 +259,7 @@ class TestStages:
             return map_jobs(run, list(enumerate(jobs)))
 
         monkeypatch.setattr(classify, "map_jobs", recording_map_jobs)
-        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "pids")
+        result, _ = run_pipeline(tmp_path, synthetic60_path, "pids")
         assert result.exit_code == 0, result.stderr
         runs = [tuple(map(int, p.name.split("-"))) for p in ran.iterdir()]
         assert sorted(run[:2] for run in runs) == [
@@ -281,9 +275,9 @@ class TestStages:
             assert len(set(pid_of.values())) == workers
 
     def test_plot_same_on_one_two_and_three_cpus(
-        self, runner, tmp_path, synthetic60_path, monkeypatch
+        self, tmp_path, synthetic60_path, monkeypatch
     ):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "plotted")
+        result, out = run_pipeline(tmp_path, synthetic60_path, "plotted")
         assert result.exit_code == 0, result.stderr
         cfg = tmp_path / "pipeline.cfg"
         runs = []
@@ -291,31 +285,31 @@ class TestStages:
             monkeypatch.setattr(classify, "_usable_cpus", lambda: cpus)
             for svg in out.glob("*.svg"):
                 svg.unlink()
-            result = runner.invoke(main, ["plot", "--config", str(cfg)])
+            result = invoke(["plot", "--config", str(cfg)])
             assert result.exit_code == 0, result.stderr
             runs.append(({p.name: p.read_bytes() for p in sorted(out.iterdir())}, result.output))
         assert len([name for name in runs[0][0] if name.endswith(".svg")]) >= 5
         assert runs[0] == runs[1] == runs[2]
 
-    def test_footprint_before_project(self, runner, tmp_path, synthetic60_path):
+    def test_footprint_before_project(self, tmp_path, synthetic60_path):
         out = tmp_path / "partial"
         cfg = write_config(tmp_path, synthetic60_path, out)
-        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
-        result = runner.invoke(main, ["footprint", "--config", str(cfg)])
+        assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
+        result = invoke(["footprint", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE project"
 
-    def test_stage_on_empty_dir_names_ingest(self, runner, tmp_path, synthetic60_path):
+    def test_stage_on_empty_dir_names_ingest(self, tmp_path, synthetic60_path):
         cfg = write_config(tmp_path, synthetic60_path, tmp_path / "empty")
-        result = runner.invoke(main, ["project", "--config", str(cfg)])
+        result = invoke(["project", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
     @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged"])
-    def test_corrupt_table_names_ingest(self, runner, tmp_path, synthetic60_path, corrupt):
+    def test_corrupt_table_names_ingest(self, tmp_path, synthetic60_path, corrupt):
         out = tmp_path / "corrupt"
         cfg = write_config(tmp_path, synthetic60_path, out)
-        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
         path = out / "table.json"
         if corrupt == "truncate":
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
@@ -327,7 +321,7 @@ class TestStages:
             else:
                 row["features"].pop()
             path.write_text(json.dumps(table))
-        result = runner.invoke(main, ["select-features", "--config", str(cfg)])
+        result = invoke(["select-features", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
@@ -336,34 +330,34 @@ class TestStages:
         ("table.json", "ingest"), ("coordinates.json", "project"),
     ])
     def test_deeply_nested_artifact_names_its_writer(
-        self, runner, tmp_path, synthetic60_path, artifact, writer
+        self, tmp_path, synthetic60_path, artifact, writer
     ):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "nested")
+        result, out = run_pipeline(tmp_path, synthetic60_path, "nested")
         assert result.exit_code == 0, result.stderr
         (out / artifact).write_text("[" * 200_000)
         cfg = write_config(tmp_path, synthetic60_path, out)
-        result = runner.invoke(main, ["footprint", "--config", str(cfg)])
+        result = invoke(["footprint", "--config", str(cfg)])
         assert (result.exit_code, result.stderr) == (1, f"E_STAGE {writer}\n")
 
-    def test_nan_feature_in_table_names_ingest(self, runner, tmp_path, synthetic60_path):
+    def test_nan_feature_in_table_names_ingest(self, tmp_path, synthetic60_path):
         # ingest leaves its table in the memo; the edited file is decoded anew
         out = tmp_path / "nan_table"
         cfg = write_config(tmp_path, synthetic60_path, out)
-        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
         path = out / "table.json"
         table = json.loads(path.read_text())
         table["rows"][3]["features"][0] = math.nan
         path.write_text(json.dumps(table))
         for stage in ("select-features", "project", "footprint", "classify", "plot"):
-            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            result = invoke([stage, "--config", str(cfg)])
             assert result.exit_code == 1, stage
             assert result.stderr.strip() == "E_STAGE ingest", stage
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_coordinate_names_project(
-        self, runner, tmp_path, synthetic60_path, literal
+        self, tmp_path, synthetic60_path, literal
     ):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "nan_coords")
+        result, out = run_pipeline(tmp_path, synthetic60_path, "nan_coords")
         assert result.exit_code == 0, result.stderr
         path = out / "coordinates.json"
         coords = json.loads(path.read_text())
@@ -371,31 +365,31 @@ class TestStages:
         path.write_text(json.dumps(coords).replace(f'"{literal}"', literal))
         cfg = write_config(tmp_path, synthetic60_path, out)
         for stage in ("footprint", "classify", "plot"):
-            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            result = invoke([stage, "--config", str(cfg)])
             assert result.exit_code == 1, stage
             assert result.stderr.strip() == "E_STAGE project", stage
         assert "nan" not in (out / "datasets.svg").read_text()
 
-    def test_truncated_coordinates_names_project(self, runner, tmp_path, synthetic60_path):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "trunc")
+    def test_truncated_coordinates_names_project(self, tmp_path, synthetic60_path):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "trunc")
         assert result.exit_code == 0, result.stderr
         coords = out / "coordinates.json"
         coords.write_bytes(coords.read_bytes()[: coords.stat().st_size // 2])
         cfg = write_config(tmp_path, synthetic60_path, out)
-        result = runner.invoke(main, ["footprint", "--config", str(cfg)])
+        result = invoke(["footprint", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE project"
 
-    def test_reingest_makes_coordinates_stale(self, runner, tmp_path, synthetic60_path):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "stale")
+    def test_reingest_makes_coordinates_stale(self, tmp_path, synthetic60_path):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "stale")
         assert result.exit_code == 0, result.stderr
         lines = Path(synthetic60_path).read_text().splitlines(keepends=True)
         sliced = tmp_path / "slice.csv"
         sliced.write_text("".join(lines[:31]))
         cfg = write_config(tmp_path, sliced, out)
-        assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+        assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
         for stage in ("footprint", "classify", "plot"):
-            result = runner.invoke(main, [stage, "--config", str(cfg)])
+            result = invoke([stage, "--config", str(cfg)])
             assert result.exit_code == 1, stage
             assert result.stderr.strip() == "E_STAGE project", stage
 
@@ -437,11 +431,11 @@ class TestStages:
             result = eapr_in_a_process(stage, "--config", str(cfg))
             assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stale}\n")
 
-    def test_project_after_selection_writes_model(self, runner, tmp_path, synthetic60_path):
+    def test_project_after_selection_writes_model(self, tmp_path, synthetic60_path):
         out = tmp_path / "upto"
         cfg = write_config(tmp_path, synthetic60_path, out)
         for stage in ("ingest", "select-features", "project"):
-            assert runner.invoke(main, [stage, "--config", str(cfg)]).exit_code == 0
+            assert invoke([stage, "--config", str(cfg)]).exit_code == 0
         assert (out / "pca_model.json").exists()
         assert (out / "coordinates.json").exists()
 
@@ -459,7 +453,7 @@ def module_bindings():
 
 
 class TestTableMemo:
-    def test_pipeline_decodes_no_table(self, runner, tmp_path, synthetic60_path, monkeypatch):
+    def test_pipeline_decodes_no_table(self, tmp_path, synthetic60_path, monkeypatch):
         calls = []
         decode = artifacts.table_from_dict
 
@@ -468,32 +462,32 @@ class TestTableMemo:
             return decode(data)
 
         monkeypatch.setattr(artifacts, "table_from_dict", spy)
-        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "memo")
+        result, _ = run_pipeline(tmp_path, synthetic60_path, "memo")
         assert result.exit_code == 0, result.stderr
         assert calls == []
 
     @pytest.mark.parametrize("where", ["in-process", "in-a-process"])
     def test_reingest_is_seen_by_the_next_stage(
-        self, runner, tmp_path, synthetic60_path, where
+        self, tmp_path, synthetic60_path, where
     ):
-        result, out = run_pipeline(runner, tmp_path, synthetic60_path, "reingest")
+        result, out = run_pipeline(tmp_path, synthetic60_path, "reingest")
         assert result.exit_code == 0, result.stderr
         lines = Path(synthetic60_path).read_text().splitlines(keepends=True)
         sliced = tmp_path / "slice.csv"
         sliced.write_text("".join(lines[:31]))
         cfg = write_config(tmp_path, sliced, out)
         if where == "in-process":
-            assert runner.invoke(main, ["ingest", "--config", str(cfg)]).exit_code == 0
+            assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
         else:
             assert eapr_in_a_process("ingest", "--config", str(cfg)).returncode == 0
-        result = runner.invoke(main, ["project", "--config", str(cfg)])
+        result = invoke(["project", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         assert len(json.loads((out / "coordinates.json").read_text())["ids"]) == 30
 
-    def test_pipeline_adds_no_module_binding(self, runner, tmp_path, synthetic60_path):
-        run_pipeline(runner, tmp_path, synthetic60_path, "warm")  # imports every stage module
+    def test_pipeline_adds_no_module_binding(self, tmp_path, synthetic60_path):
+        run_pipeline(tmp_path, synthetic60_path, "warm")  # imports every stage module
         before = module_bindings()
-        result, _ = run_pipeline(runner, tmp_path, synthetic60_path, "bindings", seed=8)
+        result, _ = run_pipeline(tmp_path, synthetic60_path, "bindings", seed=8)
         assert result.exit_code == 0, result.stderr
         after = module_bindings()
         assert after.keys() == before.keys()
@@ -501,63 +495,63 @@ class TestTableMemo:
 
 
 class TestSeeds:
-    def test_env_seed_matches_flag_seed(self, runner, tmp_path, synthetic60_path):
-        _, out_flag = run_pipeline(runner, tmp_path, synthetic60_path, "flag", args=["--seed", "9"])
+    def test_env_seed_matches_flag_seed(self, tmp_path, synthetic60_path):
+        _, out_flag = run_pipeline(tmp_path, synthetic60_path, "flag", args=["--seed", "9"])
         _, out_env = run_pipeline(
-            runner, tmp_path, synthetic60_path, "env", env={"EAPR_SEED": "9"}
+            tmp_path, synthetic60_path, "env", env={"EAPR_SEED": "9"}
         )
         assert (out_flag / "report.json").read_bytes() == (out_env / "report.json").read_bytes()
 
-    def test_flag_overrides_env(self, runner, tmp_path, synthetic60_path):
+    def test_flag_overrides_env(self, tmp_path, synthetic60_path):
         # the flag wins over a valid EAPR_SEED and over one that does not parse
         for env_seed in ("4", "pi"):
             result, out = run_pipeline(
-                runner, tmp_path, synthetic60_path, f"both-{env_seed}",
+                tmp_path, synthetic60_path, f"both-{env_seed}",
                 args=["--seed", "3"], env={"EAPR_SEED": env_seed},
             )
             assert result.exit_code == 0, result.stderr
             report = json.loads((out / "report.json").read_text())
             assert report["provenance"]["config"]["seed"] == 3
 
-    def test_bad_env_seed(self, runner, tmp_path, synthetic60_path):
+    def test_bad_env_seed(self, tmp_path, synthetic60_path):
         result, _ = run_pipeline(
-            runner, tmp_path, synthetic60_path, "bad", env={"EAPR_SEED": "pi"}
+            tmp_path, synthetic60_path, "bad", env={"EAPR_SEED": "pi"}
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
 
 class TestConfigFile:
-    def test_unknown_key_rejected(self, runner, tmp_path, synthetic60_path):
+    def test_unknown_key_rejected(self, tmp_path, synthetic60_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"input={synthetic60_path}\noutput={tmp_path/'o'}\nga.popsize=3\n")
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_bad_value_rejected(self, runner, tmp_path, synthetic60_path):
+    def test_bad_value_rejected(self, tmp_path, synthetic60_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"input={synthetic60_path}\noutput={tmp_path/'o'}\nga.population=lots\n")
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_comments_and_blanks_allowed(self, runner, tmp_path, synthetic60_path):
+    def test_comments_and_blanks_allowed(self, tmp_path, synthetic60_path):
         out = tmp_path / "o"
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             f"# pipeline settings\n\ninput={synthetic60_path}  # data\n"
             f"output={out}\nseed=7\n{FAST_GA}"
         )
-        assert runner.invoke(main, ["pipeline", "--config", str(cfg)]).exit_code == 0
+        assert invoke(["pipeline", "--config", str(cfg)]).exit_code == 0
 
-    def test_non_positive_gamma_rejected(self, runner, tmp_path, synthetic60_path):
+    def test_non_positive_gamma_rejected(self, tmp_path, synthetic60_path):
         cfg = write_config(tmp_path, synthetic60_path, tmp_path / "o", extra="svm.gamma=-3\n")
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_every_key_reaches_its_field_and_the_report(self, runner, tmp_path, synthetic60_path):
+    def test_every_key_reaches_its_field_and_the_report(self, tmp_path, synthetic60_path):
         # Every value differs from its default.
         fields = {
             "seed": (None, "seed", 11),
@@ -591,7 +585,7 @@ class TestConfigFile:
         for key, (section, field, value) in fields.items():
             assert getattr(getattr(cfg, section) if section else cfg, field) == value, key
 
-        result = runner.invoke(main, ["pipeline", "--config", str(path)])
+        result = invoke(["pipeline", "--config", str(path)])
         assert result.exit_code == 0, result.stderr
         report = json.loads((out / "report.json").read_text())
         assert report["provenance"]["config"] == {
@@ -606,49 +600,60 @@ class TestConfigFile:
         keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
         assert sorted(keys) == sorted(cli._CONFIG_KEYS)
 
-    def test_non_utf8_config_rejected(self, runner, tmp_path, synthetic60_path):
+    def test_non_utf8_config_rejected(self, tmp_path, synthetic60_path):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes(
             f"input={synthetic60_path}\noutput={tmp_path / 'o'}\n".encode() + b"# caf\xe9\n"
         )
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.startswith("E_PARSE ")
 
     @pytest.mark.parametrize("radius", ["nan", "inf", "0", "-3"])
-    def test_bad_point_radius_rejected(self, runner, tmp_path, synthetic60_path, radius):
+    def test_bad_point_radius_rejected(self, tmp_path, synthetic60_path, radius):
         cfg = write_config(
             tmp_path, synthetic60_path, tmp_path / "o", extra=f"plot.point_radius={radius}\n"
         )
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_missing_input_key(self, runner, tmp_path):
+    def test_missing_input_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"output={tmp_path/'o'}\n")
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_unknown_command_is_usage_error(self, runner):
-        assert runner.invoke(main, ["no-such-command"]).exit_code == 2
+    def test_unknown_command_is_usage_error(self):
+        assert invoke(["no-such-command"]).exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["pipeline", "--conf", "CFG"],  # an abbreviation of --config
+        ["pipeline", "--config", "CFG", "--seed", "seven"],
+        ["select"],  # no --models
+    ])
+    def test_usage_error_exits_2_and_writes_nothing(self, tmp_path, synthetic60_path, args):
+        cfg = write_config(tmp_path, synthetic60_path, tmp_path / "out")
+        result = invoke([str(cfg) if arg == "CFG" else arg for arg in args])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestSelect:
     @pytest.fixture
-    def single_model_dir(self, runner, tmp_path):
+    def single_model_dir(self, tmp_path):
         csv = tmp_path / "single.csv"
         csv.write_text(SINGLE_ALG_CSV)
         out = tmp_path / "single_out"
         cfg = write_config(tmp_path, csv, out, extra="ga.max_k=2\n")
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         return out
 
-    def test_singleton_ranking(self, runner, single_model_dir):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input="f1,1.1\nf2,0.0\n"
+    def test_singleton_ranking(self, single_model_dir):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input="f1,1.1\nf2,0.0\n"
         )
         assert result.exit_code == 0, result.stderr
         lines = result.stdout.strip().splitlines()
@@ -657,31 +662,31 @@ class TestSelect:
         assert (rank, alg) == ("1", "X")
         assert float(value) > 0
 
-    def test_unknown_feature_rejected(self, runner, single_model_dir):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input="f1,1.0\nwmc,2.0\n"
+    def test_unknown_feature_rejected(self, single_model_dir):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input="f1,1.0\nwmc,2.0\n"
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
 
-    def test_missing_feature_rejected(self, runner, single_model_dir):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input="f1,1.0\n"
+    def test_missing_feature_rejected(self, single_model_dir):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input="f1,1.0\n"
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_rejected(self, runner, single_model_dir, value):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input=f"f1,{value}\nf2,0.0\n"
+    def test_non_finite_value_rejected(self, single_model_dir, value):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input=f"f1,{value}\nf2,0.0\n"
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
 
-    def test_missing_models_dir(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["select", "--models", str(tmp_path / "nothing")], input="f1,0.0\n"
+    def test_missing_models_dir(self, tmp_path):
+        result = invoke(
+            ["select", "--models", str(tmp_path / "nothing")], input="f1,0.0\n"
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_MODEL"
@@ -697,9 +702,9 @@ class TestSelect:
             "invalid start byte\n"
         )
 
-    def test_duplicate_feature_rejected(self, runner, single_model_dir):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input="f1,0.3\nf2,0.2\nf1,9\n"
+    def test_duplicate_feature_rejected(self, single_model_dir):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input="f1,0.3\nf2,0.2\nf1,9\n"
         )
         assert result.exit_code == 1
         assert result.stderr == "E_MODEL stdin line 3: duplicate feature 'f1'\n"
@@ -746,6 +751,19 @@ class TestSelect:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
 
+    def test_name_utf8_cannot_encode_is_model_error(self, tmp_path, synthetic60_models):
+        # a JSON escape gives a lone surrogate, which stdout could not print
+        model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
+        data = json.loads((model_dir / "models.json").read_text())
+        data["models"]["\ud800A"] = data["models"].pop("A")
+        (model_dir / "models.json").write_text(json.dumps(data))
+        result = select_in_a_process(model_dir, selected_vector(model_dir))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == (
+            f"E_MODEL missing or corrupt model files in {model_dir}: 'utf-8' codec can't encode "
+            "character '\\ud800' in position 0: surrogates not allowed\n"
+        )
+
     def test_deeply_nested_model_file_is_model_error(self, tmp_path, synthetic60_models):
         model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
         (model_dir / "models.json").write_text("[" * 200_000)
@@ -754,9 +772,9 @@ class TestSelect:
         assert result.stderr.startswith(f"E_MODEL missing or corrupt model files in {model_dir}: ")
         assert len(result.stderr.splitlines()) == 1
 
-    def test_name_equals_value_form(self, runner, single_model_dir):
-        result = runner.invoke(
-            main, ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
+    def test_name_equals_value_form(self, single_model_dir):
+        result = invoke(
+            ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
         )
         assert result.exit_code == 0
         assert result.stdout.startswith("1,X,")
@@ -792,7 +810,7 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
     assert {m for m in loaded if m.startswith("eapr")} == {
         "eapr", "eapr.cli", "eapr.artifacts", "eapr.ranker"
     }
-    assert "numpy" not in loaded
+    assert "numpy" not in loaded and "click" not in loaded
     stage_only = {"eapr.model", "eapr.project", "eapr.classify", "eapr.selection",
                   "eapr.report", "eapr.footprint", "eapr.ingest", "eapr.seeds", "hashlib",
                   "csv", "multiprocessing"}
@@ -832,12 +850,12 @@ def config(name, kernel):
                     f"ga.cv_folds=3\\nsvm.kernel={kernel}\\n")
     return str(path)
 
-cli.main(["pipeline", "--config", config("warm", "rbf")], standalone_mode=False)
+cli.main(["pipeline", "--config", config("warm", "rbf")])
 gc.collect()
 gc.disable()
 for kernel in ("rbf", "linear"):
     cli.cmd_pipeline(cli.build_config(cli.parse_config_file(Path(config(kernel, kernel)))))
-cli.main(["classify", "--config", config("linear", "linear")], standalone_mode=False)
+cli.main(["classify", "--config", config("linear", "linear")])
 selected = json.loads((Path(root) / "rbf" / "selection.json").read_text())["selected"]
 ranked = cli.cmd_select(Path(root) / "rbf", "".join(f"{n},0.1\\n" for n in selected))
 print(len(ranked.splitlines()), gc.collect())
@@ -853,13 +871,13 @@ def test_a_run_makes_no_reference_cycles(tmp_path):
 
 
 # The entry function, run as the `eapr` script and as `python -m eapr` run
-# it, on a select: whether the collector was on when click, eapr.cli and
+# it, on a select: whether the collector was on when argparse, eapr.cli and
 # models.json were first met, and its state after the run.
 ENTRY = """
 import gc, json, runpy, sys
 seen = {}
 def hook(event, args):
-    if event == "import" and args[0] in ("click", "eapr.cli"):
+    if event == "import" and args[0] in ("argparse", "eapr.cli"):
         seen.setdefault(args[0], gc.isenabled())
     elif event == "open" and str(args[0]).endswith("models.json"):
         seen.setdefault("models.json", gc.isenabled())
@@ -884,7 +902,7 @@ def test_the_entry_runs_without_the_collector_and_freezes_at_exit(synthetic60_mo
     *ranked, state = result.stdout.splitlines()
     assert ranked == select_in_a_process(model_dir, vector).stdout.splitlines()
     assert json.loads(state) == {
-        "imported": True, "click": False, "eapr.cli": False, "models.json": False, "exit": 0,
+        "imported": True, "argparse": False, "eapr.cli": False, "models.json": False, "exit": 0,
         "after": False, "frozen": True,
     }
 
@@ -896,11 +914,11 @@ def test_the_script_enters_through_the_entry_function():
     assert scripts == {"eapr": "eapr.__main__:main"}
 
 
-def test_library_use_keeps_the_collector(runner, synthetic60_models):
+def test_library_use_keeps_the_collector(synthetic60_models):
     code = "import gc, eapr, eapr.__main__, eapr.cli; print(gc.isenabled(), gc.get_freeze_count())"
     assert python_in_a_process(code).stdout == "True 0\n"
     model_dir = synthetic60_models["rbf"]
-    result = runner.invoke(main, ["select", "--models", str(model_dir)],
+    result = invoke(["select", "--models", str(model_dir)],
                            input=selected_vector(model_dir))
     assert result.exit_code == 0, result.stderr
     assert (gc.isenabled(), gc.get_freeze_count()) == (True, 0)
@@ -909,7 +927,7 @@ def test_library_use_keeps_the_collector(runner, synthetic60_models):
 class TestPackageApi:
     def test_every_export_is_its_defining_modules_object(self):
         readme = {"FeatureSubset", "GaConfig", "parse_instance_table", "run_ga", "fit_projection",
-                  "compute_footprint", "train_svm", "select_aprt", "cross_validate"}
+                  "compute_footprint", "train_svm", "cross_validate"}
         assert readme <= set(eapr.__all__)
         for name in eapr.__all__:
             namespace = {}
@@ -923,7 +941,8 @@ class TestPackageApi:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             eapr.no_such_name
-        for deleted in ("predict", "tie_break", "AnalysisReport"):
+        for deleted in ("predict", "tie_break", "AnalysisReport", "select_aprt", "transform",
+                        "FeatureMismatch"):
             assert not hasattr(eapr, deleted)
         with pytest.raises(ImportError):
             exec("from eapr import no_such_name", {})
@@ -960,12 +979,12 @@ class TestNamesAreData:
     """Names reach SVG text escaped, and file names percent-encoded inside
     the output directory."""
 
-    def run(self, runner, tmp_path, **names):
+    def run(self, tmp_path, **names):
         csv = tmp_path / "named.csv"
         renamed_csv(csv, **names)
         out = tmp_path / "a" / "b" / "out"
         cfg = write_config(tmp_path, csv, out)
-        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         assert result.exit_code == 0, (result.stderr, result.exception)
         svgs = {path.name: minidom.parse(str(path)) for path in out.glob("*.svg")}
         written = {path for path in tmp_path.rglob("*") if path.is_file()}
@@ -976,21 +995,21 @@ class TestNamesAreData:
     def texts(doc, tag):
         return [node.firstChild.data for node in doc.getElementsByTagName(tag)]
 
-    def test_markup_in_an_algorithm_name(self, runner, tmp_path):
-        svgs = self.run(runner, tmp_path, algorithm="C&D<x>", feature='w"<&>')
+    def test_markup_in_an_algorithm_name(self, tmp_path):
+        svgs = self.run(tmp_path, algorithm="C&D<x>", feature='w"<&>')
         assert self.texts(svgs["footprint_C%26D%3Cx%3E.svg"], "title") == ["C&D<x>"]
         assert self.texts(svgs["feature_w%22%3C%26%3E.svg"], "title") == ['w"<&>']
 
-    def test_markup_in_a_dataset_tag(self, runner, tmp_path):
-        svgs = self.run(runner, tmp_path, tag="t<1>&")
+    def test_markup_in_a_dataset_tag(self, tmp_path):
+        svgs = self.run(tmp_path, tag="t<1>&")
         assert "t<1>&" in self.texts(svgs["datasets.svg"], "text")
 
-    def test_slash_in_an_algorithm_name(self, runner, tmp_path):
-        svgs = self.run(runner, tmp_path, algorithm="A/B", feature="f/2")
+    def test_slash_in_an_algorithm_name(self, tmp_path):
+        svgs = self.run(tmp_path, algorithm="A/B", feature="f/2")
         assert {"footprint_A%2FB.svg", "feature_f%2F2.svg"} <= svgs.keys()
 
-    def test_parent_path_in_an_algorithm_name(self, runner, tmp_path):
-        svgs = self.run(runner, tmp_path, algorithm="../../escaped")
+    def test_parent_path_in_an_algorithm_name(self, tmp_path):
+        svgs = self.run(tmp_path, algorithm="../../escaped")
         assert self.texts(svgs["footprint_..%2F..%2Fescaped.svg"], "title") == ["../../escaped"]
 
 
@@ -1003,21 +1022,21 @@ class TestNamesAreData:
     ],
     ids=["algorithm", "feature", "tag"],
 )
-def test_name_xml_cannot_hold_is_parse_error(runner, tmp_path, names, error):
+def test_name_xml_cannot_hold_is_parse_error(tmp_path, names, error):
     csv = tmp_path / "named.csv"
     renamed_csv(csv, **names)
     cfg = write_config(tmp_path, csv, tmp_path / "out")
-    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    result = invoke(["pipeline", "--config", str(cfg)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"E_PARSE {error}, which XML cannot hold"]
 
 
-def test_name_too_long_for_a_file_gets_a_hashed_stem(runner, tmp_path):
+def test_name_too_long_for_a_file_gets_a_hashed_stem(tmp_path):
     name = "\u00e9" * 100  # 600 characters percent-encoded
     csv = tmp_path / "named.csv"
     renamed_csv(csv, algorithm=name)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["pipeline", "--config", str(write_config(tmp_path, csv, out))])
+    result = invoke(["pipeline", "--config", str(write_config(tmp_path, csv, out))])
     assert result.exit_code == 0, result.stderr
     # 135 characters end on a whole %XX: 45 triples, the 23rd "é" cut in half
     stem = ("%C3%A9" * 23)[:135] + "~" + hashlib.sha256(name.encode()).hexdigest()
@@ -1025,11 +1044,11 @@ def test_name_too_long_for_a_file_gets_a_hashed_stem(runner, tmp_path):
     assert minidom.parse(str(svg)).getElementsByTagName("title")[0].firstChild.data == name
 
 
-def test_unwritable_svg_is_io_error(runner, tmp_path, synthetic60_path):
+def test_unwritable_svg_is_io_error(tmp_path, synthetic60_path):
     out = tmp_path / "out"
     (out / "datasets.svg").mkdir(parents=True)
     cfg = write_config(tmp_path, synthetic60_path, out)
-    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    result = invoke(["pipeline", "--config", str(cfg)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"E_IO {out / 'datasets.svg'}: Is a directory"]
 
@@ -1051,7 +1070,7 @@ def test_printable_names_give_well_formed_svgs_or_one_error(names):
         renamed_csv(csv, **names)
         out = root / "out"
         cfg = write_config(root, csv, out)
-        result = CliRunner().invoke(main, ["pipeline", "--config", str(cfg)])
+        result = invoke(["pipeline", "--config", str(cfg)])
         written = {path for path in root.rglob("*") if path.is_file()}
         assert {path for path in written if out not in path.parents} == {csv, cfg}
         if result.exit_code == 0:
@@ -1064,22 +1083,22 @@ def test_printable_names_give_well_formed_svgs_or_one_error(names):
 
 
 class TestIngestErrors:
-    def test_header_only_csv(self, runner, tmp_path):
+    def test_header_only_csv(self, tmp_path):
         csv = tmp_path / "empty.csv"
         csv.write_text("instance_id,f1,aprt:A\n")
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_PARSE"
 
-    def test_nonfinite_rows_dropped_with_warning(self, runner, tmp_path):
+    def test_nonfinite_rows_dropped_with_warning(self, tmp_path):
         csv = tmp_path / "gappy.csv"
         rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
         csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\npbad,,0,1\n")
         out = tmp_path / "o"
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(out)]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(out)]
         )
         assert result.exit_code == 0
         assert "pbad" in result.stderr
@@ -1094,34 +1113,34 @@ class TestIngestErrors:
         ],
         ids=["non-utf8", "oversized-field"],
     )
-    def test_unreadable_csv_is_parse_error(self, runner, tmp_path, data):
+    def test_unreadable_csv_is_parse_error(self, tmp_path, data):
         csv = tmp_path / "unreadable.csv"
         csv.write_bytes(data)
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.startswith("E_PARSE ")
 
-    def test_overflowing_mean_is_parse_error(self, runner, tmp_path):
+    def test_overflowing_mean_is_parse_error(self, tmp_path):
         csv = tmp_path / "huge.csv"
         rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
         rows += ["big,1e308,0,1", "big,1e308,1,1"]
         csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE group 'big': feature mean overflows"]
 
-    def test_conflicting_dataset_tags_in_a_group_are_parse_error(self, runner, tmp_path):
+    def test_conflicting_dataset_tags_in_a_group_are_parse_error(self, tmp_path):
         # p1's tag would depend on the row order
         csv = tmp_path / "tags.csv"
         rows = [f"p{i},d1,{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
         rows.append("p1,d2,0.5,1,1")
         csv.write_text("instance_id,dataset,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
         out = tmp_path / "o"
-        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        result = invoke(["ingest", "--input", str(csv), "--output", str(out)])
         assert result.exit_code == 1
         assert result.stderr.splitlines() == [
             "E_PARSE group 'p1': conflicting dataset tags 'd1' and 'd2'"
@@ -1137,47 +1156,47 @@ class TestIngestErrors:
         assert result.returncode == 0
         assert result.stderr == "warning: dropping 1 row(s) with non-finite features: both\n"
 
-    def test_repeated_id_column_is_named(self, runner, tmp_path):
+    def test_repeated_id_column_is_named(self, tmp_path):
         csv = tmp_path / "twice.csv"
         rows = [f"p{i},z,{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
         csv.write_text("instance_id,instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE duplicate column 'instance_id'"]
 
-    def test_empty_id_names_its_row(self, runner, tmp_path):
+    def test_empty_id_names_its_row(self, tmp_path):
         csv = tmp_path / "blank_ids.csv"
         rows = [f"p{i},{i / 7:.3f},{i % 3},{1 if i % 2 else 0}" for i in range(8)]
         rows[3] = rows[5] = ",0.5,1,1"
         csv.write_text("instance_id,f1,f2,aprt:A\n" + "\n".join(rows) + "\n")
         out = tmp_path / "o"
-        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        result = invoke(["ingest", "--input", str(csv), "--output", str(out)])
         assert result.exit_code == 1
         assert result.stderr.splitlines() == ["E_PARSE row 5, column 'instance_id': empty id"]
         assert not (out / "table.json").exists()
 
-    def test_byte_order_mark_ingests_as_without_it(self, runner, tmp_path, synthetic60_path):
+    def test_byte_order_mark_ingests_as_without_it(self, tmp_path, synthetic60_path):
         raw = synthetic60_path.read_bytes()
         tables = []
         for name, data in (("plain", raw), ("bom", b"\xef\xbb\xbf" + raw)):
             csv = tmp_path / f"{name}.csv"
             csv.write_bytes(data)
             out = tmp_path / name
-            result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+            result = invoke(["ingest", "--input", str(csv), "--output", str(out)])
             assert result.exit_code == 0, result.stderr
             table = json.loads((out / "table.json").read_text())
             assert table.pop("input_digest") == hashlib.sha256(data).hexdigest()
             tables.append(table)
         assert tables[0] == tables[1]
 
-    def test_single_feature_table_is_degenerate(self, runner, tmp_path):
+    def test_single_feature_table_is_degenerate(self, tmp_path):
         csv = tmp_path / "narrow.csv"
         rows = [f"p{i},{i / 7:.3f},{1 if i % 2 else 0}" for i in range(8)]
         csv.write_text("instance_id,f1,aprt:A\n" + "\n".join(rows) + "\n")
-        result = runner.invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
+        result = invoke(
+            ["ingest", "--input", str(csv), "--output", str(tmp_path / "o")]
         )
         assert result.exit_code == 1
         assert result.stderr.split()[0] == "E_DEGENERATE"
@@ -1205,11 +1224,11 @@ GOLDEN_TABLE_SHA256 = "3ce69f13d0b366b820a309725ae60195688f02635b9475e2658c56ddb
 
 
 class TestTableJson:
-    def test_golden_table_bytes(self, runner, tmp_path):
+    def test_golden_table_bytes(self, tmp_path):
         csv = tmp_path / "golden.csv"
         csv.write_text(GOLDEN_CSV)
         out = tmp_path / "o"
-        result = runner.invoke(main, ["ingest", "--input", str(csv), "--output", str(out)])
+        result = invoke(["ingest", "--input", str(csv), "--output", str(out)])
         assert result.exit_code == 0, result.stderr
         assert result.stderr == "warning: dropping 1 row(s) with non-finite features: p5\n"
         table = (out / "table.json").read_bytes()
@@ -1250,7 +1269,7 @@ GOLDEN_LINEAR_PIPELINE_SHA256 = {
     [("rbf", GOLDEN_PIPELINE_SHA256), ("linear", GOLDEN_LINEAR_PIPELINE_SHA256)],
     ids=["rbf", "linear"],
 )
-def test_golden_pipeline_bytes(runner, tmp_path, synthetic60_path, kernel, golden):
+def test_golden_pipeline_bytes(tmp_path, synthetic60_path, kernel, golden):
     out = tmp_path / "o"
     cfg = tmp_path / "c.cfg"
     cfg.write_text(
@@ -1258,7 +1277,7 @@ def test_golden_pipeline_bytes(runner, tmp_path, synthetic60_path, kernel, golde
         "ga.population=8\nga.generations=3\nga.min_k=2\nga.max_k=3\nga.cv_folds=3\n"
         f"svm.kernel={kernel}\n"
     )
-    result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+    result = invoke(["pipeline", "--config", str(cfg)])
     assert result.exit_code == 0, result.stderr
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == golden

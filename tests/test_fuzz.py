@@ -4,11 +4,12 @@ import json
 import tempfile
 from pathlib import Path
 
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eapr.cli import _CONFIG_KEYS, CliFailure, build_config, main, parse_config_file
+from eapr.cli import _CONFIG_KEYS, CliFailure, build_config, parse_config_file
+
+from conftest import invoke
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -99,9 +100,7 @@ def test_fuzzed_csv_ingests_or_fails_with_one_error_line(data):
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / "in.csv"
         csv.write_bytes(data)
-        result = CliRunner().invoke(
-            main, ["ingest", "--input", str(csv), "--output", str(Path(tmp) / "o")]
-        )
+        result = invoke(["ingest", "--input", str(csv), "--output", str(Path(tmp) / "o")])
         assert result.exception is None or isinstance(result.exception, SystemExit), repr(
             result.exception
         )

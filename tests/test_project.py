@@ -5,15 +5,14 @@ from eapr.artifacts import pca_from_dict as model_from_dict, pca_to_dict as mode
 from eapr.ingest import aggregate_rows, parse_instance_table
 from eapr.model import FeatureSubset
 from eapr.project import (
-    FeatureMismatch,
     NonFiniteInput,
     PcaModel,
     ScalingParams,
     explained_variance,
     fit_pca,
     fit_projection,
+    project_features,
     symmetric_eig,
-    transform,
 )
 
 from conftest import GOOD, make_table
@@ -137,16 +136,16 @@ class TestTransform:
         return table, subset, model, coords
 
     def test_mean_instance_maps_to_origin(self):
-        _, subset, model, _ = self._fitted()
+        _, _, model, _ = self._fitted()
         mean_table = make_table(
             list(model.feature_names), ["A"],
             [("mean", "", tuple(model.scaling.means), (GOOD,))],
         )
-        z = transform(model, mean_table, subset)
+        z = project_features(model, mean_table.feature_matrix(model.feature_names))
         assert np.abs(z).max() < 1e-12
 
     def test_reflection_negates(self):
-        _, subset, model, _ = self._fitted()
+        _, _, model, _ = self._fitted()
         means = np.asarray(model.scaling.means)
         offset = np.array([1.0, -2.0, 0.5])
         pair = make_table(
@@ -156,7 +155,7 @@ class TestTransform:
                 ("minus", "", tuple(means - offset), (GOOD,)),
             ],
         )
-        z = transform(model, pair, subset)
+        z = project_features(model, pair.feature_matrix(model.feature_names))
         assert np.abs(z[0] + z[1]).max() < 1e-9
 
     def test_projected_variance_equals_eigenvalue(self):
@@ -173,13 +172,14 @@ class TestTransform:
         assert np.abs(coords.mean(axis=0)).max() < 1e-9
 
     def test_subset_mismatch_rejected(self):
-        table, _, model, _ = self._fitted()
-        with pytest.raises(FeatureMismatch):
-            transform(model, table, FeatureSubset.of(["f1", "f2"]))
+        # a scaling of two features cannot have standardized three columns
+        scaling = ScalingParams(("f1", "f2"), (0.0, 0.0), (1.0, 1.0), ())
+        with pytest.raises(ValueError, match="scaling does not match matrix width"):
+            fit_pca(np.eye(4, 3), scaling=scaling)
 
     def test_fit_projection_equals_transform_to_the_bit(self, synthetic60_path):
-        # one projection path: the fit's coordinates are transform's, here
-        # with a zero-variance column that the scaling drops
+        # one projection path: the fit's coordinates are project_features' of
+        # the table, here with a zero-variance column that the scaling drops
         rows = [line.split(",", 2) for line in synthetic60_path.read_text().splitlines()]
         csv = "\n".join(f"{i},{d},{'z' if n == 0 else 2.5},{rest}"
                         for n, (i, d, rest) in enumerate(rows))
@@ -187,7 +187,8 @@ class TestTransform:
         subset = FeatureSubset.of(["f1", "f3", "f4", "z"])
         model, coords = fit_projection(table, subset)
         assert model.scaling.dropped_features == ("z",)
-        assert np.array_equal(coords, transform(model, table, subset))
+        raw = table.feature_matrix(model.feature_names)
+        assert np.array_equal(coords, project_features(model, raw))
 
 
 class TestExplainedVariance:
@@ -269,5 +270,5 @@ class TestSerialization:
         restored = model_from_dict(model_to_dict(model))
         assert restored.feature_names == model.feature_names
         assert np.allclose(restored.loadings, model.loadings)
-        z = transform(restored, table, subset)
+        z = project_features(restored, table.feature_matrix(restored.feature_names))
         assert np.allclose(z, coords, atol=1e-12)

@@ -4,15 +4,15 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eapr import artifacts, ranker
-from eapr.classify import SvmModel, decision_values, select_aprt
-from eapr.cli import main
+from eapr.classify import SvmModel, decision_values
 from eapr.project import PcaModel, ScalingParams, project_features
 from eapr.ranker import SvmConfig
+
+from conftest import invoke
 
 # Sums that cancel have no relative accuracy, so both sides are compared
 # relative to the magnitude of the terms they sum.
@@ -104,7 +104,7 @@ def test_float_ranker_matches_the_numpy_formulas(pca_raw, models):
     ranked = ranker.rank(scorers, z)
     for name, value in ranked:
         assert abs(value - expected[name]) <= tol[name]
-    for name, value in select_aprt(models, point):
+    for name, value in ranker.rank(scorers, tuple(point.tolist())):
         assert abs(value - expected[name]) <= tol[name]
 
     # the same order as the numpy values, but among values that tie within
@@ -133,7 +133,7 @@ def write_models(out, kernel, stds=(0.5, 2.0)):
 ])
 def test_overflow_gives_the_non_finite_line(tmp_path, kernel, vector, stds):
     out = write_models(tmp_path / "models", kernel, stds)
-    result = CliRunner().invoke(main, ["select", "--models", str(out)], input=vector)
+    result = invoke(["select", "--models", str(out)], input=vector)
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr == "E_MODEL feature vector gives a non-finite projection or score\n"
