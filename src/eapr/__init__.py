@@ -19,14 +19,13 @@ _EXPORTS = {
     **dict.fromkeys(
         ["aggregate_rows", "minmax_normalize", "parse_instance_table"], "ingest"),
     **dict.fromkeys(
-        ["PcaModel", "ScalingParams", "explained_variance", "fit_pca", "fit_projection",
-         "standardize"], "project"),
+        ["explained_variance", "fit_pca", "fit_projection", "standardize"], "project"),
     **dict.fromkeys(
         ["ConvexPolygon", "Footprint", "compute_footprint", "convex_hull",
          "convex_intersection", "footprint_overlap", "polygon_area"], "footprint"),
     **dict.fromkeys(
         ["ClassifierMetrics", "SvmModel", "cross_validate", "train_svm"], "classify"),
-    "SvmConfig": "ranker",
+    **dict.fromkeys(["Projection", "SvmConfig"], "ranker"),
     **dict.fromkeys(
         ["FitnessValue", "GaConfig", "SelectionResult", "evaluate_subset", "run_ga"],
         "selection"),

@@ -24,7 +24,7 @@ from . import ranker
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import classify, footprint as fp, project
+    from . import classify, footprint as fp
     from .model import InstanceTable
 
 # Artifact -> the stage that writes it.
@@ -101,6 +101,10 @@ def table_to_dict(table: InstanceTable, digest: str) -> dict:
 
 
 def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
+    """table.json as (table, input digest). A name, id or tag that is not a
+    str, or that UTF-8 cannot encode (a lone surrogate, which a JSON escape can
+    hold), raises TypeError or UnicodeEncodeError here rather than where an SVG
+    file name or text is written."""
     from .model import InstanceTable, Outcome
 
     code = {outcome.name: outcome.value for outcome in Outcome}
@@ -114,6 +118,8 @@ def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
         [r["features"] for r in rows],
         [[code[r["outcomes"][a]] for a in algorithms] for r in rows],
     )
+    "".join((*table.feature_names, *table.algorithm_names,
+             *table.instance_ids, *table.dataset_tags)).encode("utf-8")
     return table, data["input_digest"]
 
 
@@ -169,15 +175,15 @@ def read_selection(out_dir: Path, table: InstanceTable) -> dict:
     return read(out_dir, "selection.json", decode)
 
 
-def pca_to_dict(model: project.PcaModel) -> dict:
+def pca_to_dict(model: ranker.Projection) -> dict:
     return {
-        "features": list(model.feature_names),
-        "means": list(model.scaling.means),
-        "stds": list(model.scaling.stds),
-        "dropped": list(model.scaling.dropped_features),
-        "loadings": model.loadings.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "explained_variance_2d": float(model.explained_variance_2d),
+        "features": list(model.features),
+        "means": list(model.means),
+        "stds": list(model.stds),
+        "dropped": list(model.dropped),
+        "loadings": [list(row) for row in model.loadings],
+        "eigenvalues": list(model.eigenvalues),
+        "explained_variance_2d": model.explained_variance_2d,
     }
 
 
@@ -200,39 +206,25 @@ def _names(values) -> tuple[str, ...]:
 
 
 def projection_from_dict(data: dict) -> ranker.Projection:
-    """pca_model.json as floats, every list checked against the features; the
-    eigenvalues, which a projection does not use, are checked too."""
-    _floats(data["eigenvalues"])
-    _number(data["explained_variance_2d"])
+    """pca_model.json, every list checked against the features; the
+    eigenvalues, which only report.json uses, are checked to be numbers."""
     return ranker.Projection(
         features=_names(data["features"]),
         dropped=_names(data["dropped"]),
         means=_floats(data["means"]),
         stds=_floats(data["stds"]),
         loadings=tuple(map(_floats, data["loadings"])),
+        eigenvalues=_floats(data["eigenvalues"]),
+        explained_variance_2d=_number(data["explained_variance_2d"]),
     )
 
 
-def pca_from_dict(data: dict) -> project.PcaModel:
-    import numpy as np
-
-    from .project import PcaModel, ScalingParams
-
-    p = projection_from_dict(data)
-    return PcaModel(
-        scaling=ScalingParams(p.features, p.means, p.stds, p.dropped),
-        loadings=np.array(p.loadings, dtype=float),
-        eigenvalues=np.array(data["eigenvalues"], dtype=float),
-        explained_variance_2d=float(data["explained_variance_2d"]),
-    )
-
-
-def read_pca(out_dir: Path, selected: list[str]) -> project.PcaModel:
+def read_pca(out_dir: Path, selected: list[str]) -> ranker.Projection:
     """pca_model.json; a model of other features than ``selected`` is stale."""
 
-    def decode(data: dict) -> project.PcaModel:
-        model = pca_from_dict(data)
-        if {*model.feature_names, *model.scaling.dropped_features} != set(selected):
+    def decode(data: dict) -> ranker.Projection:
+        model = projection_from_dict(data)
+        if {*model.features, *model.dropped} != set(selected):
             raise ValueError("the projection is not of the selected features")
         return model
 

@@ -413,7 +413,7 @@ def stage_plot(cfg: PipelineConfig) -> None:
     report = {
         "provenance": {"input_digest": digest, "config": _config_echo(cfg)},
         "features": {
-            "selected": pca.feature_names,
+            "selected": pca.features,
             "loadings": pca.loadings,
             "eigenvalues": pca.eigenvalues,
             "explained_variance_2d": pca.explained_variance_2d,

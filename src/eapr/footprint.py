@@ -76,10 +76,9 @@ def polygon_area(poly: ConvexPolygon) -> float:
     return 0.5 * total
 
 
-def contains_point(poly: ConvexPolygon, point: Point, tol: float = BOUNDARY_TOL) -> bool:
-    """Membership in a CCW convex polygon; boundary points count as inside.
-
-    ``tol`` is a signed-distance tolerance in coordinate units.
+def contains_point(poly: ConvexPolygon, point: Point) -> bool:
+    """Membership in a CCW convex polygon; boundary points count as inside,
+    within a signed distance of ``BOUNDARY_TOL`` in coordinate units.
     """
     if poly.is_degenerate:
         return False
@@ -90,7 +89,7 @@ def contains_point(poly: ConvexPolygon, point: Point, tol: float = BOUNDARY_TOL)
         ey = y1 - y0
         cross = ex * (py - y0) - ey * (px - x0)
         norm = (ex * ex + ey * ey) ** 0.5
-        if cross < -tol * norm:
+        if cross < -BOUNDARY_TOL * norm:
             return False
     return True
 

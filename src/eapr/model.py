@@ -133,10 +133,8 @@ class InstanceTable:
             raise KeyError(f"features not in table: {sorted(missing)}")
         return tuple(n for n in self.feature_names if n in subset.selected)
 
-    def feature_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Dense (n_rows, n_features) copy, columns in ``names`` order."""
-        if names is None:
-            names = self.feature_names
+    def feature_matrix(self, names: Sequence[str]) -> np.ndarray:
+        """Dense (n_rows, len(names)) copy, columns in ``names`` order."""
         return self.features[:, [self.feature_index(n) for n in names]]
 
     def outcome_codes(self, algorithm: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Standardization of the selected feature columns and their PCA projection
-onto a 2D instance space.
+onto a 2D instance space. The fitted model is a ``ranker.Projection`` of
+floats: the one type that pca_model.json stores and ``eapr select`` reads.
 
 The eigendecomposition is LAPACK's symmetric solver (``np.linalg.eigh``).
 ``symmetric_eig`` fixes each eigenvector's sign and the order of tied
@@ -7,11 +8,10 @@ eigenvalues by its own rules, not by the solver's conventions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import Coordinates2D, FeatureSubset, InstanceTable
+from .ranker import Projection
 
 
 class NonFiniteInput(Exception):
@@ -22,49 +22,19 @@ class AllFeaturesDropped(ValueError):
     """Too few of a subset's columns keep any variance to project."""
 
 
-@dataclass(frozen=True)
-class ScalingParams:
-    """Per-feature standardization parameters (population std, divisor N).
-
-    Zero-variance columns are excluded from ``feature_names`` and listed in
-    ``dropped_features``.
-    """
-
-    feature_names: tuple[str, ...]
-    means: tuple[float, ...]
-    stds: tuple[float, ...]
-    dropped_features: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class PcaModel:
-    """Standardization parameters plus the top-2 eigenvectors of the covariance.
-
-    ``loadings`` is (m, 2): column j holds eigenvector j, rows aligned with
-    ``scaling.feature_names``. ``eigenvalues`` is the full descending list.
-    """
-
-    scaling: ScalingParams
-    loadings: np.ndarray
-    eigenvalues: np.ndarray
-    explained_variance_2d: float
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.scaling.feature_names
-
-
 # Relative threshold under which a column counts as zero-variance.
 _ZERO_STD = 1e-12
 
 
 def standardize(
     table: InstanceTable, subset: FeatureSubset
-) -> tuple[np.ndarray, ScalingParams]:
-    """Center and scale the subset's columns to mean 0, population std 1.
+) -> tuple[np.ndarray, tuple[str, ...], tuple[float, ...], tuple[float, ...], tuple[str, ...]]:
+    """Center and scale the subset's columns to mean 0, population std 1
+    (divisor N).
 
-    Zero-variance columns are dropped and reported. Raises AllFeaturesDropped
-    when nothing survives.
+    Returns the standardized matrix, then the kept columns' names, means and
+    stds, then the names of the zero-variance columns, which are dropped.
+    Raises AllFeaturesDropped when nothing survives.
     """
     if len(table) < 2:
         raise ValueError("standardize requires at least 2 rows")
@@ -80,13 +50,8 @@ def standardize(
         raise AllFeaturesDropped(f"all {len(names)} columns have zero variance")
 
     standardized = (matrix[:, keep] - means[keep]) / stds[keep]
-    params = ScalingParams(
-        feature_names=kept_names,
-        means=tuple(float(v) for v in means[keep]),
-        stds=tuple(float(v) for v in stds[keep]),
-        dropped_features=dropped,
-    )
-    return standardized, params
+    kept_means, kept_stds = tuple(means[keep].tolist()), tuple(stds[keep].tolist())
+    return standardized, kept_names, kept_means, kept_stds, dropped
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -119,16 +84,12 @@ def symmetric_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], vectors[:, order]
 
 
-def fit_pca(
-    matrix: np.ndarray,
-    feature_names: tuple[str, ...] | None = None,
-    scaling: ScalingParams | None = None,
-) -> PcaModel:
-    """Fit the 2D projection from an already-standardized (n, m) matrix.
+def fit_pca(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Fit the 2D projection of an already-standardized (n, m) matrix.
 
-    ``scaling`` attaches the parameters used to standardize the input so the
-    model can later project raw tables; when omitted, an identity scaling is
-    assumed. Covariance uses divisor N-1.
+    Returns the covariance's eigenvalues in descending order, the (m, 2)
+    loadings (column j holds eigenvector j) and the share of the variance the
+    two keep. Covariance uses divisor N-1.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2:
@@ -148,53 +109,46 @@ def fit_pca(
 
     total = float(values.sum())
     explained = float(values[0] + values[1]) / total if total > 0.0 else 0.0
-
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(m))
-    if scaling is None:
-        scaling = ScalingParams(
-            feature_names=feature_names,
-            means=(0.0,) * m,
-            stds=(1.0,) * m,
-            dropped_features=(),
-        )
-    if len(scaling.feature_names) != m:
-        raise ValueError("scaling does not match matrix width")
-
-    return PcaModel(
-        scaling=scaling,
-        loadings=vectors[:, :2].copy(),
-        eigenvalues=values,
-        explained_variance_2d=explained,
-    )
+    return values, vectors[:, :2], explained
 
 
-def project_features(model: PcaModel, raw: np.ndarray) -> np.ndarray:
-    """Standardize raw feature values with the model's scaling and project
-    them. The last axis of ``raw`` follows ``model.feature_names``."""
-    standardized = (raw - np.asarray(model.scaling.means)) / np.asarray(model.scaling.stds)
-    return standardized @ model.loadings
+def project_features(model: Projection, raw: np.ndarray) -> np.ndarray:
+    """Standardize raw feature values with the model's means and stds and
+    project them. The last axis of ``raw`` follows ``model.features``."""
+    standardized = (raw - np.asarray(model.means)) / np.asarray(model.stds)
+    return standardized @ np.asarray(model.loadings)
 
 
-def explained_variance(model: PcaModel) -> np.ndarray:
+def explained_variance(model: Projection) -> np.ndarray:
     """Per-component share of total variance, descending."""
-    total = float(model.eigenvalues.sum())
+    eigenvalues = np.asarray(model.eigenvalues)
+    total = float(eigenvalues.sum())
     if total <= 0.0:
-        return np.zeros_like(model.eigenvalues)
-    return model.eigenvalues / total
+        return np.zeros_like(eigenvalues)
+    return eigenvalues / total
 
 
 def fit_projection(
     table: InstanceTable, subset: FeatureSubset
-) -> tuple[PcaModel, Coordinates2D]:
+) -> tuple[Projection, Coordinates2D]:
     """Standardize the subset's columns, fit the PCA model, project the table
     by ``project_features``, whose formulas ``ranker.project`` applies to the
-    one vector of ``eapr select``.
+    one vector of ``eapr select``. The model is the ``Projection`` that
+    pca_model.json stores.
 
     Raises AllFeaturesDropped when fewer than 2 columns keep any variance.
     """
-    matrix, scaling = standardize(table, subset)
+    matrix, names, means, stds, dropped = standardize(table, subset)
     if matrix.shape[1] < 2:
         raise AllFeaturesDropped(f"only 1 of {len(subset)} columns has variance")
-    model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
-    return model, project_features(model, table.feature_matrix(model.feature_names))
+    eigenvalues, loadings, explained = fit_pca(matrix)
+    model = Projection(
+        features=names,
+        dropped=dropped,
+        means=means,
+        stds=stds,
+        loadings=tuple(map(tuple, loadings.tolist())),
+        eigenvalues=tuple(eigenvalues.tolist()),
+        explained_variance_2d=explained,
+    )
+    return model, project_features(model, table.feature_matrix(names))

@@ -4,8 +4,9 @@
 values, two dot products and one kernel sum per algorithm, so it imports no
 numpy: ``project`` and ``decision_value`` apply the formulas of
 ``project.project_features`` and ``classify.decision_values`` to floats.
-``SvmConfig`` lives here because models.json stores it with every fit and
-reading it checks it.
+``Projection`` (the fitted projection: ``project.fit_projection`` returns it
+and pca_model.json stores it) and ``SvmConfig`` (models.json stores it with
+every fit) live here because ``eapr select`` reads and checks both.
 
 Where numpy gives ``inf`` or ``nan``, a float operation may raise an
 ``ArithmeticError``: ``ZeroDivisionError`` on a zero std, ``OverflowError``
@@ -54,15 +55,20 @@ class SvmConfig:
 
 @dataclass(frozen=True)
 class Projection:
-    """A ``PcaModel`` as floats: for each of ``features``, in order, its mean,
-    its std and its (z1, z2) loadings. ``dropped`` names the zero-variance
-    features, which a vector may carry but which are not projected."""
+    """The fitted 2D projection, as pca_model.json stores it: for each of
+    ``features``, in order, its mean, its std (population, divisor N) and its
+    (z1, z2) loadings. ``dropped`` names the zero-variance features, which a
+    vector may carry but which are not projected. ``eigenvalues``, the
+    covariance's in descending order, and ``explained_variance_2d`` are for
+    report.json; ranking uses neither."""
 
     features: tuple[str, ...]
     dropped: tuple[str, ...]
     means: tuple[float, ...]
     stds: tuple[float, ...]
     loadings: tuple[tuple[float, float], ...]
+    eigenvalues: tuple[float, ...]
+    explained_variance_2d: float
 
     def __post_init__(self) -> None:
         m = len(self.features)

@@ -90,8 +90,8 @@ def test_criterion_2_pca_oracles():
 
     pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0], [5.0, 5.0]])
     standardized = (pts - pts.mean(axis=0)) / pts.std(axis=0, ddof=1)
-    model = fit_pca(standardized)
-    assert model.explained_variance_2d == 1.0
+    _, _, explained = fit_pca(standardized)
+    assert explained == 1.0
 
     announce(2, f"(100 covariances, worst eigenvalue err {worst:.2e})")
 
@@ -260,9 +260,9 @@ def test_criterion_7_benchmark_separation_on_user_export(tmp_path):
 
     config = GaConfig(population_size=24, generations=15, cv_folds=3, seed=0)
     selected = run_ga(table, config).best
-    matrix, scaling = standardize(table, selected)
-    model = fit_pca(matrix, feature_names=scaling.feature_names, scaling=scaling)
-    coords = matrix @ model.loadings
+    matrix, *_ = standardize(table, selected)
+    _, loadings, _ = fit_pca(matrix)
+    coords = matrix @ loadings
 
     tags = np.array(table.dataset_tags)
     keep = np.isin(tags, ("IntroClassJava", "Defects4J"))

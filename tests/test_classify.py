@@ -27,7 +27,6 @@ from eapr.classify import (
     stratified_folds,
     train_svm,
 )
-from eapr.project import PcaModel, ScalingParams
 
 from oracles import kernel_sum_decision
 
@@ -486,8 +485,8 @@ class TestSelect:
 
     def test_empty_rejected(self, tmp_path):
         # `eapr select` refuses a models.json that holds no model
-        pca = PcaModel(ScalingParams(("f1", "f2"), (0.0, 0.0), (1.0, 1.0), ()), np.eye(2),
-                       np.ones(2), 1.0)
+        pca = ranker.Projection(("f1", "f2"), (), (0.0, 0.0), (1.0, 1.0),
+                                ((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0), 1.0)
         artifacts.write(tmp_path, "pca_model.json", artifacts.pca_to_dict(pca))
         artifacts.write(tmp_path, "models.json", {"models": {}})
         with pytest.raises(artifacts.CliFailure, match="^E_MODEL no algorithm models present$"):

@@ -305,7 +305,9 @@ class TestStages:
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
-    @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged"])
+    # "tag" and "feature" hold a lone surrogate, which a JSON escape can give:
+    # UTF-8 cannot encode it into datasets.svg or a feature_<name>.svg name
+    @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged", "tag", "feature"])
     def test_corrupt_table_names_ingest(self, tmp_path, synthetic60_path, corrupt):
         out = tmp_path / "corrupt"
         cfg = write_config(tmp_path, synthetic60_path, out)
@@ -318,8 +320,12 @@ class TestStages:
             row = table["rows"][1]
             if corrupt == "outcome":
                 row["outcomes"]["A"] = "MAYBE"
-            else:
+            elif corrupt == "ragged":
                 row["features"].pop()
+            elif corrupt == "tag":
+                row["dataset"] = "\ud800x"
+            else:
+                table["feature_names"][0] = "f1\ud800"
             path.write_text(json.dumps(table))
         result = invoke(["select-features", "--config", str(cfg)])
         assert result.exit_code == 1
@@ -942,7 +948,7 @@ class TestPackageApi:
         with pytest.raises(AttributeError, match="no_such_name"):
             eapr.no_such_name
         for deleted in ("predict", "tie_break", "AnalysisReport", "select_aprt", "transform",
-                        "FeatureMismatch"):
+                        "FeatureMismatch", "PcaModel", "ScalingParams"):
             assert not hasattr(eapr, deleted)
         with pytest.raises(ImportError):
             exec("from eapr import no_such_name", {})

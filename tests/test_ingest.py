@@ -343,10 +343,10 @@ class TestStandardize:
             ["f1"], ["A"],
             [("a", "", (1.0,), (GOOD,)), ("b", "", (2.0,), (GOOD,)), ("c", "", (3.0,), (BAD,))],
         )
-        matrix, params = standardize(table, FeatureSubset.of(["f1"]))
+        matrix, names, means, stds, dropped = standardize(table, FeatureSubset.of(["f1"]))
         assert matrix[:, 0] == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
-        assert params.means == (2.0,)
-        assert params.stds[0] == pytest.approx(math.sqrt(2.0 / 3.0))
+        assert (names, means, dropped) == (("f1",), (2.0,), ())
+        assert stds[0] == pytest.approx(math.sqrt(2.0 / 3.0))
 
     def test_constant_column_dropped(self):
         table = make_table(
@@ -357,9 +357,11 @@ class TestStandardize:
                 ("c", "", (5.0, 3.0), (BAD,)),
             ],
         )
-        matrix, params = standardize(table, FeatureSubset.of(["f1", "f2"]))
-        assert params.dropped_features == ("f1",)
-        assert params.feature_names == ("f2",)
+        matrix, names, means, stds, dropped = standardize(table, FeatureSubset.of(["f1", "f2"]))
+        assert dropped == ("f1",)
+        assert names == ("f2",)
+        assert means == (2.0,)
+        assert stds == pytest.approx((math.sqrt(2.0 / 3.0),))
         assert matrix.shape == (3, 1)
 
     def test_all_dropped_raises(self):
@@ -378,12 +380,12 @@ class TestStandardize:
             names, ["A"],
             [(f"r{i}", "", tuple(v), (GOOD,)) for i, v in enumerate(values)],
         )
-        once, _ = standardize(table, FeatureSubset.of(names))
+        once, *_ = standardize(table, FeatureSubset.of(names))
         table2 = make_table(
             names, ["A"],
             [(f"r{i}", "", tuple(v), (GOOD,)) for i, v in enumerate(once)],
         )
-        twice, _ = standardize(table2, FeatureSubset.of(names))
+        twice, *_ = standardize(table2, FeatureSubset.of(names))
         assert np.abs(twice - once).max() < 1e-9
 
     def test_requires_two_rows(self):

@@ -1,19 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
-from eapr.artifacts import pca_from_dict as model_from_dict, pca_to_dict as model_to_dict
+from eapr.artifacts import pca_to_dict, projection_from_dict
 from eapr.ingest import aggregate_rows, parse_instance_table
 from eapr.model import FeatureSubset
 from eapr.project import (
     NonFiniteInput,
-    PcaModel,
-    ScalingParams,
     explained_variance,
     fit_pca,
     fit_projection,
     project_features,
     symmetric_eig,
 )
+from eapr.ranker import Projection
 
 from conftest import GOOD, make_table
 from oracles import charpoly_roots
@@ -22,6 +23,17 @@ from oracles import charpoly_roots
 def _standardized(data, ddof=0):
     arr = np.asarray(data, dtype=float)
     return (arr - arr.mean(axis=0)) / arr.std(axis=0, ddof=ddof)
+
+
+def _fit(values):
+    """``fit_projection`` of a table with one row per row of ``values``,
+    projected on all its columns."""
+    names = [f"f{j}" for j in range(values.shape[1])]
+    table = make_table(
+        names, ["A"], [(f"r{i}", "", tuple(v), (GOOD,)) for i, v in enumerate(values)]
+    )
+    model, coords = fit_projection(table, FeatureSubset.of(names))
+    return table, model, coords
 
 
 class TestEig:
@@ -66,52 +78,53 @@ class TestEig:
 class TestFitPca:
     def test_collinear_two_features(self):
         pts = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
-        model = fit_pca(_standardized(pts, ddof=1))
-        assert model.eigenvalues == pytest.approx([2.0, 0.0], abs=1e-12)
-        assert model.explained_variance_2d == 1.0
+        eigenvalues, _, explained = fit_pca(_standardized(pts, ddof=1))
+        assert eigenvalues == pytest.approx([2.0, 0.0], abs=1e-12)
+        assert explained == 1.0
 
     def test_two_features_always_fully_explained(self):
         rng = np.random.default_rng(2)
-        model = fit_pca(_standardized(rng.normal(0, 1, (25, 2))))
-        assert model.explained_variance_2d == 1.0
+        _, _, explained = fit_pca(_standardized(rng.normal(0, 1, (25, 2))))
+        assert explained == 1.0
 
     def test_random_matrix_matches_charpoly_oracle(self):
         rng = np.random.default_rng(3)
         data = _standardized(rng.normal(0, 1, (5, 4)))
-        model = fit_pca(data)
+        eigenvalues, _, _ = fit_pca(data)
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (len(data) - 1)
-        assert np.abs(model.eigenvalues - charpoly_roots(cov)).max() < 1e-8
+        assert np.abs(eigenvalues - charpoly_roots(cov)).max() < 1e-8
 
     def test_eigenvalue_sum_equals_trace(self):
         rng = np.random.default_rng(4)
         data = _standardized(rng.normal(0, 1, (40, 6)))
-        model = fit_pca(data)
+        eigenvalues, _, _ = fit_pca(data)
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / (len(data) - 1)
-        assert model.eigenvalues.sum() == pytest.approx(np.trace(cov), abs=1e-9)
+        assert eigenvalues.sum() == pytest.approx(np.trace(cov), abs=1e-9)
 
     def test_loading_columns_orthonormal(self):
         rng = np.random.default_rng(5)
-        model = fit_pca(_standardized(rng.normal(0, 1, (30, 5))))
-        gram = model.loadings.T @ model.loadings
+        _, loadings, _ = fit_pca(_standardized(rng.normal(0, 1, (30, 5))))
+        assert loadings.shape == (5, 2)
+        gram = loadings.T @ loadings
         assert np.abs(gram - np.eye(2)).max() < 1e-9
 
     def test_column_order_permutes_loadings(self):
         rng = np.random.default_rng(6)
         data = _standardized(rng.normal(0, 1, (30, 4)))
         perm = [2, 0, 3, 1]
-        model_a = fit_pca(data)
-        model_b = fit_pca(data[:, perm])
-        assert np.allclose(model_a.eigenvalues, model_b.eigenvalues, atol=1e-9)
-        assert np.allclose(model_a.loadings[perm, :], model_b.loadings, atol=1e-9)
+        eigenvalues_a, loadings_a, _ = fit_pca(data)
+        eigenvalues_b, loadings_b, _ = fit_pca(data[:, perm])
+        assert np.allclose(eigenvalues_a, eigenvalues_b, atol=1e-9)
+        assert np.allclose(loadings_a[perm, :], loadings_b, atol=1e-9)
 
     def test_row_order_invariant(self):
         rng = np.random.default_rng(7)
         data = _standardized(rng.normal(0, 1, (30, 4)))
-        model_a = fit_pca(data)
-        model_b = fit_pca(data[rng.permutation(30)])
-        assert np.allclose(model_a.loadings, model_b.loadings, atol=1e-9)
+        _, loadings_a, _ = fit_pca(data)
+        _, loadings_b, _ = fit_pca(data[rng.permutation(30)])
+        assert np.allclose(loadings_a, loadings_b, atol=1e-9)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -124,42 +137,33 @@ class TestFitPca:
 
 class TestTransform:
     def _fitted(self, seed=8, n=30):
-        rng = np.random.default_rng(seed)
-        names = ["f1", "f2", "f3"]
-        values = rng.normal(2.0, 3.0, (n, 3))
-        table = make_table(
-            names, ["A"],
-            [(f"r{i}", "", tuple(v), (GOOD,)) for i, v in enumerate(values)],
-        )
-        subset = FeatureSubset.of(names)
-        model, coords = fit_projection(table, subset)
-        return table, subset, model, coords
+        return _fit(np.random.default_rng(seed).normal(2.0, 3.0, (n, 3)))
 
     def test_mean_instance_maps_to_origin(self):
-        _, _, model, _ = self._fitted()
+        _, model, _ = self._fitted()
         mean_table = make_table(
-            list(model.feature_names), ["A"],
-            [("mean", "", tuple(model.scaling.means), (GOOD,))],
+            list(model.features), ["A"],
+            [("mean", "", model.means, (GOOD,))],
         )
-        z = project_features(model, mean_table.feature_matrix(model.feature_names))
+        z = project_features(model, mean_table.feature_matrix(model.features))
         assert np.abs(z).max() < 1e-12
 
     def test_reflection_negates(self):
-        _, _, model, _ = self._fitted()
-        means = np.asarray(model.scaling.means)
+        _, model, _ = self._fitted()
+        means = np.asarray(model.means)
         offset = np.array([1.0, -2.0, 0.5])
         pair = make_table(
-            list(model.feature_names), ["A"],
+            list(model.features), ["A"],
             [
                 ("plus", "", tuple(means + offset), (GOOD,)),
                 ("minus", "", tuple(means - offset), (GOOD,)),
             ],
         )
-        z = project_features(model, pair.feature_matrix(model.feature_names))
+        z = project_features(model, pair.feature_matrix(model.features))
         assert np.abs(z[0] + z[1]).max() < 1e-9
 
     def test_projected_variance_equals_eigenvalue(self):
-        _, _, model, coords = self._fitted(n=50)
+        _, model, coords = self._fitted(n=50)
         assert np.var(coords[:, 0], ddof=1) == pytest.approx(
             model.eigenvalues[0], abs=1e-8
         )
@@ -168,14 +172,8 @@ class TestTransform:
         )
 
     def test_projected_mean_is_zero(self):
-        _, _, _, coords = self._fitted(n=40)
+        _, _, coords = self._fitted(n=40)
         assert np.abs(coords.mean(axis=0)).max() < 1e-9
-
-    def test_subset_mismatch_rejected(self):
-        # a scaling of two features cannot have standardized three columns
-        scaling = ScalingParams(("f1", "f2"), (0.0, 0.0), (1.0, 1.0), ())
-        with pytest.raises(ValueError, match="scaling does not match matrix width"):
-            fit_pca(np.eye(4, 3), scaling=scaling)
 
     def test_fit_projection_equals_transform_to_the_bit(self, synthetic60_path):
         # one projection path: the fit's coordinates are project_features' of
@@ -186,20 +184,15 @@ class TestTransform:
         table = aggregate_rows(parse_instance_table(csv.encode()))
         subset = FeatureSubset.of(["f1", "f3", "f4", "z"])
         model, coords = fit_projection(table, subset)
-        assert model.scaling.dropped_features == ("z",)
-        raw = table.feature_matrix(model.feature_names)
+        assert model.dropped == ("z",)
+        raw = table.feature_matrix(model.features)
         assert np.array_equal(coords, project_features(model, raw))
 
 
 class TestExplainedVariance:
     def test_ratio_arithmetic(self):
-        scaling = ScalingParams(("a", "b"), (0.0, 0.0), (1.0, 1.0), ())
-        model = PcaModel(
-            scaling=scaling,
-            loadings=np.eye(2),
-            eigenvalues=np.array([3.0, 1.0]),
-            explained_variance_2d=1.0,
-        )
+        model = Projection(("a", "b"), (), (0.0, 0.0), (1.0, 1.0), ((1.0, 0.0), (0.0, 1.0)),
+                           (3.0, 1.0), 1.0)
         assert list(explained_variance(model)) == [0.75, 0.25]
 
     def test_isotropic_data(self):
@@ -210,12 +203,12 @@ class TestExplainedVariance:
         centered = raw - raw.mean(axis=0)
         q, _ = np.linalg.qr(centered)
         data = q[:, :m] * np.sqrt(n - 1)
-        model = fit_pca(data)
+        _, model, _ = _fit(data)
         assert np.allclose(explained_variance(model), 1.0 / m, atol=1e-9)
 
     def test_ratios_sum_to_one(self):
         rng = np.random.default_rng(10)
-        model = fit_pca(_standardized(rng.normal(0, 1, (20, 5))))
+        _, model, _ = _fit(rng.normal(0, 1, (20, 5)))
         assert explained_variance(model).sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -238,19 +231,16 @@ class TestSerialization:
     )
 
     def test_nine_feature_layout(self):
-        scaling = ScalingParams(
-            self.TEMPLATE_FEATURES,
-            (0.0,) * 9,
-            (1.0,) * 9,
-            (),
-        )
-        model = PcaModel(
-            scaling=scaling,
-            loadings=np.array(self.TEMPLATE_LOADINGS),
-            eigenvalues=np.linspace(3.0, 0.1, 9),
+        model = Projection(
+            features=self.TEMPLATE_FEATURES,
+            dropped=(),
+            means=(0.0,) * 9,
+            stds=(1.0,) * 9,
+            loadings=self.TEMPLATE_LOADINGS,
+            eigenvalues=tuple(np.linspace(3.0, 0.1, 9).tolist()),
             explained_variance_2d=0.87,
         )
-        data = model_to_dict(model)
+        data = pca_to_dict(model)
         assert data["features"] == list(self.TEMPLATE_FEATURES)
         assert len(data["loadings"]) == 9
         assert data["loadings"][0] == [0.38, -0.02]
@@ -258,17 +248,10 @@ class TestSerialization:
         assert data["loadings"][data["features"].index("CAM")] == [-0.34, 0.01]
 
     def test_round_trip(self):
+        # the model pca_model.json stores is the fitted one, to the bit
         rng = np.random.default_rng(11)
-        arr = rng.normal(0, 1, (30, 3))
-        names = ["f1", "f2", "f3"]
-        table = make_table(
-            names, ["A"],
-            [(f"r{i}", "", tuple(v), (GOOD,)) for i, v in enumerate(arr)],
-        )
-        subset = FeatureSubset.of(names)
-        model, coords = fit_projection(table, subset)
-        restored = model_from_dict(model_to_dict(model))
-        assert restored.feature_names == model.feature_names
-        assert np.allclose(restored.loadings, model.loadings)
-        z = project_features(restored, table.feature_matrix(restored.feature_names))
-        assert np.allclose(z, coords, atol=1e-12)
+        table, model, coords = _fit(rng.normal(0, 1, (30, 3)))
+        restored = projection_from_dict(json.loads(json.dumps(pca_to_dict(model))))
+        assert restored == model
+        z = project_features(restored, table.feature_matrix(restored.features))
+        assert np.array_equal(z, coords)

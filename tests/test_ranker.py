@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from eapr import artifacts, ranker
 from eapr.classify import SvmModel, decision_values
-from eapr.project import PcaModel, ScalingParams, project_features
-from eapr.ranker import SvmConfig
+from eapr.project import project_features
+from eapr.ranker import Projection, SvmConfig
 
 from conftest import invoke
 
@@ -24,11 +24,13 @@ def small(lo, hi):
 
 
 def pca_model(means, stds, loadings):
-    names = tuple(f"x{i}" for i in range(len(means)))
-    return PcaModel(
-        scaling=ScalingParams(names, tuple(means), tuple(stds), ()),
-        loadings=np.array(loadings, dtype=float).reshape(-1, 2),
-        eigenvalues=np.array([2.0, 1.0]),
+    return Projection(
+        features=tuple(f"x{i}" for i in range(len(means))),
+        dropped=(),
+        means=tuple(means),
+        stds=tuple(stds),
+        loadings=tuple(map(tuple, loadings)),
+        eigenvalues=(2.0, 1.0),
         explained_variance_2d=1.0,
     )
 
@@ -80,14 +82,15 @@ def decode(data):
 )
 def test_float_ranker_matches_the_numpy_formulas(pca_raw, models):
     pca, raw = pca_raw
-    projection = artifacts.projection_from_dict(decode(artifacts.pca_to_dict(pca)))
+    # pca_model.json gives `eapr select` the very model it was written from
+    assert artifacts.projection_from_dict(decode(artifacts.pca_to_dict(pca))) == pca
     scorers = {a: artifacts.scorer_from_dict(decode(artifacts.svm_to_dict(m)))
                for a, m in models.items()}
 
     point = project_features(pca, np.array(raw))
-    z = ranker.project(projection, raw)
-    standardized = [(x - mu) / s for x, mu, s in zip(raw, pca.scaling.means, pca.scaling.stds)]
-    reach = [sum(abs(s * row[c]) for s, row in zip(standardized, pca.loadings.tolist()))
+    z = ranker.project(pca, raw)
+    standardized = [(x - mu) / s for x, mu, s in zip(raw, pca.means, pca.stds)]
+    reach = [sum(abs(s * row[c]) for s, row in zip(standardized, pca.loadings))
              for c in (0, 1)]
     for c in (0, 1):
         assert abs(z[c] - point[c]) <= REL * reach[c]
@@ -153,6 +156,7 @@ SVM_DICT = artifacts.svm_to_dict(
     ("stds", [0.5, True], "expected a list of numbers"),
     ("features", ["x0", 1], "expected a list of names"),
     ("eigenvalues", None, "expected a list of numbers"),
+    ("explained_variance_2d", "0.9", "expected a number, not str"),
 ])
 def test_projection_reader_checks_every_list(key, value, error):
     data = {**decode(PCA_DICT), key: value}
@@ -172,13 +176,6 @@ def test_scorer_reader_checks_every_list_and_setting(key, value, error):
     data = {**decode(SVM_DICT), key: value}
     with pytest.raises((ValueError, TypeError), match=f"^{error}$"):
         artifacts.scorer_from_dict(data)
-
-
-def test_the_numpy_pca_reader_builds_on_the_float_reader():
-    pca = artifacts.pca_from_dict(decode(PCA_DICT))
-    assert pca.loadings.tolist() == PCA_DICT["loadings"]
-    with pytest.raises(ValueError, match="^1 loadings for 2 features$"):
-        artifacts.pca_from_dict({**decode(PCA_DICT), "loadings": [[0.6, 0.8]]})
 
 
 def test_models_that_are_not_an_object_are_corrupt():
