@@ -15,6 +15,7 @@ only inside the codecs that build their objects.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -74,52 +75,84 @@ def read(out_dir: Path, name: str, decode=lambda data: data, parse=_parse):
         raise CliFailure("E_STAGE", WRITTEN_BY[name]) from exc
 
 
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, not {type(value).__name__}")
+    if not math.isfinite(value):  # 1e999 parses as inf
+        raise ValueError("expected a finite number")
+    return float(value)
+
+
+def _floats(values) -> tuple[float, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected a list of numbers")
+    floats = tuple(map(float, values))
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("expected finite numbers")
+    return floats
+
+
+def _names(values) -> tuple[str, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {str}:
+        raise TypeError("expected a list of names")
+    return tuple(values)
+
+
 def table_to_dict(table: InstanceTable, digest: str) -> dict:
+    """table.json's columns: the ids and dataset tags, one float list per
+    feature and one list of outcome names per algorithm, each in the order of
+    its names."""
     from .model import Outcome
 
     text = {outcome.value: outcome.name for outcome in Outcome}  # "GOOD", "BAD", "MISSING"
-    algorithms = table.algorithm_names
     return {
         "input_digest": digest,
         "feature_names": list(table.feature_names),
-        "algorithm_names": list(algorithms),
-        "rows": [
-            {
-                "id": row_id,
-                "dataset": tag,
-                "features": features,
-                "outcomes": {a: text[c] for a, c in zip(algorithms, codes)},
-            }
-            for row_id, tag, features, codes in zip(
-                table.instance_ids,
-                table.dataset_tags,
-                table.features.tolist(),
-                table.outcomes.tolist(),
-            )
-        ],
+        "algorithm_names": list(table.algorithm_names),
+        "ids": list(table.instance_ids),
+        "datasets": list(table.dataset_tags),
+        "features": table.features.T.tolist(),
+        "outcomes": [list(map(text.__getitem__, column)) for column in table.outcomes.T.tolist()],
     }
 
 
+def _columns(data: dict, key: str, names: tuple[str, ...], n: int, decode) -> list:
+    """``data[key]`` as one decoded column per name, each ``n`` long."""
+    columns = data[key]
+    if type(columns) is not list or len(columns) != len(names):
+        raise ValueError(f"{key}: expected {len(names)} columns")
+    columns = list(map(decode, columns))
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"{key}: expected columns of {n} items")
+    return columns
+
+
 def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
-    """table.json as (table, input digest). A name, id or tag that is not a
-    str, or that UTF-8 cannot encode (a lone surrogate, which a JSON escape can
-    hold), raises TypeError or UnicodeEncodeError here rather than where an SVG
-    file name or text is written."""
+    """table.json as (table, input digest), every column checked against its
+    names and ``ids``. A name, id or tag that is not a str, or that UTF-8
+    cannot encode (a lone surrogate, which a JSON escape can hold), raises
+    TypeError or UnicodeEncodeError here rather than where an SVG file name or
+    text is written."""
+    import numpy as np
+
     from .model import InstanceTable, Outcome
 
     code = {outcome.name: outcome.value for outcome in Outcome}
-    rows = data["rows"]
-    algorithms = data["algorithm_names"]
+    features, algorithms = _names(data["feature_names"]), _names(data["algorithm_names"])
+    ids, tags = _names(data["ids"]), _names(data["datasets"])
+    if len(tags) != len(ids):
+        raise ValueError(f"{len(tags)} dataset tags for {len(ids)} ids")
+    columns = _columns(data, "features", features, len(ids), _floats)
+    outcomes = _columns(data, "outcomes", algorithms, len(ids), _names)
     table = InstanceTable(
-        data["feature_names"],
+        features,
         algorithms,
-        [r["id"] for r in rows],
-        [r["dataset"] for r in rows],
-        [r["features"] for r in rows],
-        [[code[r["outcomes"][a]] for a in algorithms] for r in rows],
+        ids,
+        tags,
+        np.array(columns, dtype=float).T,
+        np.array([list(map(code.__getitem__, column)) for column in outcomes], dtype=np.int8).T,
     )
-    "".join((*table.feature_names, *table.algorithm_names,
-             *table.instance_ids, *table.dataset_tags)).encode("utf-8")
+    "".join((*features, *algorithms, *ids, *tags)).encode("utf-8")
     return table, data["input_digest"]
 
 
@@ -149,17 +182,22 @@ def read_table(out_dir: Path) -> tuple[InstanceTable, str]:
 
 
 def write_coords(out_dir: Path, table: InstanceTable, coords: np.ndarray) -> None:
-    write(out_dir, "coordinates.json", {"ids": table.instance_ids, "coords": coords.tolist()})
+    z1, z2 = coords.T.tolist()
+    write(out_dir, "coordinates.json", {"ids": table.instance_ids, "z1": z1, "z2": z2})
 
 
 def read_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
-    """The projected points; coordinates of another table's rows are stale."""
+    """The projected points as an (n, 2) array; coordinates of another table's
+    rows are stale."""
     import numpy as np
 
     def decode(data: dict) -> np.ndarray:
         if data["ids"] != list(table.instance_ids):
             raise ValueError("coordinates belong to another table")
-        return np.array(data["coords"], dtype=float).reshape(-1, 2)
+        z1, z2 = _floats(data["z1"]), _floats(data["z2"])
+        if not len(z1) == len(z2) == len(table):
+            raise ValueError(f"expected {len(table)} points")
+        return np.column_stack((z1, z2))
 
     return read(out_dir, "coordinates.json", decode)
 
@@ -185,24 +223,6 @@ def pca_to_dict(model: ranker.Projection) -> dict:
         "eigenvalues": list(model.eigenvalues),
         "explained_variance_2d": model.explained_variance_2d,
     }
-
-
-def _number(value) -> float:
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, not {type(value).__name__}")
-    return float(value)
-
-
-def _floats(values) -> tuple[float, ...]:
-    if type(values) is not list or not set(map(type, values)) <= {int, float}:
-        raise TypeError("expected a list of numbers")
-    return tuple(map(float, values))
-
-
-def _names(values) -> tuple[str, ...]:
-    if type(values) is not list or any(type(v) is not str for v in values):
-        raise TypeError("expected a list of names")
-    return tuple(values)
 
 
 def projection_from_dict(data: dict) -> ranker.Projection:

@@ -65,7 +65,7 @@ Coordinates2D = np.ndarray
 
 def _frozen_array(values, dtype, shape: tuple[int, int]) -> np.ndarray:
     """A read-only C-contiguous copy of ``values`` with the given shape."""
-    array = np.array(values, dtype=dtype)
+    array = np.array(values, dtype=dtype, order="C")
     if array.size == 0:
         array = array.reshape(shape)
     if array.shape != shape:
@@ -218,7 +218,12 @@ def _json_value(value, indent: str) -> str:
             return "[]"
         inner = indent + "  "
         separator = ",\n" + inner
-        if type(value[0]) is float:
+        if type(value[0]) is str:
+            try:
+                return f"[\n{inner}{separator.join(map(_json_string, value))}\n{indent}]"
+            except TypeError:  # an item that is not a str
+                pass
+        elif type(value[0]) is float:
             try:
                 body = separator.join(map(float.__repr__, value))
             except TypeError:  # an item that is not a float
@@ -247,6 +252,6 @@ def json_text(value) -> str:
 
     With ``indent``, Python's ``json`` encodes in pure Python, one generator
     step per value. This writer joins each container's items once, and a
-    list of finite floats in one ``join``.
+    list of strs, or of finite floats, in one ``join``.
     """
     return _json_value(value, "")

@@ -158,11 +158,13 @@ def run_ga(table: InstanceTable, config: GaConfig) -> SelectionResult:
     cache: dict[tuple[int, ...], FitnessValue] = {}
 
     def evaluate(masks: list[np.ndarray]) -> list[FitnessValue]:
-        """Fitness per mask; the uncached ones run as one batch, in mask order."""
+        """Fitness per mask; the uncached ones run as one batch, in mask order,
+        and a generation of cached masks runs none."""
         keys = [tuple(np.flatnonzero(mask)) for mask in masks]
         fresh = list(dict.fromkeys(key for key in keys if key not in cache))
-        subsets = [FeatureSubset.of(names[i] for i in key) for key in fresh]
-        cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed)))
+        if fresh:
+            subsets = [FeatureSubset.of(names[i] for i in key) for key in fresh]
+            cache.update(zip(fresh, evaluate_subsets(table, subsets, config, fitness_seed)))
         return [cache[key] for key in keys]
 
     def subset_names(mask: np.ndarray) -> tuple[str, ...]:

@@ -306,8 +306,11 @@ class TestStages:
         assert result.stderr.strip() == "E_STAGE ingest"
 
     # "tag" and "feature" hold a lone surrogate, which a JSON escape can give:
-    # UTF-8 cannot encode it into datasets.svg or a feature_<name>.svg name
-    @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged", "tag", "feature"])
+    # UTF-8 cannot encode it into datasets.svg or a feature_<name>.svg name.
+    # numpy reads "1e0" as 1.0: a "string" feature must fail the read, as
+    # must a feature column ("ragged"), an outcome column or the ids one short.
+    @pytest.mark.parametrize("corrupt", ["truncate", "outcome", "ragged", "tag", "feature",
+                                         "string", "short-outcomes", "short-ids"])
     def test_corrupt_table_names_ingest(self, tmp_path, synthetic60_path, corrupt):
         out = tmp_path / "corrupt"
         cfg = write_config(tmp_path, synthetic60_path, out)
@@ -317,13 +320,18 @@ class TestStages:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         else:
             table = json.loads(path.read_text())
-            row = table["rows"][1]
             if corrupt == "outcome":
-                row["outcomes"]["A"] = "MAYBE"
+                table["outcomes"][table["algorithm_names"].index("A")][1] = "MAYBE"
             elif corrupt == "ragged":
-                row["features"].pop()
+                table["features"][-1].pop(1)
             elif corrupt == "tag":
-                row["dataset"] = "\ud800x"
+                table["datasets"][1] = "\ud800x"
+            elif corrupt == "string":
+                table["features"][0][3] = "1e0"
+            elif corrupt == "short-outcomes":
+                table["outcomes"][0].pop()
+            elif corrupt == "short-ids":
+                table["ids"].pop()
             else:
                 table["feature_names"][0] = "f1\ud800"
             path.write_text(json.dumps(table))
@@ -352,7 +360,7 @@ class TestStages:
         assert invoke(["ingest", "--config", str(cfg)]).exit_code == 0
         path = out / "table.json"
         table = json.loads(path.read_text())
-        table["rows"][3]["features"][0] = math.nan
+        table["features"][0][3] = math.nan
         path.write_text(json.dumps(table))
         for stage in ("select-features", "project", "footprint", "classify", "plot"):
             result = invoke([stage, "--config", str(cfg)])
@@ -367,7 +375,7 @@ class TestStages:
         assert result.exit_code == 0, result.stderr
         path = out / "coordinates.json"
         coords = json.loads(path.read_text())
-        coords["coords"][5][0] = literal
+        coords["z1"][5] = literal
         path.write_text(json.dumps(coords).replace(f'"{literal}"', literal))
         cfg = write_config(tmp_path, synthetic60_path, out)
         for stage in ("footprint", "classify", "plot"):
@@ -375,6 +383,50 @@ class TestStages:
             assert result.exit_code == 1, stage
             assert result.stderr.strip() == "E_STAGE project", stage
         assert "nan" not in (out / "datasets.svg").read_text()
+
+    # numpy takes "0.5" and true for floats, and z1 and z2 both one short for
+    # the points of n - 1 rows
+    @pytest.mark.parametrize("edit", ["string", "bool", "short", "both-short"])
+    def test_coordinate_column_of_another_type_or_length_names_project(
+        self, tmp_path, synthetic60_path, edit
+    ):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "odd_coords")
+        assert result.exit_code == 0, result.stderr
+        path = out / "coordinates.json"
+        coords = json.loads(path.read_text())
+        if edit == "string":
+            coords["z1"][5] = "0.5"
+        elif edit == "bool":
+            coords["z2"][5] = True
+        elif edit == "short":
+            coords["z2"].pop()
+        else:
+            coords["z1"].pop()
+            coords["z2"].pop()
+        path.write_text(json.dumps(coords))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        for stage in ("footprint", "classify", "plot"):
+            result = invoke([stage, "--config", str(cfg)])
+            assert (result.exit_code, result.stderr) == (1, "E_STAGE project\n"), stage
+
+    # 1e999 parses as inf: report.json's check raised ReportInvariantError
+    @pytest.mark.parametrize("key", ["explained_variance_2d", "eigenvalues"])
+    def test_overflowing_number_in_pca_model_names_project(
+        self, tmp_path, synthetic60_path, key
+    ):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "huge_pca")
+        assert result.exit_code == 0, result.stderr
+        path = out / "pca_model.json"
+        model = json.loads(path.read_text())
+        if key == "eigenvalues":
+            model[key][0] = "HUGE"
+        else:
+            model[key] = "HUGE"
+        path.write_text(json.dumps(model).replace('"HUGE"', "1e999"))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = invoke(["plot", "--config", str(cfg)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert (result.exit_code, result.stderr) == (1, "E_STAGE project\n")
 
     def test_truncated_coordinates_names_project(self, tmp_path, synthetic60_path):
         result, out = run_pipeline(tmp_path, synthetic60_path, "trunc")
@@ -757,6 +809,26 @@ class TestSelect:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
 
+    # 1e999 parses as inf: it ranked, or gave the non-finite vector's line
+    @pytest.mark.parametrize("key, detail", [
+        ("explained_variance_2d", "expected a finite number"),
+        ("means", "expected finite numbers"),
+    ])
+    def test_overflowing_number_in_pca_model_is_model_error(
+        self, tmp_path, synthetic60_models, key, detail
+    ):
+        model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
+        data = json.loads((model_dir / "pca_model.json").read_text())
+        if key == "means":
+            data[key][0] = "HUGE"
+        else:
+            data[key] = "HUGE"
+        (model_dir / "pca_model.json").write_text(json.dumps(data).replace('"HUGE"', "1e999"))
+        selected = json.loads((model_dir / "selection.json").read_text())["selected"]
+        result = select_in_a_process(model_dir, "".join(f"{n},0.1\n" for n in selected))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
+
     def test_name_utf8_cannot_encode_is_model_error(self, tmp_path, synthetic60_models):
         # a JSON escape gives a lone surrogate, which stdout could not print
         model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
@@ -1109,7 +1181,7 @@ class TestIngestErrors:
         assert result.exit_code == 0
         assert "pbad" in result.stderr
         table = json.loads((out / "table.json").read_text())
-        assert len(table["rows"]) == 8
+        assert len(table["ids"]) == 8
 
     @pytest.mark.parametrize(
         "data",
@@ -1226,7 +1298,7 @@ p6,Bugs.jar,2.2,6,6.5,1,,0
 p3,Defects4J,3.3,1,15.25,0,,1
 """
 
-GOLDEN_TABLE_SHA256 = "3ce69f13d0b366b820a309725ae60195688f02635b9475e2658c56ddbe679b85"
+GOLDEN_TABLE_SHA256 = "833846423f3ad22569028454eeca71e63e2b1f1ce741f75779fb254160be36bd"
 
 
 class TestTableJson:
@@ -1247,7 +1319,7 @@ class TestTableJson:
 # they hold for numpy 2.4.6. The selector kernel reaches only models.json,
 # metrics.json and report.json; the GA's fitness SVMs are linear either way.
 GOLDEN_PIPELINE_SHA256 = {
-    "coordinates.json": "f9b72378399f97bd90f005a6fa554b0e34ee3021e2d2dbaaf90487ec73d6a2cd",
+    "coordinates.json": "5d14db25c80f66ccb52783411ef5f458281479ac2eab4f733082be470505b4d5",
     "datasets.svg": "a2f8529c1575376066b20d174c7dbb805e82d4b198160926d96070be7ae1fc5d",
     "feature_f1.svg": "bb31ed2a6e8cb6c90c1eda8a0e3ea2c205dbf1f148bf1b62e3d57141333a60f0",
     "feature_f2.svg": "ebb883af3ded9a9faf382c460ee520f575150646bbe0d7fb61547c68e89be9b4",
@@ -1260,7 +1332,7 @@ GOLDEN_PIPELINE_SHA256 = {
     "pca_model.json": "753444d68e387e5e6613e1abde5f2518770c35bca285ceda3fc84b87c7a0a240",
     "report.json": "0d8331d5da82a3c812d6710c55d5f1efa1beb96a1cffa41ca2a7883ea8f5d732",
     "selection.json": "0735525988d366cf5a28f82cbadb7a464284690c6ad93a8ba640285dcf816b7f",
-    "table.json": "fd60d8d7fd79f782de6eabea41b5f34050e8ec61c2265a049efddb379b0d8150",
+    "table.json": "f6ddb05dcfceef3edd63da8e29c8517521b810db3c5d099273e14c5985430a14",
 }
 GOLDEN_LINEAR_PIPELINE_SHA256 = {
     **GOLDEN_PIPELINE_SHA256,

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from eapr.artifacts import table_to_dict
+from eapr.artifacts import _parse, table_from_dict, table_to_dict
 from eapr.ingest import (
     EmptyTable,
     IngestError,
@@ -17,7 +18,7 @@ from eapr.ingest import (
     minmax_normalize,
     parse_instance_table,
 )
-from eapr.model import FeatureSubset, Outcome, json_text
+from eapr.model import FeatureSubset, InstanceTable, Outcome, json_text
 from eapr.project import AllFeaturesDropped, standardize
 
 from conftest import BAD, GOOD, MISSING, make_table
@@ -335,6 +336,63 @@ def test_columnar_ingest_equals_the_rowwise_oracle(data):
         rowwise_parse, per_group_aggregate, lambda d: json.dumps(d, sort_keys=True, indent=2), data
     )
     assert _ingested(parse_instance_table, aggregate_rows, json_text, data) == oracle
+
+
+@st.composite
+def instance_tables(draw) -> InstanceTable:
+    """Any table ingest could write: names, ids and tags of any text UTF-8 can
+    encode, any finite features, and any outcome codes. The arrays are given
+    in C or Fortran order."""
+    names = st.lists(st.text(max_size=4), max_size=4, unique=True)
+    features, algorithms = draw(names), draw(names)
+    n = draw(st.integers(0, 12))
+    ids = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    tags = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, (len(features), n), elements=finite))
+    codes = draw(arrays(np.int8, (len(algorithms), n), elements=st.sampled_from(list(Outcome))))
+    if draw(st.booleans()):
+        return InstanceTable(features, algorithms, ids, tags, values.T, codes.T)
+    return InstanceTable(features, algorithms, ids, tags, values.T.copy(), codes.T.copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance_tables())
+def test_table_json_round_trip_gives_the_same_table(table):
+    raw = (json_text(table_to_dict(table, "digest")) + "\n").encode("utf-8")
+    decoded, digest = table_from_dict(_parse(raw))
+    assert digest == "digest"
+    for name in ("feature_names", "algorithm_names", "instance_ids", "dataset_tags"):
+        assert getattr(decoded, name) == getattr(table, name)
+    for name in ("features", "outcomes"):
+        got, want = getattr(decoded, name), getattr(table, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert not got.flags.writeable
+        assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 stays -0.0
+
+
+def _table_dict(n=3):
+    rows = [(f"p{i}", "d", (float(i), 0.5), (GOOD, BAD)) for i in range(n)]
+    return json.loads(json_text(table_to_dict(make_table(["f1", "f2"], ["A", "B"], rows), "x")))
+
+
+@pytest.mark.parametrize("n, edit, error", [
+    (3, lambda d: d["features"].pop(), "features: expected 2 columns"),
+    (0, lambda d: d["features"].pop(), "features: expected 2 columns"),
+    (0, lambda d: d["outcomes"].append([]), "outcomes: expected 2 columns"),
+    (3, lambda d: d["outcomes"][1].pop(), "outcomes: expected columns of 3 items"),
+    (3, lambda d: [column.pop() for column in d["features"]],
+     "features: expected columns of 3 items"),
+    (3, lambda d: d["datasets"].pop(), "2 dataset tags for 3 ids"),
+    (3, lambda d: d["features"][1].__setitem__(0, True), "expected a list of numbers"),
+    (3, lambda d: d["outcomes"].__setitem__(0, "GOOD"), "expected a list of names"),
+])
+def test_table_reader_checks_every_column(n, edit, error):
+    data = _table_dict(n)
+    edit(data)
+    with pytest.raises((ValueError, TypeError), match=f"^{error}$"):
+        table_from_dict(data)
 
 
 class TestStandardize:

@@ -109,6 +109,8 @@ def test_subset_ordering_follows_table():
 
 
 floats = st.floats() | st.sampled_from([-0.0, 0.0, 1e308, -1e-308, 5e-324, 0.1, 1e16])
+# Non-ASCII text and lone surrogates, which json.dumps escapes as \uXXXX
+texts = st.text(st.characters() | st.characters(categories=["Cs"]))
 json_scalars = (
     st.none()
     | st.booleans()
@@ -116,15 +118,20 @@ json_scalars = (
     | st.integers(min_value=-(2**200), max_value=2**200)
     | floats
     | floats.map(np.float64)
-    | st.text()
+    | texts
 )
+# A list whose first item is a str or a float is joined in one go unless an
+# item of another type sends it down the per-item path.
 json_values = st.recursive(
     json_scalars,
     lambda children: st.lists(children)
     | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children)
     | st.lists(floats)
-    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)
+    | st.lists(texts, min_size=1)
+    | st.tuples(texts, st.lists(texts | floats | st.integers() | children, min_size=1)).map(
+        lambda first_rest: [first_rest[0], *first_rest[1]]),
     max_leaves=40,
 )
 
@@ -138,6 +145,7 @@ def test_json_text_is_json_dumps_sorted_and_indented(value):
 @pytest.mark.parametrize(
     "value",
     [[], {}, [[]], {"": {}}, [1.5, 2, 3.0], [0.5, float("nan")], ("é", "\u2028", "\x00"),
+     ["GOOD", "\ud800", 1, None], ["a", ["b"]], ["a", 0.5],
      {"b": [-0.0, float("inf")], "a": -(10**30)}, {"b": 0, "B": 1, "é": 2, "": 3},
      {'"\u2028\\': {"\x00": [None]}}],
 )
@@ -145,7 +153,7 @@ def test_json_text_edge_values(value):
     assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("value", [object(), [np.int64(1)], {(1, 2): 0}])
+@pytest.mark.parametrize("value", [object(), [np.int64(1)], {(1, 2): 0}, ["a", np.int64(1)]])
 def test_json_text_rejects_what_json_rejects(value):
     with pytest.raises(TypeError):
         json.dumps(value, sort_keys=True, indent=2)

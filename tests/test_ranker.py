@@ -1,6 +1,7 @@
 """The float ranker that `eapr select` runs, against the numpy formulas of
 ``project.project_features`` and ``classify.decision_values``."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -157,6 +158,9 @@ SVM_DICT = artifacts.svm_to_dict(
     ("features", ["x0", 1], "expected a list of names"),
     ("eigenvalues", None, "expected a list of numbers"),
     ("explained_variance_2d", "0.9", "expected a number, not str"),
+    ("explained_variance_2d", math.inf, "expected a finite number"),
+    ("means", [0.0, -math.inf], "expected finite numbers"),
+    ("eigenvalues", [math.nan, 1.0], "expected finite numbers"),
 ])
 def test_projection_reader_checks_every_list(key, value, error):
     data = {**decode(PCA_DICT), key: value}

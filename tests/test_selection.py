@@ -199,6 +199,22 @@ class TestRunGa:
         assert seen
         assert all(3 <= size <= 5 for size in seen)
 
+    def test_a_generation_of_cached_masks_makes_no_batch(self, monkeypatch):
+        # min_k = max_k = every feature: the one mask is evaluated once
+        table = planted_table(40, n_noise=2, seed=12)
+        config = GaConfig(population_size=6, generations=3, min_k=4, max_k=4, cv_folds=2, seed=2)
+        expected = run_ga(table, config)
+        batches = []
+        original = selection.evaluate_subsets
+
+        def spy(tbl, subsets, cfg, seed):
+            batches.append(len(subsets))
+            return original(tbl, subsets, cfg, seed)
+
+        monkeypatch.setattr(selection, "evaluate_subsets", spy)
+        assert run_ga(table, config) == expected
+        assert batches == [1]
+
     def test_all_degenerate_algorithms_rejected(self):
         table = make_table(
             ["f1", "f2"],
