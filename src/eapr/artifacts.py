@@ -127,12 +127,18 @@ def _columns(data: dict, key: str, names: tuple[str, ...], n: int, decode) -> li
     return columns
 
 
+def _digest(value) -> str:
+    if type(value) is not str or len(value) != 64 or not set(value) <= set("0123456789abcdef"):
+        raise ValueError("expected a sha256 as 64 lowercase hex digits")
+    return value
+
+
 def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
     """table.json as (table, input digest), every column checked against its
-    names and ``ids``. A name, id or tag that is not a str, or that UTF-8
-    cannot encode (a lone surrogate, which a JSON escape can hold), raises
-    TypeError or UnicodeEncodeError here rather than where an SVG file name or
-    text is written."""
+    names and ``ids``, and the digest a sha256 in hex. A name, id or tag that
+    is not a str, or that UTF-8 cannot encode (a lone surrogate, which a JSON
+    escape can hold), raises TypeError or UnicodeEncodeError here rather than
+    where an SVG file name or text is written."""
     import numpy as np
 
     from .model import InstanceTable, Outcome
@@ -153,7 +159,7 @@ def table_from_dict(data: dict) -> tuple[InstanceTable, str]:
         np.array([list(map(code.__getitem__, column)) for column in outcomes], dtype=np.int8).T,
     )
     "".join((*features, *algorithms, *ids, *tags)).encode("utf-8")
-    return table, data["input_digest"]
+    return table, _digest(data["input_digest"])
 
 
 # The last table.json this process wrote or decoded: [sha256 of its bytes,
@@ -181,25 +187,52 @@ def read_table(out_dir: Path) -> tuple[InstanceTable, str]:
     return read(out_dir, "table.json", parse=parse)
 
 
+def coords_from_dict(data: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """coordinates.json as (ids, (n, 2) array of points), both columns
+    checked against ``ids``."""
+    import numpy as np
+
+    ids, z1, z2 = _names(data["ids"]), _floats(data["z1"]), _floats(data["z2"])
+    if not len(z1) == len(z2) == len(ids):
+        raise ValueError(f"expected {len(ids)} points")
+    return ids, np.column_stack((z1, z2))
+
+
+# The last coordinates.json this process wrote or decoded: [sha256 of its
+# bytes, (ids, points)]. Mutated in place, like _TABLE_MEMO.
+_COORDS_MEMO: list = [None, None]
+
+
 def write_coords(out_dir: Path, table: InstanceTable, coords: np.ndarray) -> None:
+    import hashlib
+
     z1, z2 = coords.T.tolist()
-    write(out_dir, "coordinates.json", {"ids": table.instance_ids, "z1": z1, "z2": z2})
+    data = {"ids": list(table.instance_ids), "z1": z1, "z2": z2}
+    raw = write(out_dir, "coordinates.json", data)
+    try:
+        _COORDS_MEMO[:] = hashlib.sha256(raw).digest(), coords_from_dict(data)
+    except ValueError:  # a non-finite point: the file is read, and refused, anew
+        _COORDS_MEMO[:] = None, None
 
 
 def read_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
-    """The projected points as an (n, 2) array; coordinates of another table's
-    rows are stale."""
-    import numpy as np
+    """The projected points as an (n, 2) array, decoded unless the file's
+    sha256 is the memo's; coordinates of another table's rows are stale."""
+    import hashlib
 
-    def decode(data: dict) -> np.ndarray:
-        if data["ids"] != list(table.instance_ids):
+    def parse(raw: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+        key = hashlib.sha256(raw).digest()
+        if _COORDS_MEMO[0] != key:
+            _COORDS_MEMO[:] = key, coords_from_dict(_parse(raw))
+        return _COORDS_MEMO[1]
+
+    def decode(memo: tuple[tuple[str, ...], np.ndarray]) -> np.ndarray:
+        ids, points = memo
+        if ids != table.instance_ids:
             raise ValueError("coordinates belong to another table")
-        z1, z2 = _floats(data["z1"]), _floats(data["z2"])
-        if not len(z1) == len(z2) == len(table):
-            raise ValueError(f"expected {len(table)} points")
-        return np.column_stack((z1, z2))
+        return points.copy()
 
-    return read(out_dir, "coordinates.json", decode)
+    return read(out_dir, "coordinates.json", decode, parse)
 
 
 def read_selection(out_dir: Path, table: InstanceTable) -> dict:

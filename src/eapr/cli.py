@@ -383,12 +383,14 @@ def stage_plot(cfg: PipelineConfig) -> None:
     foot, prints, footprint_metrics = artifacts.read_footprints(out, table)
     metrics = artifacts.read_metrics(out, table)
 
+    # Every SVG draws the same points; the batch's children inherit them.
+    layer = rpt.point_layer(coords, cfg.plot)
+
     def feature_svg(name: str) -> str:
         raw = table.feature_matrix([name])[:, 0]
         return rpt.render_feature_svg(
-            coords,
+            layer,
             ingest.minmax_normalize(raw),
-            cfg.plot,
             name=name,
             vmin=float(raw.min()),
             vmax=float(raw.max()),
@@ -398,14 +400,13 @@ def stage_plot(cfg: PipelineConfig) -> None:
     # written in this order.
     renders = [
         (f"footprint_{rpt.file_stem(algorithm)}.svg",
-         partial(rpt.render_footprint_svg,
-                 coords, table.outcome_codes(algorithm), print_, cfg.plot))
+         partial(rpt.render_footprint_svg, layer, table.outcome_codes(algorithm), print_))
         for algorithm, print_ in prints.items()
     ]
     renders += [(f"feature_{rpt.file_stem(name)}.svg", partial(feature_svg, name))
                 for name in sel["selected"]]
     renders.append(("datasets.svg",
-                    partial(rpt.render_dataset_svg, coords, table.dataset_tags, cfg.plot)))
+                    partial(rpt.render_dataset_svg, layer, table.dataset_tags)))
     svgs = classify.map_jobs(lambda render: render[1](), renders)
     for (file_name, _), svg in zip(renders, svgs):
         (out / file_name).write_text(svg, encoding="utf-8")

@@ -12,10 +12,12 @@ here.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import io
+import itertools
 import re
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -69,26 +71,40 @@ def _first_unparseable(cells: list[str]) -> int:
             return i
 
 
+# Data records read, checked and converted at a time: the table's columns grow
+# chunk by chunk, and no list of every record is kept.
+_CHUNK_ROWS = 512
+
+
 def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
     """Parse a CSV byte stream into an InstanceTable.
 
     Raises MalformedCsv on structural problems (an empty id among them),
     UnparseableCell on bad cells and EmptyTable when no data rows are
-    present. The error raised is the first one met reading the data rows in
-    order, and a row's cells after its length: its id, its features, then its
-    outcomes. Then a column name or dataset tag holding a character XML 1.0
-    forbids raises MalformedCsv.
+    present. A file that UTF-8 or the CSV reader rejects anywhere gives its
+    ``unreadable CSV`` error. Otherwise the error raised is the first one met
+    reading the data rows in order, and a row's cells after its length: its
+    id, its features, then its outcomes. Then a column name or dataset tag
+    holding a character XML 1.0 forbids raises MalformedCsv.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
+    records = csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline=""))
     try:
-        records = list(csv.reader(io.TextIOWrapper(source, encoding="utf-8-sig", newline="")))
+        try:
+            return _parse_records(records)
+        except IngestError:
+            collections.deque(records, maxlen=0)  # an unreadable rest wins
+            raise
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedCsv(f"unreadable CSV: {exc}") from None
 
-    if not records:
+
+def _parse_records(records: Iterator[list[str]]) -> InstanceTable:
+    header = next(records, None)
+    if header is None:
         raise EmptyTable("no header row")
-    header = [h.strip() for h in records[0]]
+    header = [h.strip() for h in header]
 
     if ID_COLUMN not in header:
         raise MalformedCsv(f"missing id column {ID_COLUMN!r}")
@@ -115,49 +131,76 @@ def parse_instance_table(source: BinaryIO | bytes) -> InstanceTable:
             feature_names.append(name)
             feature_pos.append(pos)
 
-    # Blank records are skipped; a row's number counts them, the header is 1.
-    line_nos = [no for no, cells in enumerate(records[1:], start=2) if cells]
-    rows = [cells for cells in records[1:] if cells]
     width = len(header)
-    n = next((i for i, cells in enumerate(rows) if len(cells) != width), len(rows))
-    # The rows before the first one of the wrong length, as columns of stripped cells.
-    columns = [list(map(str.strip, column)) for column in zip(*rows[:n])] or [[]] * width
+    ids: list[str] = []
+    tags: list[str] = []
+    feature_blocks: list[np.ndarray] = []
+    outcome_blocks: list[np.ndarray] = []
+    first = 2  # the row number of the chunk's first record; the header is 1
+    while chunk := list(itertools.islice(records, _CHUNK_ROWS)):
+        # Blank records are skipped; a row's number counts them.
+        line_nos = range(first, first + len(chunk))
+        first += len(chunk)
+        if [] in chunk:
+            line_nos = [no for no, cells in zip(line_nos, chunk) if cells]
+            chunk = [cells for cells in chunk if cells]
+        n = next((i for i, cells in enumerate(chunk) if len(cells) != width), len(chunk))
+        # The rows before the first one of the wrong length, as columns.
+        columns = list(zip(*chunk[:n])) or [()] * width
 
-    # (row, column order, error) of the first bad cell of each column; the id
-    # cell counts as a row's first.
-    errors: list[tuple[int, int, IngestError]] = []
-    if "" in columns[id_pos]:
-        i = columns[id_pos].index("")
-        errors.append((i, -1, MalformedCsv(f"row {line_nos[i]}, column {ID_COLUMN!r}: empty id")))
-    features = np.empty((n, len(feature_pos)))
-    for j, (pos, name) in enumerate(zip(feature_pos, feature_names)):
-        cells = [cell or "nan" for cell in columns[pos]]
-        try:
-            features[:, j] = list(map(float, cells))
-        except ValueError:
-            i = _first_unparseable(cells)
-            errors.append((i, j, UnparseableCell(line_nos[i], name, cells[i])))
-    outcomes = np.empty((n, len(outcome_pos)), dtype=np.int8)
-    for j, (pos, algorithm) in enumerate(zip(outcome_pos, algorithm_names)):
-        codes = list(map(_OUTCOME_CELLS.get, columns[pos]))
-        if None in codes:
-            i = codes.index(None)
-            cell = UnparseableCell(line_nos[i], OUTCOME_PREFIX + algorithm, columns[pos][i])
-            errors.append((i, len(feature_pos) + j, cell))
-        else:
+        # (row, column order, error) of the first bad cell of each column; the
+        # id cell counts as a row's first. float() and the outcome lookup take
+        # most cells as they are (float() strips what str.strip does); a column
+        # with a cell either rejects is stripped and read again.
+        errors: list[tuple[int, int, IngestError]] = []
+        chunk_ids = list(map(str.strip, columns[id_pos]))
+        if "" in chunk_ids:
+            i = chunk_ids.index("")
+            empty = MalformedCsv(f"row {line_nos[i]}, column {ID_COLUMN!r}: empty id")
+            errors.append((i, -1, empty))
+        features = np.empty((n, len(feature_pos)))
+        for j, (pos, name) in enumerate(zip(feature_pos, feature_names)):
+            try:
+                features[:, j] = list(map(float, columns[pos]))
+            except ValueError:
+                cells = [cell.strip() or "nan" for cell in columns[pos]]
+                try:
+                    features[:, j] = list(map(float, cells))
+                except ValueError:
+                    i = _first_unparseable(cells)
+                    errors.append((i, j, UnparseableCell(line_nos[i], name, cells[i])))
+        outcomes = np.empty((n, len(outcome_pos)), dtype=np.int8)
+        for j, (pos, algorithm) in enumerate(zip(outcome_pos, algorithm_names)):
+            codes = list(map(_OUTCOME_CELLS.get, columns[pos]))
+            if None in codes:
+                cells = list(map(str.strip, columns[pos]))
+                codes = list(map(_OUTCOME_CELLS.get, cells))
+                if None in codes:
+                    i = codes.index(None)
+                    cell = UnparseableCell(line_nos[i], OUTCOME_PREFIX + algorithm, cells[i])
+                    errors.append((i, len(feature_pos) + j, cell))
+                    continue
             outcomes[:, j] = codes
-    if errors:
-        raise min(errors, key=lambda error: error[:2])[2]
-    if n < len(rows):
-        raise MalformedCsv(f"row {line_nos[n]}: expected {width} cells, got {len(rows[n])}")
+        if errors:
+            raise min(errors, key=lambda error: error[:2])[2]
+        if n < len(chunk):
+            raise MalformedCsv(f"row {line_nos[n]}: expected {width} cells, got {len(chunk[n])}")
 
-    if not rows:
+        ids += chunk_ids
+        if dataset_pos is not None:
+            tags += map(str.strip, columns[dataset_pos])
+        feature_blocks.append(features)
+        outcome_blocks.append(outcomes)
+
+    if not ids:
         raise EmptyTable("no data rows")
-    tags = columns[dataset_pos] if dataset_pos is not None else [""] * n
+    if dataset_pos is None:
+        tags = [""] * len(ids)
     for name in (*header, *dict.fromkeys(tags)):
         if bad := _NOT_XML.search(name):
             raise MalformedCsv(f"{name!r} holds {bad.group()!r}, which XML cannot hold")
-    return InstanceTable(feature_names, algorithm_names, columns[id_pos], tags, features, outcomes)
+    features, outcomes = np.concatenate(feature_blocks), np.concatenate(outcome_blocks)
+    return InstanceTable(feature_names, algorithm_names, ids, tags, features, outcomes)
 
 
 def _overflows(values: np.ndarray) -> bool:

@@ -1,18 +1,21 @@
 """SVG instance-space plots and the canonical machine-readable report.
 
 Rendering is a pure function of (data, spec): identical inputs give
-byte-identical output. report.json uses sorted keys and floats rounded to
-6 significant digits so runs are diffable.
+byte-identical output. The plots of one instance space are drawn over one
+point layer, which maps and formats each instance's position once.
+report.json uses sorted keys and floats rounded to 6 significant digits so
+runs are diffable.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,10 +135,28 @@ def _gradient_colors(values) -> list[str]:
     return ["rgb(%.4f%%,%.4f%%,%.4f%%)" % (v, v, w) for v, w in zip(rg, b)]
 
 
-def _circles(axis: _AxisMap, points, fills: Sequence[str], radius: float) -> list[str]:
-    """One ``<circle>`` per data point, in the matching fill."""
-    template = '<circle cx="%.2f" cy="%.2f" r="' + f"{radius}" + '" fill="%s"/>'
-    return [template % (px, py, fill) for (px, py), fill in zip(axis.pixels(points), fills)]
+class PointLayer(NamedTuple):
+    """What every plot of one instance space draws alike: the axis map, and
+    each point's ``<circle cx=".." cy=".." r=".." fill="``, up to its fill."""
+
+    axis: _AxisMap
+    circles: list[str]
+
+
+def point_layer(coords: Coordinates2D, spec: PlotSpec = PlotSpec()) -> PointLayer:
+    """The points of an (n, 2) array, mapped to pixels and formatted once for
+    every plot drawn over them."""
+    pts = np.asarray(coords, dtype=float)
+    if pts.size == 0:
+        raise EmptyInput("no coordinates")
+    axis = _AxisMap(pts, spec)
+    template = '<circle cx="%.2f" cy="%.2f" r="' + f"{spec.point_radius}" + '" fill="'
+    return PointLayer(axis, [template % pixel for pixel in axis.pixels(pts)])
+
+
+def _circles(circles: Iterable[str], fills: Iterable[str]) -> list[str]:
+    """Each point's circle, closed in the matching fill."""
+    return [circle + fill + '"/>' for circle, fill in zip(circles, fills)]
 
 
 def _svg_head(spec: PlotSpec, title: str) -> list[str]:
@@ -168,22 +189,17 @@ def _legend_entry(x: float, y: float, color: str, label: str) -> list[str]:
 
 
 def render_footprint_svg(
-    coords: Coordinates2D,
-    labels: Sequence[Outcome] | np.ndarray,
-    footprint: Footprint,
-    spec: PlotSpec = PlotSpec(),
+    layer: PointLayer, labels: Sequence[Outcome] | np.ndarray, footprint: Footprint
 ) -> str:
     """One algorithm's instance space: labeled points, its GOOD hull, and the
     contradicted region. ``labels`` holds one ``Outcome``, or its int8 code,
-    per row; MISSING instances are not drawn."""
-    pts = np.asarray(coords, dtype=float)
+    per point of the layer; MISSING instances are not drawn."""
     codes = np.asarray(labels, dtype=np.int8)
-    if pts.size == 0:
-        raise EmptyInput("no coordinates")
-    if pts.shape[0] != len(codes):
+    if len(layer.circles) != len(codes):
         raise ValueError("coords and labels must align")
 
-    axis = _AxisMap(pts, spec)
+    axis = layer.axis
+    spec = axis.spec
     parts = _svg_head(spec, footprint.algorithm)
 
     if not footprint.good_hull.is_degenerate:
@@ -205,7 +221,7 @@ def render_footprint_svg(
 
     drawn = codes != Outcome.MISSING
     colors = [GOOD_COLOR if c == Outcome.GOOD else BAD_COLOR for c in codes[drawn].tolist()]
-    parts.extend(_circles(axis, pts[drawn], colors, spec.point_radius))
+    parts.extend(_circles(itertools.compress(layer.circles, drawn.tolist()), colors))
 
     lx = spec.width - spec.margin - 90
     parts.extend(_legend_entry(lx, spec.margin, GOOD_COLOR, "GOOD"))
@@ -215,9 +231,8 @@ def render_footprint_svg(
 
 
 def render_feature_svg(
-    coords: Coordinates2D,
+    layer: PointLayer,
     values: Sequence[float],
-    spec: PlotSpec = PlotSpec(),
     name: str = "feature",
     vmin: float = 0.0,
     vmax: float = 1.0,
@@ -225,17 +240,14 @@ def render_feature_svg(
     """Feature gradient over the instance space: values must be min-max
     normalized to [0, 1]; low is blue, high is yellow. The color bar carries
     ``vmin``/``vmax`` tick labels."""
-    pts = np.asarray(coords, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if pts.size == 0:
-        raise EmptyInput("no coordinates")
-    if pts.shape[0] != vals.shape[0]:
+    if len(layer.circles) != vals.shape[0]:
         raise ValueError("coords and values must align")
 
-    axis = _AxisMap(pts, spec)
+    spec = layer.axis.spec
     parts = _svg_head(spec, name)
 
-    parts.extend(_circles(axis, pts, _gradient_colors(vals), spec.point_radius))
+    parts.extend(_circles(layer.circles, _gradient_colors(vals)))
 
     # Color bar: stacked slices from high (top) to low (bottom).
     bar_x = spec.width - spec.margin + 8
@@ -259,22 +271,17 @@ def render_feature_svg(
     return "\n".join(parts) + "\n"
 
 
-def render_dataset_svg(
-    coords: Coordinates2D, tags: Sequence[str], spec: PlotSpec = PlotSpec()
-) -> str:
+def render_dataset_svg(layer: PointLayer, tags: Sequence[str]) -> str:
     """Instance space colored by benchmark dataset, legend sorted by tag."""
-    pts = np.asarray(coords, dtype=float)
-    if pts.size == 0 or not tags:
-        raise EmptyInput("no coordinates")
-    if pts.shape[0] != len(tags):
+    if len(layer.circles) != len(tags):
         raise ValueError("coords and tags must align")
 
     unique = sorted(set(tags))
     color_of = {tag: PALETTE[i % len(PALETTE)] for i, tag in enumerate(unique)}
 
-    axis = _AxisMap(pts, spec)
+    spec = layer.axis.spec
     parts = _svg_head(spec, "datasets")
-    parts.extend(_circles(axis, pts, [color_of[tag] for tag in tags], spec.point_radius))
+    parts.extend(_circles(layer.circles, map(color_of.__getitem__, tags)))
     lx = spec.width - spec.margin - 110
     for i, tag in enumerate(unique):
         parts.extend(_legend_entry(lx, spec.margin + 16 * i, color_of[tag], tag))

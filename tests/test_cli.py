@@ -339,6 +339,20 @@ class TestStages:
         assert result.exit_code == 1
         assert result.stderr.strip() == "E_STAGE ingest"
 
+    # plot copied any input_digest into report.json's provenance; ingest
+    # writes only a sha256 in lowercase hex
+    @pytest.mark.parametrize("digest", [[1, {"x": True}], "AB" * 32, "ab" * 31, None])
+    def test_malformed_input_digest_names_ingest(self, tmp_path, synthetic60_path, digest):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "digest")
+        assert result.exit_code == 0, result.stderr
+        path = out / "table.json"
+        table = json.loads(path.read_text())
+        table["input_digest"] = digest
+        path.write_text(json.dumps(table))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = invoke(["plot", "--config", str(cfg)])
+        assert (result.exit_code, result.stdout, result.stderr) == (1, "", "E_STAGE ingest\n")
+
     # json.loads raises RecursionError, not ValueError, on deep nesting
     @pytest.mark.parametrize("artifact, writer", [
         ("table.json", "ingest"), ("coordinates.json", "project"),
@@ -541,6 +555,63 @@ class TestTableMemo:
         result = invoke(["project", "--config", str(cfg)])
         assert result.exit_code == 0, result.stderr
         assert len(json.loads((out / "coordinates.json").read_text())["ids"]) == 30
+
+    def test_pipeline_decodes_only_the_coordinates_it_writes(
+        self, tmp_path, synthetic60_path, monkeypatch
+    ):
+        calls = []
+        decode = artifacts.coords_from_dict
+
+        def spy(data):
+            calls.append(data)
+            return decode(data)
+
+        monkeypatch.setattr(artifacts, "coords_from_dict", spy)
+        result, out = run_pipeline(tmp_path, synthetic60_path, "coords_memo")
+        assert result.exit_code == 0, result.stderr
+        # project checks the columns it writes; footprint, classify and plot
+        # decode nothing
+        assert len(calls) == 1
+        assert calls[0] == json.loads((out / "coordinates.json").read_text())
+
+    # With the memo filled by the pipeline, every read still checks the file:
+    # an edited value or id, or a table of other ids, gives E_STAGE project.
+    @pytest.mark.parametrize("edit", ["string", "coordinate-ids", "table-ids"])
+    def test_coordinates_memo_keeps_every_check(self, tmp_path, synthetic60_path, edit):
+        result, out = run_pipeline(tmp_path, synthetic60_path, "coords_edit")
+        assert result.exit_code == 0, result.stderr
+        path = out / "coordinates.json"
+        assert artifacts._COORDS_MEMO[0] == hashlib.sha256(path.read_bytes()).digest()
+        if edit == "table-ids":
+            path = out / "table.json"
+        data = json.loads(path.read_text())
+        if edit == "string":
+            data["z1"][5] = "0.5"
+        else:
+            data["ids"][0], data["ids"][1] = data["ids"][1], data["ids"][0]
+        path.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        for stage in ("footprint", "classify", "plot"):
+            result = invoke([stage, "--config", str(cfg)])
+            assert (result.exit_code, result.stderr) == (1, "E_STAGE project\n"), stage
+
+    def test_plot_maps_the_points_once(self, tmp_path, synthetic60_path, monkeypatch):
+        from eapr import report
+
+        layers = []
+        build = report.point_layer
+
+        def spy(coords, spec):
+            layers.append(build(coords, spec))
+            return layers[-1]
+
+        monkeypatch.setattr(report, "point_layer", spy)
+        result, out = run_pipeline(tmp_path, synthetic60_path, "layer")
+        assert result.exit_code == 0, result.stderr
+        assert len(layers) == 1
+        ids = json.loads((out / "coordinates.json").read_text())["ids"]
+        assert len(layers[0].circles) == len(ids)
+        assert len(list(out.glob("*.svg"))) > 1
 
     def test_pipeline_adds_no_module_binding(self, tmp_path, synthetic60_path):
         run_pipeline(tmp_path, synthetic60_path, "warm")  # imports every stage module

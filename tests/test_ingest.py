@@ -1,5 +1,8 @@
+import csv
+import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eapr import ingest
 from eapr.artifacts import _parse, table_from_dict, table_to_dict
 from eapr.ingest import (
     EmptyTable,
@@ -267,7 +271,8 @@ class TestAggregate:
 # (so group sums overflow, or meet an inf first), and cells float() reads
 # oddly or rejects.
 HUGE_CELLS = ["1e308", "-1e308", "1.7e308", "inf", "-inf", "1.0", "-0.0"]
-ODD_CELLS = ["", "  ", " 2.5 ", "nan", "1_000", "x", "0x1p3", "1e-320", "infinity"]
+ODD_CELLS = ["", "  ", " 2.5 ", "nan", "1_000", "x", "0x1p3", "1e-320", "infinity",
+             "\u2003 1.5\u2003", "\u0663"]  # float() strips em spaces, reads "٣" as 3
 
 
 @st.composite
@@ -329,13 +334,43 @@ def _ingested(parse, aggregate, dumps, data: bytes):
         return type(exc), str(exc)
 
 
+# Each CSV is also parsed in chunks of a few rows, so that bad cells, blank
+# records, ragged rows and empty ids fall across chunk boundaries.
 @settings(max_examples=300, deadline=None)
-@given(sub_program_csv())
-def test_columnar_ingest_equals_the_rowwise_oracle(data):
+@given(sub_program_csv(), st.integers(1, 7))
+def test_columnar_ingest_equals_the_rowwise_oracle(data, chunk_rows):
     oracle = _ingested(
         rowwise_parse, per_group_aggregate, lambda d: json.dumps(d, sort_keys=True, indent=2), data
     )
     assert _ingested(parse_instance_table, aggregate_rows, json_text, data) == oracle
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        assert _ingested(parse_instance_table, aggregate_rows, json_text, data) == oracle
+
+
+_ROWS = b"".join(b"p%d,%d.5,1\n" % (i, i) for i in range(3000))
+
+
+# A defect the chunked parse meets in its first chunk, then, thousands of rows
+# on, a byte UTF-8 rejects or a field over the CSV reader's size limit: the
+# unreadable file's error wins, as when every record was read first.
+@pytest.mark.parametrize("head", [
+    b"instance_id,f1,aprt:A\np0,x,1\n",  # a bad cell
+    b"instance_id,f1,aprt:A\np0,1.5\n",  # a ragged row
+    b"instance_id,f1,aprt:A\n ,1.5,1\n",  # an empty id
+    b"name,f1,aprt:A\np0,1.5,1\n",  # no id column
+], ids=["cell", "ragged", "empty-id", "no-id-column"])
+@pytest.mark.parametrize("tail", [
+    b"p1,\xff,1\n",
+    b'p1,"' + b"9" * (csv.field_size_limit() + 1) + b'",1\n',
+], ids=["not-utf-8", "over-field-limit"])
+def test_an_unreadable_csv_wins_over_an_earlier_defect(head, tail):
+    data = head + _ROWS + tail + _ROWS
+    with pytest.raises(MalformedCsv) as oracle:
+        rowwise_parse(data)
+    assert str(oracle.value).startswith("unreadable CSV: ")
+    with pytest.raises(MalformedCsv) as err:
+        parse_instance_table(data)
+    assert str(err.value) == str(oracle.value)
 
 
 @st.composite
@@ -356,12 +391,16 @@ def instance_tables(draw) -> InstanceTable:
     return InstanceTable(features, algorithms, ids, tags, values.T.copy(), codes.T.copy())
 
 
+# table.json's input_digest: the sha256 of the CSV, in lowercase hex.
+DIGEST = hashlib.sha256(SNAPSHOT_CSV).hexdigest()
+
+
 @settings(max_examples=200, deadline=None)
 @given(instance_tables())
 def test_table_json_round_trip_gives_the_same_table(table):
-    raw = (json_text(table_to_dict(table, "digest")) + "\n").encode("utf-8")
+    raw = (json_text(table_to_dict(table, DIGEST)) + "\n").encode("utf-8")
     decoded, digest = table_from_dict(_parse(raw))
-    assert digest == "digest"
+    assert digest == DIGEST
     for name in ("feature_names", "algorithm_names", "instance_ids", "dataset_tags"):
         assert getattr(decoded, name) == getattr(table, name)
     for name in ("features", "outcomes"):
@@ -374,7 +413,7 @@ def test_table_json_round_trip_gives_the_same_table(table):
 
 def _table_dict(n=3):
     rows = [(f"p{i}", "d", (float(i), 0.5), (GOOD, BAD)) for i in range(n)]
-    return json.loads(json_text(table_to_dict(make_table(["f1", "f2"], ["A", "B"], rows), "x")))
+    return json.loads(json_text(table_to_dict(make_table(["f1", "f2"], ["A", "B"], rows), DIGEST)))
 
 
 @pytest.mark.parametrize("n, edit, error", [
@@ -387,6 +426,12 @@ def _table_dict(n=3):
     (3, lambda d: d["datasets"].pop(), "2 dataset tags for 3 ids"),
     (3, lambda d: d["features"][1].__setitem__(0, True), "expected a list of numbers"),
     (3, lambda d: d["outcomes"].__setitem__(0, "GOOD"), "expected a list of names"),
+    (3, lambda d: d.__setitem__("input_digest", [1, {"x": True}]),
+     "expected a sha256 as 64 lowercase hex digits"),
+    (3, lambda d: d.__setitem__("input_digest", DIGEST.upper()),
+     "expected a sha256 as 64 lowercase hex digits"),
+    (3, lambda d: d.__setitem__("input_digest", DIGEST[:-1]),
+     "expected a sha256 as 64 lowercase hex digits"),
 ])
 def test_table_reader_checks_every_column(n, edit, error):
     data = _table_dict(n)

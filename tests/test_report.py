@@ -16,6 +16,7 @@ from eapr.report import (
     _gradient_colors,
     canonical_json,
     file_stem,
+    point_layer,
     read_report,
     render_dataset_svg,
     render_feature_svg,
@@ -44,22 +45,22 @@ def square_footprint():
 class TestFootprintSvg:
     def test_element_count_and_legend(self):
         coords, labels, fp = square_footprint()
-        svg = render_footprint_svg(coords, labels, fp, SPEC)
+        svg = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
         assert len(circles_of(svg)) == 4
         assert ">GOOD</text>" in svg
         assert ">BAD</text>" in svg
 
     def test_byte_determinism(self):
         coords, labels, fp = square_footprint()
-        a = render_footprint_svg(coords, labels, fp, SPEC)
-        b = render_footprint_svg(coords, labels, fp, SPEC)
+        a = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
+        b = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
         assert a.encode() == b.encode()
 
     def test_missing_points_not_drawn(self):
         coords = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 0.5)])
         labels = [GOOD, GOOD, GOOD, BAD, Outcome.MISSING]
         fp = compute_footprint(coords, labels, "A")
-        svg = render_footprint_svg(coords, labels, fp, SPEC)
+        svg = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
         assert len(circles_of(svg)) == 4
 
     def test_random_points_inside_padded_viewport(self):
@@ -67,7 +68,7 @@ class TestFootprintSvg:
         coords = rng.normal(0, 10, (1000, 2))
         labels = [GOOD if i % 2 else BAD for i in range(1000)]
         fp = compute_footprint(coords, labels, "A")
-        svg = render_footprint_svg(coords, labels, fp, SPEC)
+        svg = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
         pts = circles_of(svg)
         assert len(pts) == 1000
         for cx, cy in pts:
@@ -78,14 +79,13 @@ class TestFootprintSvg:
         coords = np.array([(0.0, 0.0), (0.5, 0.1), (2.0, -0.3), (3.5, 0.2)])
         labels = [GOOD] * 4
         fp = compute_footprint(coords, labels, "A")
-        svg = render_footprint_svg(coords, labels, fp, SPEC)
+        svg = render_footprint_svg(point_layer(coords, SPEC), labels, fp)
         xs = [float(cx) for cx, _ in circles_of(svg)]
         assert xs == sorted(xs)
 
     def test_empty_rejected(self):
-        coords, labels, fp = square_footprint()
         with pytest.raises(EmptyInput):
-            render_footprint_svg(np.zeros((0, 2)), [], fp, SPEC)
+            point_layer(np.zeros((0, 2)), SPEC)
 
 
 def parse_rgb_percent(color):
@@ -107,7 +107,7 @@ class TestFeatureSvg:
     def test_point_colors_monotone_along_values(self):
         coords = np.array([(float(i), 0.0) for i in range(10)])
         values = np.linspace(0.0, 1.0, 10)
-        svg = render_feature_svg(coords, values, SPEC, name="f")
+        svg = render_feature_svg(point_layer(coords, SPEC), values, name="f")
         colors = re.findall(r'<circle[^>]*fill="(rgb[^"]+)"', svg)
         reds = [parse_rgb_percent(c)[0] for c in colors]
         blues = [parse_rgb_percent(c)[2] for c in colors]
@@ -117,39 +117,39 @@ class TestFeatureSvg:
     def test_colorbar_tick_labels(self):
         coords = np.array([(0.0, 0.0), (1.0, 1.0)])
         svg = render_feature_svg(
-            coords, [0.0, 1.0], SPEC, name="wmc", vmin=2.5, vmax=9.0
+            point_layer(coords, SPEC), [0.0, 1.0], name="wmc", vmin=2.5, vmax=9.0
         )
         assert ">2.50</text>" in svg
         assert ">9.00</text>" in svg
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            render_feature_svg(np.zeros((0, 2)), [], SPEC)
+            render_feature_svg(point_layer(np.zeros((0, 2)), SPEC), [])
 
 
 class TestDatasetSvg:
     def test_two_tags_two_legend_entries(self):
         coords = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
-        svg = render_dataset_svg(coords, ["d1", "d2", "d1"], SPEC)
+        svg = render_dataset_svg(point_layer(coords, SPEC), ["d1", "d2", "d1"])
         assert ">d1</text>" in svg
         assert ">d2</text>" in svg
 
     def test_single_tag_single_color(self):
         coords = np.array([(0.0, 0.0), (1.0, 1.0)])
-        svg = render_dataset_svg(coords, ["only", "only"], SPEC)
+        svg = render_dataset_svg(point_layer(coords, SPEC), ["only", "only"])
         colors = set(re.findall(r'<circle[^>]*fill="(#[0-9A-Fa-f]+)"', svg))
         assert len(colors) == 1
 
     def test_five_tags_distinct_colors(self):
         coords = np.array([(float(i), 0.0) for i in range(5)])
         tags = [f"d{i}" for i in range(5)]
-        svg = render_dataset_svg(coords, tags, SPEC)
+        svg = render_dataset_svg(point_layer(coords, SPEC), tags)
         colors = re.findall(r'<circle[^>]*fill="(#[0-9A-Fa-f]+)"', svg)
         assert len(set(colors)) == 5
 
     def test_legend_sorted(self):
         coords = np.array([(0.0, 0.0), (1.0, 1.0), (2.0, 0.0)])
-        svg = render_dataset_svg(coords, ["zeta", "alpha", "mid"], SPEC)
+        svg = render_dataset_svg(point_layer(coords, SPEC), ["zeta", "alpha", "mid"])
         assert svg.index(">alpha<") < svg.index(">mid<") < svg.index(">zeta<")
 
     def test_palette_has_eleven_distinct_entries(self):
@@ -276,15 +276,15 @@ def pinned_svgs(form=tuple):
     assert not fp.good_hull.is_degenerate and not fp.contradiction.is_degenerate
     assert flat.good_hull.is_degenerate
     return {
-        "footprint": render_footprint_svg(PINNED_COORDS, labels, fp, SPEC),
-        "flat_footprint": render_footprint_svg(FLAT_COORDS, flat_labels, flat, SPEC),
+        "footprint": render_footprint_svg(point_layer(PINNED_COORDS, SPEC), labels, fp),
+        "flat_footprint": render_footprint_svg(point_layer(FLAT_COORDS, SPEC), flat_labels, flat),
         "feature": render_feature_svg(
-            PINNED_COORDS, PINNED_VALUES, SPEC, name="wmc", vmin=-2.5, vmax=7.125
+            point_layer(PINNED_COORDS, SPEC), PINNED_VALUES, name="wmc", vmin=-2.5, vmax=7.125
         ),
         "flat_feature": render_feature_svg(
-            FLAT_COORDS, [0.0, 1.0, -0.0, 0.5, 2.0], PlotSpec(point_radius=2)
+            point_layer(FLAT_COORDS, PlotSpec(point_radius=2)), [0.0, 1.0, -0.0, 0.5, 2.0]
         ),
-        "datasets": render_dataset_svg(PINNED_COORDS, PINNED_TAGS, SPEC),
+        "datasets": render_dataset_svg(point_layer(PINNED_COORDS, SPEC), PINNED_TAGS),
     }
 
 
@@ -346,9 +346,9 @@ def test_names_are_escaped_in_svg_text():
     name = 'C&D<x> "q"'
     fp = compute_footprint(PINNED_COORDS, PINNED_LABELS, name)
     svgs = [
-        render_footprint_svg(PINNED_COORDS, PINNED_LABELS, fp, SPEC),
-        render_feature_svg(PINNED_COORDS, PINNED_VALUES, SPEC, name=name),
-        render_dataset_svg(PINNED_COORDS, [name] * len(PINNED_COORDS), SPEC),
+        render_footprint_svg(point_layer(PINNED_COORDS, SPEC), PINNED_LABELS, fp),
+        render_feature_svg(point_layer(PINNED_COORDS, SPEC), PINNED_VALUES, name=name),
+        render_dataset_svg(point_layer(PINNED_COORDS, SPEC), [name] * len(PINNED_COORDS)),
     ]
     for svg in svgs:
         texts = {
