@@ -9,14 +9,16 @@ fails in any way (a missing, unreadable or malformed file, ``NaN``,
 stage.
 
 ``eapr select`` reads the model files through this module into the float
-forms of ``ranker``, so the module imports numpy and the numpy-backed modules
-only inside the codecs that build their objects.
+forms of ``ranker``, which are NamedTuples, so the module imports numpy, the
+numpy-backed modules and ``dataclasses`` only inside the codecs that build or
+read their objects, and a ``select`` imports none of them. A record is
+written through its codec's dict (``pca_to_dict``, ``svm_to_dict``), never as
+itself: ``model.json_text`` would write a tuple subclass as a list.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -287,7 +289,7 @@ def read_pca(out_dir: Path, selected: list[str]) -> ranker.Projection:
 def svm_to_dict(model: classify.SvmModel) -> dict:
     """The model's config, with ``gamma`` the value it resolved to, and its fit."""
     return {
-        **asdict(model.config),
+        **model.config._asdict(),
         "gamma": model.gamma,
         "support_vectors": model.support_vectors.tolist(),
         "alphas": model.alphas.tolist(),
@@ -297,13 +299,28 @@ def svm_to_dict(model: classify.SvmModel) -> dict:
     }
 
 
+def _typed(value, kind: type):
+    if type(value) is not kind:  # so a bool is no int
+        raise TypeError(f"expected {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def scorer_from_dict(data: dict) -> ranker.Scorer:
-    """One models.json block as floats: its settings checked as an
-    ``SvmConfig``, its alphas and labels against its support vectors."""
-    config = ranker.SvmConfig(**{f.name: data[f.name] for f in fields(ranker.SvmConfig)})
+    """One models.json block as floats: each setting checked to be of its
+    JSON type, then all checked as an ``SvmConfig``, and its alphas and labels
+    checked against its support vectors."""
+    config = ranker.SvmConfig(
+        kernel=_typed(data["kernel"], str),
+        C=_number(data["C"]),
+        gamma=_number(data["gamma"]),
+        tolerance=_number(data["tolerance"]),
+        max_passes=_typed(data["max_passes"], int),
+        seed=_typed(data["seed"], int),
+    )
+    _typed(data["converged"], bool)
     return ranker.Scorer(
         kernel=config.kernel,
-        gamma=float(config.gamma),
+        gamma=config.gamma,
         support_vectors=tuple(map(_floats, data["support_vectors"])),
         alphas=_floats(data["alphas"]),
         labels=_floats(data["labels"]),
@@ -352,6 +369,8 @@ def read_footprints(
 ) -> tuple[dict, dict[str, fp.Footprint], dict[str, dict]]:
     """footprints.json, each listed algorithm's Footprint, and its metrics;
     footprints of another table's algorithms are stale."""
+    from dataclasses import fields
+
     from .footprint import ConvexPolygon, Footprint
 
     def decode(data: dict):

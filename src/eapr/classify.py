@@ -43,8 +43,12 @@ class SvmModel:
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=2)
+    """The (n, m) squared distances between the rows of two (., 2) point
+    arrays: column 0's square plus column 1's, the order in which a sum over
+    the last axis of the (n, m, 2) differences adds them, so the same bytes."""
+    d0 = a[:, 0, None] - b[None, :, 0]
+    d1 = a[:, 1, None] - b[None, :, 1]
+    return d0 * d0 + d1 * d1
 
 
 def _median(v: np.ndarray) -> float:

@@ -7,8 +7,10 @@ bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
 
 How each artifact is written and read is `artifacts`' business. Every
-module that imports numpy is imported inside the stages that run it, so
-`eapr select` loads only this module, `artifacts` and `ranker`, and no numpy.
+module that imports numpy, and `dataclasses`, is imported inside the stages
+that run it, so `eapr select` loads only this module, `artifacts` and
+`ranker`, and neither numpy nor `dataclasses`: `PipelineConfig` is a
+`ranker.Checked` NamedTuple, like the records `ranker` holds.
 """
 from __future__ import annotations
 
@@ -17,10 +19,9 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import artifacts, ranker
 from .artifacts import CliFailure
@@ -30,8 +31,7 @@ if TYPE_CHECKING:
     from .model import FeatureSubset, InstanceTable
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
     input_path: Path
     output_dir: Path
     ga: selection.GaConfig
@@ -40,7 +40,11 @@ class PipelineConfig:
     repeats: int = 1
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(ranker.Checked, _PipelineConfigFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -51,7 +55,7 @@ def _word_or(word: str, meaning, cast):
 
 
 # Config key -> (PipelineConfig section or None for a top-level field, field,
-# parser). A key left unset keeps the default of its dataclass.
+# parser). A key left unset keeps the default of its record.
 _CONFIG_KEYS = {
     "input": (None, "input_path", str),
     "output": (None, "output_dir", str),
@@ -219,6 +223,8 @@ def _final_subset(
 
 def stage_select_features(cfg: PipelineConfig) -> None:
     """Run the GA feature search over table.json."""
+    from dataclasses import asdict, replace
+
     from . import selection
     from .model import FeatureSubset
     from .seeds import derive_seed
@@ -308,6 +314,8 @@ def stage_footprint(cfg: PipelineConfig) -> None:
 
 def stage_classify(cfg: PipelineConfig) -> None:
     """Train per-algorithm SVMs and selector metrics."""
+    from dataclasses import asdict, fields
+
     import numpy as np
 
     from . import classify
@@ -329,7 +337,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
         plan.append((algorithm, None if splits is None else y))
         if splits is not None:
             pts = coords[idx]
-            config = replace(cfg.svm, seed=derive_seed(stage_seed, f"svm:{algorithm}"))
+            config = cfg.svm._replace(seed=derive_seed(stage_seed, f"svm:{algorithm}"))
             every_row = [(np.arange(len(y)), np.ones(len(y), dtype=bool))]
             tasks += [(pts, y, every_row, config), (pts, y, splits, config)]
     results = iter(classify.cross_val_predict(tasks))

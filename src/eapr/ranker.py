@@ -8,6 +8,11 @@ numpy: ``project`` and ``decision_value`` apply the formulas of
 and pca_model.json stores it) and ``SvmConfig`` (models.json stores it with
 every fit) live here because ``eapr select`` reads and checks both.
 
+The records here, and ``cli.PipelineConfig``, are ``Checked`` NamedTuples
+rather than dataclasses: ``dataclasses`` imports ``inspect`` and builds each
+class's methods from source, which a ``select`` process, importing only
+``cli``, ``artifacts`` and this module, would pay for at every start.
+
 Where numpy gives ``inf`` or ``nan``, a float operation may raise an
 ``ArithmeticError``: ``ZeroDivisionError`` on a zero std, ``OverflowError``
 from ``math.exp``.
@@ -15,12 +20,37 @@ from ``math.exp``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class SvmConfig:
+class Checked:
+    """The first base of a record whose second is the ``NamedTuple`` of its
+    fields: every new record, ``_replace``'s and an unpickled one's too, is
+    checked by the record's ``_check``, which raises ValueError. The record
+    compares and hashes by value, and its fields cannot be assigned."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SvmConfigFields(NamedTuple):
+    kernel: str = "rbf"
+    C: float = 1.0
+    gamma: float | str = "median-heuristic"
+    tolerance: float = 1e-3
+    max_passes: int = 200
+    seed: int = 0
+
+
+class SvmConfig(Checked, _SvmConfigFields):
     """Kernel and optimizer settings.
 
     ``gamma`` is a positive float or "median-heuristic", which resolves to
@@ -30,14 +60,9 @@ class SvmConfig:
     the fold split of ``cross_validate`` and labels the model in models.json.
     """
 
-    kernel: str = "rbf"
-    C: float = 1.0
-    gamma: float | str = "median-heuristic"
-    tolerance: float = 1e-3
-    max_passes: int = 200
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kernel not in ("linear", "rbf"):
             raise ValueError(f"unknown kernel {self.kernel!r}")
         if not 0.0 < self.C < math.inf:
@@ -53,15 +78,7 @@ class SvmConfig:
             raise ValueError("gamma must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Projection:
-    """The fitted 2D projection, as pca_model.json stores it: for each of
-    ``features``, in order, its mean, its std (population, divisor N) and its
-    (z1, z2) loadings. ``dropped`` names the zero-variance features, which a
-    vector may carry but which are not projected. ``eigenvalues``, the
-    covariance's in descending order, and ``explained_variance_2d`` are for
-    report.json; ranking uses neither."""
-
+class _ProjectionFields(NamedTuple):
     features: tuple[str, ...]
     dropped: tuple[str, ...]
     means: tuple[float, ...]
@@ -70,7 +87,18 @@ class Projection:
     eigenvalues: tuple[float, ...]
     explained_variance_2d: float
 
-    def __post_init__(self) -> None:
+
+class Projection(Checked, _ProjectionFields):
+    """The fitted 2D projection, as pca_model.json stores it: for each of
+    ``features``, in order, its mean, its std (population, divisor N) and its
+    (z1, z2) loadings. ``dropped`` names the zero-variance features, which a
+    vector may carry but which are not projected. ``eigenvalues``, the
+    covariance's in descending order, and ``explained_variance_2d`` are for
+    report.json; ranking uses neither."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         m = len(self.features)
         for name in ("means", "stds", "loadings"):
             if len(getattr(self, name)) != m:
@@ -79,10 +107,7 @@ class Projection:
             raise ValueError("a loadings row is not a pair")
 
 
-@dataclass(frozen=True)
-class Scorer:
-    """An ``SvmModel``'s decision function as floats."""
-
+class _ScorerFields(NamedTuple):
     kernel: str
     gamma: float
     support_vectors: tuple[tuple[float, float], ...]
@@ -90,7 +115,13 @@ class Scorer:
     labels: tuple[float, ...]
     bias: float
 
-    def __post_init__(self) -> None:
+
+class Scorer(Checked, _ScorerFields):
+    """An ``SvmModel``'s decision function as floats."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         k = len(self.support_vectors)
         if not len(self.alphas) == len(self.labels) == k:
             raise ValueError(

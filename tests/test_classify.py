@@ -511,6 +511,27 @@ class TestMisc:
         v = np.array(values)
         assert np.array_equal(classify._median(v), np.median(v), equal_nan=True)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=12),
+        b=st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=12),
+        repeats=st.lists(st.integers(0, 11), max_size=6),
+    )
+    @example(a=[(0.0, 0.0), (0.0, 0.0), (-0.0, 1.5)], b=[(0.0, -0.0)], repeats=[0, 2])
+    @example(a=[(1e-300, 3.0)], b=[(-1e-300, 3.0), (2.5, -4.75)], repeats=[])
+    def test_sq_dists_adds_as_the_sum_over_the_pair(self, a, b, repeats):
+        # the (n, m, 2) difference array summed over its last axis, the
+        # reference; duplicate rows of a, and a != b in shape, as
+        # decision_values passes its queries and support vectors
+        a = np.array(a + [a[i] for i in repeats if i < len(a)], dtype=float).reshape(-1, 2)
+        b = np.array(b, dtype=float).reshape(-1, 2)
+        for x, y in ((a, b), (a, a), (b, a)):
+            diff = x[:, None, :] - y[None, :, :]
+            expected = (diff * diff).sum(axis=2)
+            got = classify._sq_dists(x, y)
+            assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+            assert got.tobytes() == expected.tobytes()
+
     def test_fits_import_no_numpy_ma(self):
         # np.unique and np.median import numpy.ma, ~12 ms in each forked job process
         code = (

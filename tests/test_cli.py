@@ -921,6 +921,30 @@ class TestSelect:
         assert result.stderr.startswith(f"E_MODEL missing or corrupt model files in {model_dir}: ")
         assert len(result.stderr.splitlines()) == 1
 
+    # each ranked, with the value as read: `"gamma": true` as gamma = 1
+    @pytest.mark.parametrize("key, value, detail", [
+        ("gamma", True, "expected a number, not bool"),
+        ("C", True, "expected a number, not bool"),
+        ("tolerance", True, "expected a number, not bool"),
+        ("max_passes", 2.5, "expected int, not float"),
+        ("max_passes", True, "expected int, not bool"),
+        ("seed", "x", "expected int, not str"),
+        ("seed", None, "expected int, not NoneType"),
+        ("seed", [1], "expected int, not list"),
+        ("converged", "maybe", "expected bool, not str"),
+    ])
+    def test_setting_of_the_wrong_json_type_is_model_error(
+        self, tmp_path, synthetic60_models, key, value, detail
+    ):
+        model_dir = shutil.copytree(synthetic60_models["rbf"], tmp_path / "models")
+        data = json.loads((model_dir / "models.json").read_text())
+        for block in data["models"].values():
+            block[key] = value
+        (model_dir / "models.json").write_text(json.dumps(data))
+        result = invoke(["select", "--models", str(model_dir)], input=selected_vector(model_dir))
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"E_MODEL missing or corrupt model files in {model_dir}: {detail}\n"
+
     def test_name_equals_value_form(self, single_model_dir):
         result = invoke(
             ["select", "--models", str(single_model_dir)], input="f1=-1.2\nf2=0.1\n"
@@ -959,7 +983,7 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
     assert {m for m in loaded if m.startswith("eapr")} == {
         "eapr", "eapr.cli", "eapr.artifacts", "eapr.ranker"
     }
-    assert "numpy" not in loaded and "click" not in loaded
+    assert not loaded & {"numpy", "click", "dataclasses", "inspect"}
     stage_only = {"eapr.model", "eapr.project", "eapr.classify", "eapr.selection",
                   "eapr.report", "eapr.footprint", "eapr.ingest", "eapr.seeds", "hashlib",
                   "csv", "multiprocessing"}

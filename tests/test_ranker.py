@@ -2,6 +2,7 @@
 ``project.project_features`` and ``classify.decision_values``."""
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -174,6 +175,7 @@ def test_projection_reader_checks_every_list(key, value, error):
     ("support_vectors", [[0.5, -0.25], [-1.0]], "a support vector is not a pair"),
     ("bias", True, "expected a number, not bool"),
     ("kernel", "poly", "unknown kernel 'poly'"),
+    ("kernel", ["rbf"], "expected str, not list"),
     ("gamma", -1.0, "gamma must be positive and finite"),
 ])
 def test_scorer_reader_checks_every_list_and_setting(key, value, error):
@@ -186,3 +188,34 @@ def test_models_that_are_not_an_object_are_corrupt():
     # a list has no .items(): an AttributeError traceback before
     with pytest.raises(TypeError, match="^expected an object of models$"):
         artifacts.scorers_from_dict({"models": []})
+
+
+def test_records_keep_the_dataclass_contract():
+    # the records are NamedTuples; what their callers relied on as frozen
+    # dataclasses holds: value equality and hash, the repr, no assignment,
+    # and checks that run on every way to make one
+    config = SvmConfig(kernel="linear", C=2.0, seed=3)
+    assert config == SvmConfig(kernel="linear", C=2.0, seed=3) != SvmConfig()
+    assert len({config, SvmConfig(kernel="linear", C=2.0, seed=3), SvmConfig()}) == 2
+    assert repr(SvmConfig()) == (
+        "SvmConfig(kernel='rbf', C=1.0, gamma='median-heuristic', tolerance=0.001, "
+        "max_passes=200, seed=0)"
+    )
+    for field, value in (("C", 5.0), ("extra", 1)):
+        with pytest.raises(AttributeError):
+            setattr(config, field, value)
+
+    restored = pickle.loads(pickle.dumps(config))
+    assert (type(restored), restored) == (SvmConfig, config)
+    with pytest.raises(ValueError, match="^unknown kernel 'spline'$"):
+        pickle.loads(pickle.dumps(config).replace(b"linear", b"spline"))
+
+    moved = config._replace(seed=9)
+    assert (type(moved), moved.seed, moved._replace(seed=3)) == (SvmConfig, 9, config)
+    with pytest.raises(ValueError, match="^C must be positive and finite$"):
+        config._replace(C=0.0)
+
+    pca = pca_model([0.0, 1.0], [0.5, 2.0], [[0.6, 0.8], [0.8, -0.6]])
+    assert pickle.loads(pickle.dumps(pca)) == pca
+    with pytest.raises(ValueError, match="^1 means for 2 features$"):
+        pca._replace(means=(0.0,))
