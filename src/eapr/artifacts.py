@@ -9,11 +9,11 @@ fails in any way (a missing, unreadable or malformed file, ``NaN``,
 stage.
 
 ``eapr select`` reads the model files through this module into the float
-forms of ``ranker``, which are NamedTuples, so the module imports numpy, the
-numpy-backed modules and ``dataclasses`` only inside the codecs that build or
-read their objects, and a ``select`` imports none of them. A record is
-written through its codec's dict (``pca_to_dict``, ``svm_to_dict``), never as
-itself: ``model.json_text`` would write a tuple subclass as a list.
+forms of ``ranker``, so the module imports numpy and the numpy-backed
+modules only inside the codecs that build or read their objects, and a
+``select`` imports none of them. A record, a NamedTuple, is written through
+its codec's dict (``pca_to_dict``, ``svm_to_dict``, ``footprint_block``),
+never as itself: ``model.json_text`` would write a tuple subclass as a list.
 """
 from __future__ import annotations
 
@@ -349,7 +349,7 @@ _HULLS = ("good_hull", "bad_hull", "contradiction")
 def footprint_block(print_: fp.Footprint, norm: float) -> dict:
     """One footprints.json block: the footprint's fields, each hull as its
     vertices, the two areas over ``norm``, and whether it is degenerate."""
-    block = dict(vars(print_))
+    block = print_._asdict()
     block.update((h, block[h].vertices) for h in _HULLS)
     block.update(
         area_good_norm=print_.area_good / norm,
@@ -366,35 +366,73 @@ def _check_algorithms(listed, table: InstanceTable, artifact: str) -> None:
 
 def read_footprints(
     out_dir: Path, table: InstanceTable
-) -> tuple[dict, dict[str, fp.Footprint], dict[str, dict]]:
-    """footprints.json, each listed algorithm's Footprint, and its metrics;
-    footprints of another table's algorithms are stale."""
-    from dataclasses import fields
-
+) -> tuple[dict[str, fp.Footprint], dict[str, dict], list[tuple[float, ...]]]:
+    """footprints.json as each listed algorithm's Footprint, in its order, the
+    metrics report.json carries for it, and the n x n overlap. Every hull
+    vertex is a pair of numbers, every area, purity and density a number, and
+    ``degenerate`` the bool the good hull implies; footprints of another
+    table's algorithms are stale."""
     from .footprint import ConvexPolygon, Footprint
 
+    def hull(vertices) -> ConvexPolygon:
+        points = tuple(map(_floats, vertices))
+        if not set(map(len, points)) <= {2}:
+            raise ValueError("a hull vertex is not a pair")
+        return ConvexPolygon(points)
+
     def decode(data: dict):
-        _check_algorithms(data["algorithms"], table, "footprints")
+        algorithms = _names(data["algorithms"])
+        _check_algorithms(algorithms, table, "footprints")
         prints, metrics = {}, {}
-        for algorithm in data["algorithms"]:
+        for algorithm in algorithms:
             block = data["footprints"][algorithm]
-            args = {f.name: block[f.name] for f in fields(Footprint)}
-            args.update((h, ConvexPolygon(tuple(map(tuple, args[h])))) for h in _HULLS)
-            prints[algorithm] = Footprint(**args)
-            metrics[algorithm] = {
-                k: v for k, v in block.items() if k not in _HULLS and k != "algorithm"
+            if block["algorithm"] != algorithm:
+                raise ValueError(f"the footprint of {algorithm!r} names another algorithm")
+            numbers = {
+                k: _number(block[k]) for k in Footprint._fields if k not in (*_HULLS, "algorithm")
             }
-        return data, prints, metrics
+            print_ = Footprint(algorithm=algorithm, **{h: hull(block[h]) for h in _HULLS}, **numbers)
+            if _typed(block["degenerate"], bool) is not print_.is_degenerate:
+                raise ValueError(f"the footprint of {algorithm!r} is misflagged as degenerate")
+            prints[algorithm] = print_
+            metrics[algorithm] = {
+                **numbers,
+                "area_good_norm": _number(block["area_good_norm"]),
+                "area_net_norm": _number(block["area_net_norm"]),
+                "degenerate": print_.is_degenerate,
+            }
+        return prints, metrics, _columns(data, "overlap", algorithms, len(algorithms), _floats)
 
     return read(out_dir, "footprints.json", decode)
 
 
+def _optional_number(value) -> float | None:
+    return None if value is None else _number(value)
+
+
+def _selector_metrics(data: dict, table: InstanceTable) -> dict:
+    """One metrics.json block: each algorithm's accuracy, precision and
+    recall, then the two aggregates, each a number or null."""
+    per_algorithm = data["per_algorithm"]
+    _check_algorithms(per_algorithm, table, "metrics")
+    return {
+        "per_algorithm": {
+            algorithm: {
+                k: _optional_number(per_algorithm[algorithm][k])  # TypeError unless a dict
+                for k in ("accuracy", "precision", "recall")
+            }
+            for algorithm in per_algorithm
+        },
+        "accuracy": _optional_number(data["accuracy"]),
+        "precision": _optional_number(data["precision"]),
+    }
+
+
 def read_metrics(out_dir: Path, table: InstanceTable) -> dict:
-    """metrics.json; selector metrics of another table's algorithms are stale."""
+    """metrics.json, its every metric a number or null; selector metrics of
+    another table's algorithms are stale."""
 
     def decode(data: dict) -> dict:
-        for block in ("cv", "training"):
-            _check_algorithms(data[block]["per_algorithm"], table, "metrics")
-        return data
+        return {block: _selector_metrics(data[block], table) for block in ("cv", "training")}
 
     return read(out_dir, "metrics.json", decode)

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +30,7 @@ class TooFewInstances(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SvmModel:
+class SvmModel(NamedTuple):
     support_vectors: np.ndarray  # (k, 2)
     alphas: np.ndarray  # (k,)
     labels: np.ndarray  # (k,) of +/-1
@@ -255,8 +253,7 @@ def decision_values(model: SvmModel, coords: Coordinates2D) -> np.ndarray:
     return k @ (model.alphas * model.labels) + model.bias
 
 
-@dataclass(frozen=True)
-class ClassifierMetrics:
+class ClassifierMetrics(NamedTuple):
     """Pooled held-out metrics for one binary classifier. Precision and recall
     are None when undefined (no predicted / no actual positives)."""
 

@@ -7,10 +7,10 @@ bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
 
 How each artifact is written and read is `artifacts`' business. Every
-module that imports numpy, and `dataclasses`, is imported inside the stages
-that run it, so `eapr select` loads only this module, `artifacts` and
-`ranker`, and neither numpy nor `dataclasses`: `PipelineConfig` is a
-`ranker.Checked` NamedTuple, like the records `ranker` holds.
+module that imports numpy is imported inside the stages that run it, so
+`eapr select` loads only this module, `artifacts` and `ranker`, and no
+numpy: `PipelineConfig` is a `ranker.Checked` NamedTuple, like every record
+with an invariant.
 """
 from __future__ import annotations
 
@@ -223,8 +223,6 @@ def _final_subset(
 
 def stage_select_features(cfg: PipelineConfig) -> None:
     """Run the GA feature search over table.json."""
-    from dataclasses import asdict, replace
-
     from . import selection
     from .model import FeatureSubset
     from .seeds import derive_seed
@@ -236,7 +234,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
     repeats_out = []
     try:
         for r in range(cfg.repeats):
-            ga = replace(cfg.ga, seed=derive_seed(stage_seed, f"repeat:{r}"))
+            ga = cfg.ga._replace(seed=derive_seed(stage_seed, f"repeat:{r}"))
             result = selection.run_ga(table, ga)
             winners.append((result.best, result.best_fitness))
             repeats_out.append(
@@ -259,7 +257,7 @@ def stage_select_features(cfg: PipelineConfig) -> None:
         "selection.json",
         {
             "selected": list(final),
-            "fitness": asdict(fitness),
+            "fitness": fitness._asdict(),
             "frequencies": frequencies,
             "repeats": repeats_out,
         },
@@ -314,8 +312,6 @@ def stage_footprint(cfg: PipelineConfig) -> None:
 
 def stage_classify(cfg: PipelineConfig) -> None:
     """Train per-algorithm SVMs and selector metrics."""
-    from dataclasses import asdict, fields
-
     import numpy as np
 
     from . import classify
@@ -348,7 +344,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
     for algorithm, y in plan:
         if y is None:
             print(f"warning: skipping degenerate labels for {algorithm}", file=sys.stderr)
-            empty = dict.fromkeys(f.name for f in fields(classify.ClassifierMetrics))
+            empty = dict.fromkeys(classify.ClassifierMetrics._fields)
             cv_metrics[algorithm] = train_metrics[algorithm] = empty
             continue
         ([model], predicted), (_, held_out) = next(results), next(results)
@@ -356,8 +352,8 @@ def stage_classify(cfg: PipelineConfig) -> None:
             print(f"warning: selector SVM for {algorithm} did not converge in "
                   f"{cfg.svm.max_passes}*n pair updates (n = {len(y)})", file=sys.stderr)
         models[algorithm] = artifacts.svm_to_dict(model)
-        train_metrics[algorithm] = asdict(classify.compute_metrics(y, predicted))
-        cv_metrics[algorithm] = asdict(classify.compute_metrics(y, held_out))
+        train_metrics[algorithm] = classify.compute_metrics(y, predicted)._asdict()
+        cv_metrics[algorithm] = classify.compute_metrics(y, held_out)._asdict()
 
     if not models:
         raise CliFailure("E_DEGENERATE", "no algorithm has trainable labels")
@@ -388,7 +384,7 @@ def stage_plot(cfg: PipelineConfig) -> None:
     sel = artifacts.read_selection(out, table)
     pca = artifacts.read_pca(out, sel["selected"])
     coords = artifacts.read_coords(out, table)
-    foot, prints, footprint_metrics = artifacts.read_footprints(out, table)
+    prints, footprint_metrics, overlap = artifacts.read_footprints(out, table)
     metrics = artifacts.read_metrics(out, table)
 
     # Every SVG draws the same points; the batch's children inherit them.
@@ -429,9 +425,9 @@ def stage_plot(cfg: PipelineConfig) -> None:
             "explained_variance_ratios": project.explained_variance(pca),
         },
         "selection": sel,
-        "algorithms": foot["algorithms"],
+        "algorithms": list(prints),
         "footprints": footprint_metrics,
-        "overlap": foot["overlap"],
+        "overlap": overlap,
         "selector": metrics,
         "instances": {"count": len(table), "datasets": Counter(table.dataset_tags)},
     }

@@ -1,8 +1,7 @@
 """Convex-hull footprints: hulls, shoelace areas, clipping, purity and overlap."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,12 +17,12 @@ class DegenerateFootprint(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConvexPolygon:
+class ConvexPolygon(NamedTuple):
     """Strictly convex polygon: counter-clockwise extreme points only.
 
     Fewer than 3 non-collinear input points yield the degenerate empty
-    polygon, which has zero area.
+    polygon, which has zero area. ``len(polygon.vertices)`` counts the
+    vertices; ``len(polygon)``, a tuple's, is 1.
     """
 
     vertices: tuple[Point, ...]
@@ -31,9 +30,6 @@ class ConvexPolygon:
     @property
     def is_degenerate(self) -> bool:
         return len(self.vertices) < 3
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 EMPTY_POLYGON = ConvexPolygon(())
@@ -135,8 +131,7 @@ def convex_intersection(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon:
     return convex_hull(output)
 
 
-@dataclass(frozen=True)
-class Footprint:
+class Footprint(NamedTuple):
     """Where one algorithm performs well in the 2D instance space.
 
     area_net subtracts the region contradicted by BAD evidence (the

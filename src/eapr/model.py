@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .ranker import Checked
 
 # Geometric stages (hulls, PCA) need at least this many rows.
 MIN_GEOMETRY_ROWS = 3
@@ -23,8 +24,7 @@ class Outcome(enum.IntEnum):
     MISSING = 0
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken table invariant. ``row`` is an instance id, ``column`` a field name;
     either may be None for table-level rules."""
 
@@ -37,13 +37,17 @@ class Violation:
         return f"{self.rule} ({loc})" if loc else self.rule
 
 
-@dataclass(frozen=True)
-class FeatureSubset:
-    """A non-empty set of feature names chosen out of a table's candidates."""
-
+class _FeatureSubsetFields(NamedTuple):
     selected: frozenset[str]
 
-    def __post_init__(self) -> None:
+
+class FeatureSubset(Checked, _FeatureSubsetFields):
+    """A non-empty set of feature names chosen out of a table's candidates.
+    ``len(subset.selected)`` counts them; ``len(subset)``, a tuple's, is 1."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if not self.selected:
             raise ValueError("feature subset must be non-empty")
 
@@ -54,9 +58,6 @@ class FeatureSubset:
     @property
     def sorted_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.selected))
-
-    def __len__(self) -> int:
-        return len(self.selected)
 
 
 # Per-instance (z1, z2) pairs as an (n, 2) float array, row-aligned with the table.
@@ -74,7 +75,6 @@ def _frozen_array(values, dtype, shape: tuple[int, int]) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)
 class InstanceTable:
     """Instances crossed with features and per-algorithm outcomes, as columns.
 
@@ -82,28 +82,27 @@ class InstanceTable:
     array, columns ordered like ``feature_names``; ``outcomes`` is an (n, a)
     int8 array, columns ordered like ``algorithm_names``, holding ``Outcome``
     codes (+1 GOOD, -1 BAD, 0 MISSING). Both arrays are read-only
-    copies of what the constructor was given.
+    copies of what the constructor was given. Tables compare by identity.
     """
 
-    feature_names: tuple[str, ...]
-    algorithm_names: tuple[str, ...]
-    instance_ids: tuple[str, ...]
-    dataset_tags: tuple[str, ...]
-    features: np.ndarray
-    outcomes: np.ndarray
+    __slots__ = ("feature_names", "algorithm_names", "instance_ids", "dataset_tags",
+                 "features", "outcomes")
 
-    def __post_init__(self) -> None:
-        fix = lambda name, value: object.__setattr__(self, name, value)
-        for name in ("feature_names", "algorithm_names", "instance_ids", "dataset_tags"):
-            fix(name, tuple(getattr(self, name)))
+    def __init__(
+        self, feature_names: Iterable[str], algorithm_names: Iterable[str],
+        instance_ids: Iterable[str], dataset_tags: Iterable[str], features, outcomes,
+    ) -> None:
+        self.feature_names = tuple(feature_names)
+        self.algorithm_names = tuple(algorithm_names)
+        self.instance_ids = tuple(instance_ids)
+        self.dataset_tags = tuple(dataset_tags)
         n = len(self.instance_ids)
         if len(self.dataset_tags) != n:
             raise ValueError(f"{len(self.dataset_tags)} dataset tags for {n} rows")
-        fix("features", _frozen_array(self.features, np.float64, (n, len(self.feature_names))))
-        outcomes = _frozen_array(self.outcomes, np.int8, (n, len(self.algorithm_names)))
-        if not np.isin(outcomes, tuple(Outcome)).all():
+        self.features = _frozen_array(features, np.float64, (n, len(self.feature_names)))
+        self.outcomes = _frozen_array(outcomes, np.int8, (n, len(self.algorithm_names)))
+        if not np.isin(self.outcomes, tuple(Outcome)).all():
             raise ValueError("outcome codes must be +1, -1 or 0")
-        fix("outcomes", outcomes)
 
     def __len__(self) -> int:
         return len(self.instance_ids)

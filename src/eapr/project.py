@@ -140,7 +140,7 @@ def fit_projection(
     """
     matrix, names, means, stds, dropped = standardize(table, subset)
     if matrix.shape[1] < 2:
-        raise AllFeaturesDropped(f"only 1 of {len(subset)} columns has variance")
+        raise AllFeaturesDropped(f"only 1 of {len(subset.selected)} columns has variance")
     eigenvalues, loadings, explained = fit_pca(matrix)
     model = Projection(
         features=names,

@@ -8,10 +8,12 @@ numpy: ``project`` and ``decision_value`` apply the formulas of
 and pca_model.json stores it) and ``SvmConfig`` (models.json stores it with
 every fit) live here because ``eapr select`` reads and checks both.
 
-The records here, and ``cli.PipelineConfig``, are ``Checked`` NamedTuples
-rather than dataclasses: ``dataclasses`` imports ``inspect`` and builds each
-class's methods from source, which a ``select`` process, importing only
-``cli``, ``artifacts`` and this module, would pay for at every start.
+Every record of the program but ``model.InstanceTable``, a ``__slots__``
+class of arrays, is a NamedTuple, and one with an invariant has ``Checked``,
+defined here, as its first base: the records here, ``cli.PipelineConfig``,
+``selection.GaConfig``, ``report.PlotSpec`` and ``model.FeatureSubset``. No
+module imports ``dataclasses``, which imports ``inspect`` and builds each
+class's methods from source at import.
 
 Where numpy gives ``inf`` or ``nan``, a float operation may raise an
 ``ArithmeticError``: ``ZeroDivisionError`` on a zero std, ``OverflowError``

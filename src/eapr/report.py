@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import string
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .footprint import ConvexPolygon, Footprint
 from .model import Coordinates2D, Outcome, json_text
+from .ranker import Checked
 
 GOOD_COLOR = "#0072B2"
 BAD_COLOR = "#D55E00"
@@ -49,14 +49,17 @@ class ReportInvariantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlotSpec:
+class _PlotSpecFields(NamedTuple):
     width: int = 640
     height: int = 480
     margin: int = 48
     point_radius: float = 3.0
 
-    def __post_init__(self) -> None:
+
+class PlotSpec(Checked, _PlotSpecFields):
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
             raise ValueError("width and height must exceed twice the margin")
         if not 0.0 < self.point_radius < math.inf:

@@ -6,8 +6,7 @@ exactly when the projected space it induces separates GOOD from BAD.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,6 +15,7 @@ import numpy as np
 from .classify import SvmConfig, cross_val_predict, cv_splits, train_svm
 from .model import FeatureSubset, InstanceTable
 from .project import AllFeaturesDropped, fit_projection
+from .ranker import Checked
 from .seeds import derive_seed
 
 
@@ -23,10 +23,7 @@ class DegenerateLabels(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GaConfig:
-    """Search parameters. ``mutation_rate`` of None means 1/n per bit."""
-
+class _GaConfigFields(NamedTuple):
     population_size: int = 50
     generations: int = 100
     crossover_rate: float = 0.9
@@ -37,7 +34,13 @@ class GaConfig:
     cv_folds: int = 5
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class GaConfig(Checked, _GaConfigFields):
+    """Search parameters. ``mutation_rate`` of None means 1/n per bit."""
+
+    __slots__ = ()
+
+    def _check(self) -> None:
         if self.population_size < 1:
             raise ValueError("population_size must be positive")
         if self.generations < 0:
@@ -56,14 +59,12 @@ class GaConfig:
             raise ValueError("cv_folds must be >= 2")
 
 
-@dataclass(frozen=True)
-class FitnessValue:
+class FitnessValue(NamedTuple):
     mean_cv_accuracy: float
     subset_size: int
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     best: FeatureSubset
     best_fitness: FitnessValue
     history: tuple[FitnessValue, ...]
@@ -101,7 +102,7 @@ def evaluate_subsets(
     """
     max_k = min(config.max_k, len(table.feature_names))
     for subset in subsets:
-        size = len(subset)
+        size = len(subset.selected)
         if not config.min_k <= size <= max_k:
             raise ValueError(f"subset size {size} outside [{config.min_k}, {config.max_k}]")
 
@@ -128,10 +129,10 @@ def evaluate_subsets(
              for coords in projected.values() for idx, y, splits in plan]
     predictions = iter(cross_val_predict(tasks))
 
-    values = [FitnessValue(0.0, len(subset)) for subset in subsets]
+    values = [FitnessValue(0.0, len(subset.selected)) for subset in subsets]
     for pos in projected:
         accuracies = [float(np.mean(next(predictions)[1] == y)) for _, y, _ in plan]
-        values[pos] = FitnessValue(float(np.mean(accuracies)), len(subsets[pos]))
+        values[pos] = FitnessValue(float(np.mean(accuracies)), len(subsets[pos].selected))
     return values
 
 

@@ -6,7 +6,6 @@ points at it; everything else is self-contained and seeded.
 """
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +104,7 @@ def test_criterion_3_feature_selection_recovery():
 
     hits = 0
     for seed in range(10):
-        result = run_ga(table, replace(config, seed=seed))
+        result = run_ga(table, config._replace(seed=seed))
         if {"f1", "f2"} <= set(result.best.selected):
             hits += 1
     assert hits >= 8

@@ -152,6 +152,29 @@ class TestPipeline:
         assert r2["provenance"]["config"]["seed"] == 8
 
 
+# Name -> (artifact, the keys to one of its values, what that value becomes).
+# Each edit gave a traceback in report._AxisMap.pixels, or exit 0 with the
+# value in report.json.
+MISTYPED_READS = {
+    "vertex-not-a-pair": (
+        "footprints.json", ("footprints", "A", "good_hull"), [[0.0], [1.0, 2.0], [3.0, 4.0]]
+    ),
+    "vertex-of-strings": ("footprints.json", ("footprints", "A", "good_hull"), [["x", "y"]] * 3),
+    "purity-str": ("footprints.json", ("footprints", "A", "purity"), "oops"),
+    "area-bool": ("footprints.json", ("footprints", "B", "area_net"), True),
+    "norm-null": ("footprints.json", ("footprints", "C", "area_good_norm"), None),
+    "degenerate-str": ("footprints.json", ("footprints", "A", "degenerate"), "no"),
+    "degenerate-misflagged": ("footprints.json", ("footprints", "A", "degenerate"), True),
+    "algorithm-of-another-key": ("footprints.json", ("footprints", "A", "algorithm"), "B"),
+    "overlap-str": ("footprints.json", ("overlap", 0, 1), "x"),
+    "overlap-short-row": ("footprints.json", ("overlap", 2), [1.0, 0.5]),
+    "accuracy-str": ("metrics.json", ("cv", "per_algorithm", "A", "accuracy"), "high"),
+    "recall-list": ("metrics.json", ("training", "per_algorithm", "C", "recall"), [1.0]),
+    "aggregate-precision-str": ("metrics.json", ("cv", "precision"), "1.0"),
+    "aggregate-accuracy-object": ("metrics.json", ("training", "accuracy"), {}),
+}
+
+
 class TestStages:
     def test_staged_equals_pipeline(self, tmp_path, synthetic60_path):
         # each stage in its own process, so each one decodes table.json
@@ -441,6 +464,24 @@ class TestStages:
         result = invoke(["plot", "--config", str(cfg)])
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert (result.exit_code, result.stderr) == (1, "E_STAGE project\n")
+
+    @pytest.mark.parametrize("artifact, keys, value", MISTYPED_READS.values(), ids=MISTYPED_READS)
+    def test_footprint_or_metric_of_another_type_or_shape_names_its_stage(
+        self, tmp_path, synthetic60_path, synthetic60_models, artifact, keys, value
+    ):
+        out = tmp_path / "edited"
+        shutil.copytree(synthetic60_models["rbf"], out)
+        path = out / artifact
+        data = json.loads(path.read_text())
+        parent = data
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = eapr_in_a_process("plot", "--config", str(cfg))
+        stage = artifacts.WRITTEN_BY[artifact]
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stage}\n")
 
     def test_truncated_coordinates_names_project(self, tmp_path, synthetic60_path):
         result, out = run_pipeline(tmp_path, synthetic60_path, "trunc")
@@ -988,6 +1029,24 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
                   "eapr.report", "eapr.footprint", "eapr.ingest", "eapr.seeds", "hashlib",
                   "csv", "multiprocessing"}
     assert not loaded & stage_only
+
+
+def test_no_command_loads_dataclasses(tmp_path, synthetic60_path):
+    # the program's records are NamedTuples and one __slots__ class; numpy
+    # imports inspect itself, so only dataclasses is absent from a pipeline
+    cfg = write_config(tmp_path, synthetic60_path, tmp_path / "staged")
+    runs = [("pipeline", "--config", str(cfg), "--output", str(tmp_path / "mono"))]
+    runs += [(stage, "--config", str(cfg)) for stage in cli._STAGE_FNS]
+    for args in runs:
+        result = eapr_in_a_process(*args, flags=("-X", "importtime"))
+        assert result.returncode == 0, result.stderr
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "numpy" in loaded, args[0]
+        assert "dataclasses" not in loaded, args[0]
 
 
 def test_package_import_loads_no_submodule():

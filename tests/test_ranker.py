@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from eapr import artifacts, ranker
 from eapr.classify import SvmModel, decision_values
+from eapr.model import FeatureSubset
 from eapr.project import project_features
 from eapr.ranker import Projection, SvmConfig
+from eapr.report import PlotSpec
+from eapr.selection import GaConfig
 
 from conftest import invoke
 
@@ -190,32 +193,70 @@ def test_models_that_are_not_an_object_are_corrupt():
         artifacts.scorers_from_dict({"models": []})
 
 
-def test_records_keep_the_dataclass_contract():
+# (record, the repr its dataclass had, a change that keeps it valid, one that
+# breaks a check, and that check's message)
+CHECKED_RECORDS = [
+    pytest.param(
+        SvmConfig(kernel="linear", C=2.0, seed=3),
+        "SvmConfig(kernel='linear', C=2.0, gamma='median-heuristic', tolerance=0.001, "
+        "max_passes=200, seed=3)",
+        {"seed": 9}, {"C": 0.0}, "C must be positive and finite",
+        id="SvmConfig",
+    ),
+    pytest.param(
+        pca_model([0.0, 1.0], [0.5, 2.0], [[0.6, 0.8], [0.8, -0.6]]),
+        "Projection(features=('x0', 'x1'), dropped=(), means=(0.0, 1.0), stds=(0.5, 2.0), "
+        "loadings=((0.6, 0.8), (0.8, -0.6)), eigenvalues=(2.0, 1.0), explained_variance_2d=1.0)",
+        {"dropped": ("x2",)}, {"means": (0.0,)}, "1 means for 2 features",
+        id="Projection",
+    ),
+    pytest.param(
+        GaConfig(population_size=6, min_k=2, max_k=3, seed=3),
+        "GaConfig(population_size=6, generations=100, crossover_rate=0.9, mutation_rate=None, "
+        "tournament_size=2, min_k=2, max_k=3, cv_folds=5, seed=3)",
+        {"mutation_rate": 0.5}, {"tournament_size": 7},
+        r"tournament_size must be in \[1, population_size\]",
+        id="GaConfig",
+    ),
+    pytest.param(
+        PlotSpec(width=320, point_radius=2.5),
+        "PlotSpec(width=320, height=480, margin=48, point_radius=2.5)",
+        {"margin": 10}, {"point_radius": math.inf}, "point_radius must be positive and finite",
+        id="PlotSpec",
+    ),
+    pytest.param(
+        FeatureSubset.of(["a"]),
+        "FeatureSubset(selected=frozenset({'a'}))",
+        {"selected": frozenset("c")}, {"selected": frozenset()}, "feature subset must be non-empty",
+        id="FeatureSubset",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text, valid, invalid, error", CHECKED_RECORDS)
+def test_records_keep_the_dataclass_contract(record, text, valid, invalid, error):
     # the records are NamedTuples; what their callers relied on as frozen
     # dataclasses holds: value equality and hash, the repr, no assignment,
     # and checks that run on every way to make one
-    config = SvmConfig(kernel="linear", C=2.0, seed=3)
-    assert config == SvmConfig(kernel="linear", C=2.0, seed=3) != SvmConfig()
-    assert len({config, SvmConfig(kernel="linear", C=2.0, seed=3), SvmConfig()}) == 2
-    assert repr(SvmConfig()) == (
-        "SvmConfig(kernel='rbf', C=1.0, gamma='median-heuristic', tolerance=0.001, "
-        "max_passes=200, seed=0)"
-    )
-    for field, value in (("C", 5.0), ("extra", 1)):
+    kind = type(record)
+    copy = kind(**record._asdict())
+    changed = record._replace(**valid)
+    assert record == copy != changed
+    assert len({record, copy, changed}) == 2
+    assert repr(record) == text
+    for field, value in ((kind._fields[0], getattr(changed, kind._fields[0])), ("extra", 1)):
         with pytest.raises(AttributeError):
-            setattr(config, field, value)
+            setattr(record, field, value)
 
-    restored = pickle.loads(pickle.dumps(config))
-    assert (type(restored), restored) == (SvmConfig, config)
-    with pytest.raises(ValueError, match="^unknown kernel 'spline'$"):
-        pickle.loads(pickle.dumps(config).replace(b"linear", b"spline"))
+    restored = pickle.loads(pickle.dumps(record))
+    assert (type(restored), restored) == (kind, record)
+    # a pickle of a record that skipped its checks: loading it checks
+    forged = tuple.__new__(kind, {**record._asdict(), **invalid}.values())
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        pickle.loads(pickle.dumps(forged))
 
-    moved = config._replace(seed=9)
-    assert (type(moved), moved.seed, moved._replace(seed=3)) == (SvmConfig, 9, config)
-    with pytest.raises(ValueError, match="^C must be positive and finite$"):
-        config._replace(C=0.0)
-
-    pca = pca_model([0.0, 1.0], [0.5, 2.0], [[0.6, 0.8], [0.8, -0.6]])
-    assert pickle.loads(pickle.dumps(pca)) == pca
-    with pytest.raises(ValueError, match="^1 means for 2 features$"):
-        pca._replace(means=(0.0,))
+    assert (type(changed), changed._replace(**record._asdict())) == (kind, record)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        record._replace(**invalid)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        kind(**{**record._asdict(), **invalid})

@@ -1,11 +1,10 @@
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import eapr.classify as classify
 import eapr.selection as selection
-from eapr.model import FeatureSubset
+from eapr.model import FeatureSubset, InstanceTable
 from eapr.selection import (
     DegenerateLabels,
     FitnessValue,
@@ -29,7 +28,14 @@ def shuffle_labels(table, seed):
         table.outcomes[rng.permutation(len(table)), j]
         for j in range(len(table.algorithm_names))
     ]
-    return replace(table, outcomes=np.column_stack(columns))
+    return InstanceTable(
+        table.feature_names,
+        table.algorithm_names,
+        table.instance_ids,
+        table.dataset_tags,
+        table.features,
+        np.column_stack(columns),
+    )
 
 
 def fold_fits(monkeypatch):
@@ -191,7 +197,7 @@ class TestRunGa:
         original = selection.evaluate_subsets
 
         def spy(tbl, subsets, cfg, seed):
-            seen.extend(len(subset) for subset in subsets)
+            seen.extend(len(subset.selected) for subset in subsets)
             return original(tbl, subsets, cfg, seed)
 
         monkeypatch.setattr(selection, "evaluate_subsets", spy)
