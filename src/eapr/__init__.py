@@ -10,8 +10,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it. ``from eapr import name``
-# imports that submodule on first use (PEP 562), so importing the package, or
-# ``eapr.cli`` for ``eapr select``, loads no module the caller does not run.
+# imports that submodule on first use (PEP 562): importing the package loads none.
 _EXPORTS = {
     **dict.fromkeys(
         ["Coordinates2D", "FeatureSubset", "InstanceTable", "Outcome", "Violation",

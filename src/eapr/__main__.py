@@ -1,16 +1,14 @@
 """The command-line entry point of ``python -m eapr`` and the ``eapr`` script.
 
-Python's cyclic garbage collector has nothing to collect in an ``eapr``
-process: a pipeline, a stage and ``select`` make no reference cycles (a test
-in ``tests/test_cli.py`` keeps it so), and the few that imports and the
-argument parser leave live until exit. So the process runs without it.
-``main`` turns it off before ``eapr.cli``, argparse and numpy are imported,
-and freezes the heap at exit, so neither the run nor interpreter shutdown
+``main`` sends an argument list that begins with ``select`` to
+``eapr.query``, which does not import ``eapr.cli``, and every other to
+``eapr.cli``. It turns Python's cyclic garbage collector off before either
+is imported and freezes the heap at exit: a run makes no reference cycles (a
+test in ``tests/test_cli.py`` keeps it so), and those that imports and the
+parser leave live until exit, so neither the run nor interpreter shutdown
 walks the heap. Forked ``map_jobs`` children inherit the disabled collector
-and leave by ``os._exit``.
-
-Only ``main`` touches the collector: importing ``eapr``, this module or
-``eapr.cli`` leaves it as the interpreter set it.
+and leave by ``os._exit``. Importing ``eapr``, this module or ``eapr.cli``
+leaves the collector as the interpreter set it.
 """
 import gc
 import sys
@@ -19,7 +17,10 @@ import sys
 def main() -> None:
     gc.disable()
     try:
-        from .cli import main as run
+        if sys.argv[1:2] == ["select"]:
+            from .query import main as run
+        else:
+            from .cli import main as run
 
         sys.exit(run())
     finally:

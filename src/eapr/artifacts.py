@@ -1,54 +1,33 @@
-"""The output directory's format: which stage writes each JSON artifact, and
-how each is written and read back.
+"""The output directory's format: how each JSON artifact is written and read
+back. ``codec``, which ``eapr select`` loads alone, holds the part the model
+files need: which stage writes each artifact, the one read, the value checks
+and the two model decoders; they are imported here too, so
+``artifacts.read`` is ``codec.read``.
 
 Every artifact is the text of ``model.json_text`` plus a newline. A read that
 fails in any way (a missing, unreadable or malformed file, ``NaN``,
 ``Infinity`` and nesting too deep to parse included, or a stale one) gives
 ``E_STAGE <stage that writes it>``. ``report.json`` is written by
 ``report.write_report``, and the SVGs, which no stage reads, by the ``plot``
-stage.
-
-``eapr select`` reads the model files through this module into the float
-forms of ``ranker``, so the module imports numpy and the numpy-backed
-modules only inside the codecs that build or read their objects, and a
-``select`` imports none of them. A record, a NamedTuple, is written through
+stage. numpy and the numpy-backed modules are imported only inside the codecs
+that build or read their objects. A record, a NamedTuple, is written through
 its codec's dict (``pca_to_dict``, ``svm_to_dict``, ``footprint_block``),
 never as itself: ``model.json_text`` would write a tuple subclass as a list.
 """
 from __future__ import annotations
 
-import json
-import math
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import ranker
+from .codec import (WRITTEN_BY, CliFailure, _floats, _names, _number, _parse, _typed,
+                    projection_from_dict, read, scorer_from_dict, scorers_from_dict)
 
 if TYPE_CHECKING:
+    from pathlib import Path
+
     import numpy as np
 
-    from . import classify, footprint as fp
+    from . import classify, footprint as fp, ranker
     from .model import InstanceTable
-
-# Artifact -> the stage that writes it.
-WRITTEN_BY = {
-    "table.json": "ingest",
-    "selection.json": "select-features",
-    "pca_model.json": "project",
-    "coordinates.json": "project",
-    "footprints.json": "footprint",
-    "models.json": "classify",
-    "metrics.json": "classify",
-}
-
-
-class CliFailure(Exception):
-    """Carries a machine-parsable error code; printed as `CODE detail`."""
-
-    def __init__(self, code: str, detail: str = ""):
-        super().__init__(f"{code} {detail}".strip())
-        self.code = code
-        self.detail = detail
 
 
 def write(out_dir: Path, name: str, data) -> bytes:
@@ -58,46 +37,6 @@ def write(out_dir: Path, name: str, data) -> bytes:
     raw = (json_text(data) + "\n").encode("utf-8")
     (out_dir / name).write_bytes(raw)
     return raw
-
-
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
-
-
-def _parse(raw: bytes):
-    return json.loads(raw.decode("utf-8"), parse_constant=_no_constant)
-
-
-def read(out_dir: Path, name: str, decode=lambda data: data, parse=_parse):
-    """Load one artifact: parse its bytes, then decode the result; a failure
-    of either gives `E_STAGE <stage that writes it>`."""
-    try:
-        return decode(parse((out_dir / name).read_bytes()))
-    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        raise CliFailure("E_STAGE", WRITTEN_BY[name]) from exc
-
-
-def _number(value) -> float:
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, not {type(value).__name__}")
-    if not math.isfinite(value):  # 1e999 parses as inf
-        raise ValueError("expected a finite number")
-    return float(value)
-
-
-def _floats(values) -> tuple[float, ...]:
-    if type(values) is not list or not set(map(type, values)) <= {int, float}:
-        raise TypeError("expected a list of numbers")
-    floats = tuple(map(float, values))
-    if not all(map(math.isfinite, floats)):
-        raise ValueError("expected finite numbers")
-    return floats
-
-
-def _names(values) -> tuple[str, ...]:
-    if type(values) is not list or not set(map(type, values)) <= {str}:
-        raise TypeError("expected a list of names")
-    return tuple(values)
 
 
 def table_to_dict(table: InstanceTable, digest: str) -> dict:
@@ -237,13 +176,52 @@ def read_coords(out_dir: Path, table: InstanceTable) -> np.ndarray:
     return read(out_dir, "coordinates.json", decode, parse)
 
 
-def read_selection(out_dir: Path, table: InstanceTable) -> dict:
-    """selection.json; a selection of features the table lacks is stale."""
+def _exact(block, keys: tuple[str, ...]) -> dict:
+    """``block``, an object of exactly ``keys``."""
+    if type(block) is not dict or block.keys() != set(keys):
+        raise ValueError(f"expected an object of {', '.join(keys)}")
+    return block
 
-    def decode(data: dict) -> dict:
-        if not set(data["selected"]) <= set(table.feature_names):
+
+def read_selection(out_dir: Path, table: InstanceTable) -> dict:
+    """selection.json, decoded: the selected features, without duplicates;
+    the final subset's fitness; the frequency of each feature a repeat chose;
+    and each repeat's winner (its features, accuracy and size) and history.
+    Every object has exactly its keys; a selection of features the table
+    lacks is stale."""
+
+    def features(values) -> tuple[str, ...]:
+        names = _names(values)
+        if not set(names) <= set(table.feature_names):
             raise ValueError("the selection names features the table lacks")
-        return data
+        return names
+
+    def repeat(block) -> dict:
+        _exact(block, ("features", "accuracy", "size", "history"))
+        return {
+            "features": features(block["features"]),
+            "accuracy": _number(block["accuracy"]),
+            "size": _typed(block["size"], int),
+            "history": _floats(block["history"]),
+        }
+
+    def decode(data) -> dict:
+        _exact(data, ("selected", "fitness", "frequencies", "repeats"))
+        selected = features(data["selected"])
+        if len(set(selected)) != len(selected):
+            raise ValueError("the selection names a feature twice")
+        fitness = _exact(data["fitness"], ("mean_cv_accuracy", "subset_size"))
+        frequencies = _typed(data["frequencies"], dict)
+        return {
+            "selected": selected,
+            "fitness": {
+                "mean_cv_accuracy": _number(fitness["mean_cv_accuracy"]),
+                "subset_size": _typed(fitness["subset_size"], int),
+            },
+            "frequencies": dict(zip(features(list(frequencies)),
+                                    map(_number, frequencies.values()))),
+            "repeats": list(map(repeat, _typed(data["repeats"], list))),
+        }
 
     return read(out_dir, "selection.json", decode)
 
@@ -258,20 +236,6 @@ def pca_to_dict(model: ranker.Projection) -> dict:
         "eigenvalues": list(model.eigenvalues),
         "explained_variance_2d": model.explained_variance_2d,
     }
-
-
-def projection_from_dict(data: dict) -> ranker.Projection:
-    """pca_model.json, every list checked against the features; the
-    eigenvalues, which only report.json uses, are checked to be numbers."""
-    return ranker.Projection(
-        features=_names(data["features"]),
-        dropped=_names(data["dropped"]),
-        means=_floats(data["means"]),
-        stds=_floats(data["stds"]),
-        loadings=tuple(map(_floats, data["loadings"])),
-        eigenvalues=_floats(data["eigenvalues"]),
-        explained_variance_2d=_number(data["explained_variance_2d"]),
-    )
 
 
 def read_pca(out_dir: Path, selected: list[str]) -> ranker.Projection:
@@ -297,48 +261,6 @@ def svm_to_dict(model: classify.SvmModel) -> dict:
         "bias": model.bias,
         "converged": model.converged,
     }
-
-
-def _typed(value, kind: type):
-    if type(value) is not kind:  # so a bool is no int
-        raise TypeError(f"expected {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
-def scorer_from_dict(data: dict) -> ranker.Scorer:
-    """One models.json block as floats: each setting checked to be of its
-    JSON type, then all checked as an ``SvmConfig``, and its alphas and labels
-    checked against its support vectors."""
-    config = ranker.SvmConfig(
-        kernel=_typed(data["kernel"], str),
-        C=_number(data["C"]),
-        gamma=_number(data["gamma"]),
-        tolerance=_number(data["tolerance"]),
-        max_passes=_typed(data["max_passes"], int),
-        seed=_typed(data["seed"], int),
-    )
-    _typed(data["converged"], bool)
-    return ranker.Scorer(
-        kernel=config.kernel,
-        gamma=config.gamma,
-        support_vectors=tuple(map(_floats, data["support_vectors"])),
-        alphas=_floats(data["alphas"]),
-        labels=_floats(data["labels"]),
-        bias=_number(data["bias"]),
-    )
-
-
-def scorers_from_dict(data: dict) -> dict[str, ranker.Scorer]:
-    """models.json as each algorithm's float decision function. A name that
-    UTF-8 cannot encode (a lone surrogate, which a JSON escape can hold)
-    raises UnicodeEncodeError, a ValueError, here rather than when printed."""
-    if type(data["models"]) is not dict:
-        raise TypeError("expected an object of models")
-    scorers = {}
-    for algorithm, block in data["models"].items():
-        algorithm.encode("utf-8")
-        scorers[algorithm] = scorer_from_dict(block)
-    return scorers
 
 
 # The footprints.json block fields holding hull vertices; the other fields,

@@ -7,15 +7,14 @@ bytes. All randomness derives from one global seed (config `seed`, overridden
 by the EAPR_SEED environment variable, overridden by --seed).
 
 How each artifact is written and read is `artifacts`' business. Every
-module that imports numpy is imported inside the stages that run it, so
-`eapr select` loads only this module, `artifacts` and `ranker`, and no
-numpy: `PipelineConfig` is a `ranker.Checked` NamedTuple, like every record
-with an invariant.
+module that imports numpy is imported inside the stages that run it:
+`PipelineConfig` is a `ranker.Checked` NamedTuple, like every record with an
+invariant. The `select` command is `query`'s, which `eapr select` runs
+without this module; `main` hands it a parsed `select` too.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections import Counter
@@ -23,8 +22,9 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import artifacts, ranker
-from .artifacts import CliFailure
+from . import artifacts, query, ranker
+from .codec import CliFailure
+from .query import cmd_select, rank_for_vector  # bound here too: `cli.cmd_select` is query's
 
 if TYPE_CHECKING:
     from . import classify, report as rpt, selection
@@ -453,108 +453,38 @@ def cmd_pipeline(cfg: PipelineConfig, stages: tuple[str, ...] = tuple(_STAGE_FNS
 
 
 # ---------------------------------------------------------------------------
-# Selection of the best algorithm for a new feature vector
-
-
-def rank_for_vector(model_dir: Path, vector: dict[str, float]) -> list[tuple[str, float]]:
-    """Standardize, project and score one feature vector against saved models."""
-    try:
-        pca = artifacts.read(model_dir, "pca_model.json", artifacts.projection_from_dict)
-        models = artifacts.read(model_dir, "models.json", artifacts.scorers_from_dict)
-    except CliFailure as failure:
-        raise CliFailure(
-            "E_MODEL", f"missing or corrupt model files in {model_dir}: {failure.__cause__}"
-        ) from failure
-    if not models:
-        raise CliFailure("E_MODEL", "no algorithm models present")
-
-    known = set(pca.features) | set(pca.dropped)
-    unknown = set(vector) - known
-    if unknown:
-        raise CliFailure("E_MODEL", f"unknown features: {sorted(unknown)}")
-    missing = set(pca.features) - set(vector)
-    if missing:
-        raise CliFailure("E_MODEL", f"missing features: {sorted(missing)}")
-
-    try:
-        point = ranker.project(pca, [vector[n] for n in pca.features])
-        ranked = ranker.rank(models, point)
-        finite = all(map(math.isfinite, point)) and all(math.isfinite(v) for _, v in ranked)
-    except ArithmeticError:  # a zero std, or an overflow that floats raise on
-        finite = False
-    if not finite:
-        raise CliFailure("E_MODEL", "feature vector gives a non-finite projection or score")
-    return ranked
-
-
-def _parse_vector(text: str) -> dict[str, float]:
-    vector: dict[str, float] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        sep = "," if "," in line else "="
-        if sep not in line:
-            raise CliFailure("E_MODEL", f"stdin line {line_no}: expected name,value")
-        name, value = (part.strip() for part in line.split(sep, 1))
-        if name in vector:
-            raise CliFailure("E_MODEL", f"stdin line {line_no}: duplicate feature {name!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise CliFailure("E_MODEL", f"stdin line {line_no}: bad value {value!r}")
-        vector[name] = number
-    if not vector:
-        raise CliFailure("E_MODEL", "empty feature vector on stdin")
-    return vector
-
-
-def cmd_select(model_dir: Path, stdin_text: str) -> str:
-    ranked = rank_for_vector(model_dir, _parse_vector(stdin_text))
-    return "".join(
-        f"{rank},{algorithm},{value:.6g}\n"
-        for rank, (algorithm, value) in enumerate(ranked, start=1)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Command line
 
 
-def _parser() -> argparse.ArgumentParser:
-    """`eapr COMMAND [options]`: `pipeline`, one command per stage, and `select`."""
-    parser = argparse.ArgumentParser(
-        prog="eapr", allow_abbrev=False,
-        description="Map algorithm effectiveness across a 2D instance space and train a "
-                    "per-algorithm selector.")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+def _run(args: argparse.Namespace) -> None:
+    """`pipeline` or one stage command, as the parsed ``args`` name it."""
+    cfg = build_config(parse_config_file(Path(args.config)) if args.config else {},
+                       args.input, args.output, args.seed, args.repeats,
+                       os.environ.get("EAPR_SEED"))
+    stages = tuple(_STAGE_FNS) if args.command == "pipeline" else (args.command,)
+    cmd_pipeline(cfg, stages)
+    if "plot" in stages:
+        print(f"report written to {cfg.output_dir / 'report.json'}")
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
-        return commands.add_parser(name, help=help_text, description=help_text,
-                                   allow_abbrev=False)
 
+def _add_commands(commands) -> None:
+    """`pipeline`, one command per stage, and `select`."""
     runs = {"pipeline": "Run every stage end to end."}
     runs.update((name, fn.__doc__) for name, fn in _STAGE_FNS.items())
     for name, help_text in runs.items():
-        run = command(name, help_text)
+        run = query.add_command(commands, name, help_text)
         run.add_argument("--config", help="Flat key=value config file.")
         run.add_argument("--input", help="Input CSV (overrides config).")
         run.add_argument("--output", help="Output directory (overrides config).")
         run.add_argument("--seed", type=int, help="Global seed (overrides EAPR_SEED and config).")
         run.add_argument("--repeats", type=int,
                          help="Feature-learning repetitions (overrides config).")
-    select = command(
-        "select", "Rank algorithms for a feature vector given as name,value lines on stdin.")
-    select.add_argument("--models", required=True,
-                        help="Directory holding pca_model.json and models.json.")
-    return parser
+    query.add_select(commands)
 
 
 # Built once: a parser is a web of reference cycles, and `eapr` runs without
 # the cyclic collector (eapr.__main__).
-_PARSER = _parser()
+_PARSER = query.parser(_add_commands)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -562,28 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     return its exit code: 0, or 1 after one `E_*` line on stderr. A usage
     error exits 2 from the parser."""
     args = _PARSER.parse_args(argv)
-    try:
-        if args.command == "select":
-            try:
-                text = sys.stdin.buffer.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CliFailure("E_MODEL", f"stdin is not UTF-8: {exc}") from exc
-            sys.stdout.write(cmd_select(Path(args.models), text))
-            return 0
-        cfg = build_config(parse_config_file(Path(args.config)) if args.config else {},
-                           args.input, args.output, args.seed, args.repeats,
-                           os.environ.get("EAPR_SEED"))
-        stages = tuple(_STAGE_FNS) if args.command == "pipeline" else (args.command,)
-        cmd_pipeline(cfg, stages)
-        if "plot" in stages:
-            print(f"report written to {cfg.output_dir / 'report.json'}")
-    except OSError as exc:  # reads map their own OSError: this is a failed mkdir or write
-        print(f"E_IO {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return 1
-    except CliFailure as failure:
-        print(failure, file=sys.stderr)
-        return 1
-    return 0
+    return query.run(query.select if args.command == "select" else _run, args)
 
 
 if __name__ == "__main__":

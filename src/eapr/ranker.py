@@ -1,23 +1,16 @@
 """The ranking of algorithms for one feature vector, on Python floats.
 
-``eapr select`` answers one query per process with a dozen standardized
-values, two dot products and one kernel sum per algorithm, so it imports no
-numpy: ``project`` and ``decision_value`` apply the formulas of
+``eapr select`` answers one query per process, so it imports no numpy:
+``project`` and ``decision_value`` apply the formulas of
 ``project.project_features`` and ``classify.decision_values`` to floats.
-``Projection`` (the fitted projection: ``project.fit_projection`` returns it
-and pca_model.json stores it) and ``SvmConfig`` (models.json stores it with
-every fit) live here because ``eapr select`` reads and checks both.
-
-Every record of the program but ``model.InstanceTable``, a ``__slots__``
-class of arrays, is a NamedTuple, and one with an invariant has ``Checked``,
-defined here, as its first base: the records here, ``cli.PipelineConfig``,
-``selection.GaConfig``, ``report.PlotSpec`` and ``model.FeatureSubset``. No
-module imports ``dataclasses``, which imports ``inspect`` and builds each
-class's methods from source at import.
-
-Where numpy gives ``inf`` or ``nan``, a float operation may raise an
-``ArithmeticError``: ``ZeroDivisionError`` on a zero std, ``OverflowError``
-from ``math.exp``.
+Where numpy gives ``inf`` or ``nan``, they may raise an ``ArithmeticError``:
+``ZeroDivisionError`` on a zero std, ``OverflowError`` from ``math.exp``.
+``Projection`` (``project.fit_projection`` returns it, pca_model.json stores
+it) and ``SvmConfig`` (models.json stores it with every fit) live here, as
+``select`` reads both. Every record is a NamedTuple, and one with an
+invariant has ``Checked`` as its first base, here and in ``cli``,
+``selection``, ``report`` and ``model``; no module imports ``dataclasses``,
+which compiles each class's methods at import.
 """
 from __future__ import annotations
 

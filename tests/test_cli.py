@@ -175,6 +175,20 @@ MISTYPED_READS = {
 }
 
 
+# Name -> an edit of a valid selection.json. Each exited 0 with the edited
+# value copied into report.json.
+SELECTION_EDITS = {
+    "fitness-str": lambda data: data.update(fitness="oops"),
+    "accuracy-str": lambda data: data["fitness"].update(mean_cv_accuracy="high"),
+    "frequency-str": lambda data: data["frequencies"].update(
+        {data["selected"][0]: "0.5"}),
+    "history-of-strs": lambda data: data["repeats"][0].update(history=["a"]),
+    "repeats-int": lambda data: data.update(repeats=5),
+    "fitness-missing": lambda data: data.pop("fitness"),
+    "extra-key": lambda data: data.update(extra=1),
+}
+
+
 class TestStages:
     def test_staged_equals_pipeline(self, tmp_path, synthetic60_path):
         # each stage in its own process, so each one decodes table.json
@@ -482,6 +496,21 @@ class TestStages:
         result = eapr_in_a_process("plot", "--config", str(cfg))
         stage = artifacts.WRITTEN_BY[artifact]
         assert (result.returncode, result.stdout, result.stderr) == (1, "", f"E_STAGE {stage}\n")
+
+    @pytest.mark.parametrize("edit", SELECTION_EDITS.values(), ids=SELECTION_EDITS)
+    def test_selection_of_another_type_or_shape_names_select_features(
+        self, tmp_path, synthetic60_path, synthetic60_models, edit
+    ):
+        out = tmp_path / "edited"
+        shutil.copytree(synthetic60_models["rbf"], out)
+        path = out / "selection.json"
+        data = json.loads(path.read_text())
+        edit(data)
+        path.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, synthetic60_path, out)
+        result = eapr_in_a_process("plot", "--config", str(cfg))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            1, "", "E_STAGE select-features\n")
 
     def test_truncated_coordinates_names_project(self, tmp_path, synthetic60_path):
         result, out = run_pipeline(tmp_path, synthetic60_path, "trunc")
@@ -995,7 +1024,7 @@ class TestSelect:
 
 
 def test_cli_import_loads_no_process_pool():
-    # `eapr select` imports eapr.cli, and no module of the program loads these
+    # no module of the program, eapr.cli and what it imports included, loads these
     code = (
         "import sys, eapr.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
@@ -1021,14 +1050,58 @@ def test_select_loads_only_the_modules_it_runs(synthetic60_models):
         if line.startswith("import time:")
     }
     # runpy runs eapr.__main__ itself, so only the package and what it imports show
-    assert {m for m in loaded if m.startswith("eapr")} == {
-        "eapr", "eapr.cli", "eapr.artifacts", "eapr.ranker"
-    }
+    modules = {m for m in loaded if m.startswith("eapr")}
+    assert modules == {"eapr", "eapr.query", "eapr.codec", "eapr.ranker"}
+    # each process compiles these and eapr.__main__ from source when no bytecode is cached
+    package = Path(eapr.__file__).parent
+    compiled = [package / f"{m.partition('.')[2] or '__init__'}.py" for m in modules]
+    lines = sum(len(path.read_text().splitlines()) for path in [*compiled, package / "__main__.py"])
+    assert lines <= 500
     assert not loaded & {"numpy", "click", "dataclasses", "inspect"}
     stage_only = {"eapr.model", "eapr.project", "eapr.classify", "eapr.selection",
                   "eapr.report", "eapr.footprint", "eapr.ingest", "eapr.seeds", "hashlib",
                   "csv", "multiprocessing"}
     assert not loaded & stage_only
+
+
+# Name -> (the arguments after `select`, stdin, the exit code). MODELS is a
+# model directory, EMPTY an empty directory, VECTOR a valid vector.
+SELECT_ARGVS = {
+    "valid": (["--models", "MODELS"], "VECTOR", 0),
+    "help": (["-h"], "VECTOR", 0),
+    "no-models": ([], "VECTOR", 2),
+    "models-without-value": (["--models"], "VECTOR", 2),
+    "abbreviated-option": (["--mod", "MODELS"], "VECTOR", 2),
+    "unknown-option": (["--models", "MODELS", "--bogus"], "VECTOR", 2),
+    "extra-positional": (["--models", "MODELS", "extra"], "VECTOR", 2),
+    "non-utf8-stdin": (["--models", "MODELS"], b"\xff,1\n", 1),
+    "unknown-feature": (["--models", "MODELS"], b"f1,0.1\nnosuch,1\n", 1),
+    "empty-model-dir": (["--models", "EMPTY"], "VECTOR", 1),
+}
+
+
+@pytest.mark.parametrize("args, stdin, code", SELECT_ARGVS.values(), ids=SELECT_ARGVS)
+def test_select_without_cli_answers_as_the_full_parser(
+    tmp_path, synthetic60_models, args, stdin, code
+):
+    # `python -m eapr select` parses with a parser of select alone; eapr.cli's
+    # main parses with every command's
+    model_dir = synthetic60_models["rbf"]
+    (tmp_path / "empty").mkdir()
+    places = {"MODELS": str(model_dir), "EMPTY": str(tmp_path / "empty")}
+    args = [places.get(arg, arg) for arg in args]
+    if stdin == "VECTOR":
+        stdin = selected_vector(model_dir).encode()
+    env = dict(os.environ, PYTHONPATH=str(Path(eapr.__file__).parents[1]))
+    full = "import sys; from eapr.cli import main; sys.exit(main())"
+    runs = [
+        subprocess.run([sys.executable, *entry, "select", *args], input=stdin, env=env,
+                       capture_output=True)
+        for entry in (["-m", "eapr"], ["-c", full])
+    ]
+    lean, parsed = ((r.returncode, r.stdout, r.stderr) for r in runs)
+    assert lean == parsed
+    assert lean[0] == code, lean
 
 
 def test_no_command_loads_dataclasses(tmp_path, synthetic60_path):
@@ -1103,13 +1176,13 @@ def test_a_run_makes_no_reference_cycles(tmp_path):
 
 
 # The entry function, run as the `eapr` script and as `python -m eapr` run
-# it, on a select: whether the collector was on when argparse, eapr.cli and
+# it, on a select: whether the collector was on when argparse, eapr.query and
 # models.json were first met, and its state after the run.
 ENTRY = """
 import gc, json, runpy, sys
 seen = {}
 def hook(event, args):
-    if event == "import" and args[0] in ("argparse", "eapr.cli"):
+    if event == "import" and args[0] in ("argparse", "eapr.query"):
         seen.setdefault(args[0], gc.isenabled())
     elif event == "open" and str(args[0]).endswith("models.json"):
         seen.setdefault("models.json", gc.isenabled())
@@ -1134,8 +1207,8 @@ def test_the_entry_runs_without_the_collector_and_freezes_at_exit(synthetic60_mo
     *ranked, state = result.stdout.splitlines()
     assert ranked == select_in_a_process(model_dir, vector).stdout.splitlines()
     assert json.loads(state) == {
-        "imported": True, "argparse": False, "eapr.cli": False, "models.json": False, "exit": 0,
-        "after": False, "frozen": True,
+        "imported": True, "argparse": False, "eapr.query": False, "models.json": False,
+        "exit": 0, "after": False, "frozen": True,
     }
 
 

@@ -1,15 +1,17 @@
-"""Fuzzed CSV and config input: every run either succeeds or fails with exit 1
-and exactly one machine-parsable `E_*` line, never a traceback."""
+"""Fuzzed CSV, config and artifact input: every run either succeeds or fails
+with exit 1 and exactly one machine-parsable `E_*` line, never a traceback."""
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eapr.cli import _CONFIG_KEYS, CliFailure, build_config, parse_config_file
 
-from conftest import invoke
+from conftest import DATA_DIR, invoke
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -127,3 +129,103 @@ def test_fuzzed_config_builds_or_fails_with_parse_error(data):
             build_config(parse_config_file(path))
         except CliFailure as failure:
             assert failure.code == "E_PARSE", str(failure)
+
+
+# Artifact -> the commands that read it: the stages after the one that
+# writes it, and `select` for the two model files.
+READERS = {
+    "table.json": ("select-features", "project", "footprint", "classify", "plot"),
+    "selection.json": ("project", "plot"),
+    "pca_model.json": ("plot", "select"),
+    "coordinates.json": ("footprint", "classify", "plot"),
+    "footprints.json": ("plot",),
+    "models.json": ("select",),
+    "metrics.json": ("plot",),
+}
+OTHER_TYPES = ["x", 7, 0.5, True, None, [], {}]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a JSON tree, containers and the root included."""
+    yield path, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield from _nodes(item, (*path, key))
+
+
+def _numbers_stay_numbers(before, after) -> bool:
+    """Wherever ``before`` holds a number, ``after`` holds one too, a null (a
+    metric may be undefined), or nothing."""
+    if type(before) in (int, float):
+        return type(after) in (int, float, type(None))
+    if isinstance(before, dict):
+        return isinstance(after, dict) and all(
+            _numbers_stay_numbers(v, after[k]) for k, v in before.items() if k in after)
+    if isinstance(before, list):
+        return isinstance(after, list) and all(map(_numbers_stay_numbers, before, after))
+    return True
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The output directory of a small synthetic60 pipeline, and its config."""
+    root = tmp_path_factory.mktemp("artifacts")
+    cfg = root / "run.cfg"
+    cfg.write_text(f"input={DATA_DIR / 'synthetic60.csv'}\noutput={root / 'out'}\nseed=7\n"
+                   "ga.population=8\nga.generations=3\nga.min_k=2\nga.max_k=3\nga.cv_folds=3\n")
+    assert invoke(["pipeline", "--config", str(cfg)]).exit_code == 0
+    return root / "out", cfg
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_edited_artifact_value_runs_or_names_one_error(run_dir, data):
+    # a value of another JSON type, or a list one item longer or shorter
+    out, cfg = run_dir
+    artifact = data.draw(st.sampled_from(sorted(READERS)))
+    original = json.loads((out / artifact).read_text())
+    path, value = data.draw(st.sampled_from(list(_nodes(original))))
+    edits = [("swap", other) for other in OTHER_TYPES if type(other) is not type(value)]
+    if isinstance(value, list):
+        edits += [("longer", None)] + ([("shorter", None)] if value else [])
+    how, other = data.draw(st.sampled_from(edits))
+    command = data.draw(st.sampled_from(READERS[artifact]))
+
+    edited = json.loads((out / artifact).read_text())
+    parent = edited
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else edited
+    if how == "longer":
+        node.append(node[-1] if node else 0.5)
+    elif how == "shorter":
+        node.pop()
+    elif path:
+        parent[path[-1]] = other
+    else:
+        edited = other
+    with tempfile.TemporaryDirectory() as tmp:
+        work = shutil.copytree(out, Path(tmp) / "out")
+        (work / artifact).write_text(json.dumps(edited))
+        if command == "select":
+            features = json.loads((out / "pca_model.json").read_text())["features"]
+            vector = "".join(f"{name},0.1\n" for name in features)
+            result = invoke(["select", "--models", str(work)], input=vector)
+        else:
+            result = invoke([command, "--config", str(cfg), "--output", str(work)])
+        assert result.exception is None, repr(result.exception)
+        if result.exit_code == 0:
+            if command == "plot":
+                before = json.loads((out / "report.json").read_text())
+                after = json.loads((work / "report.json").read_text())
+                assert _numbers_stay_numbers(before, after)
+            return
+    assert result.exit_code == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("E_")]
+    assert len(errors) == 1, result.stderr
+    assert errors[0].split()[0] in ("E_STAGE", "E_DEGENERATE", "E_MODEL"), errors[0]
